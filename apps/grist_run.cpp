@@ -47,13 +47,16 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "grist/common/parse.hpp"
 #include "grist/common/timer.hpp"
 #include "grist/core/checkpoint.hpp"
 #include "grist/core/factory.hpp"
@@ -73,6 +76,21 @@ struct CkptOpts {
   std::string dir;
   std::string restart;    ///< snapshot/legacy file to resume from
 };
+
+/// A numeric command-line value: the whole token, inside [lo, hi], or exit
+/// 2 naming the flag and the token.
+template <typename T>
+T numberOrExit(const char* flag, const char* token, T lo, T hi) {
+  if (const std::optional<T> v = grist::parseNumber<T>(token, lo, hi)) {
+    return *v;
+  }
+  std::fprintf(stderr,
+               "grist_run: %s: invalid value '%s' (want a number in "
+               "[%s, %s])\n",
+               flag, token, std::to_string(lo).c_str(),
+               std::to_string(hi).c_str());
+  std::exit(2);
+}
 
 bool fileExists(const std::string& path) {
   struct stat st{};
@@ -264,37 +282,24 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--ranks") {
-      ranks = std::atoi(value());
+      ranks = numberOrExit<Index>("--ranks", value(), 1, 4096);
     } else if (arg == "--transport") {
       transport = value();
     } else if (arg == "--pin") {
       pin = true;
     } else if (arg == "--wire-latency") {
-      wire_latency = std::atof(value());
+      wire_latency = numberOrExit("--wire-latency", value(), 0.0, 3600.0);
     } else if (arg == "--checkpoint-every") {
-      ckpt.every = std::atoi(value());
-      if (ckpt.every <= 0) {
-        std::fprintf(stderr,
-                     "grist_run: --checkpoint-every needs a positive step "
-                     "count (got '%d')\n",
-                     ckpt.every);
-        return 2;
-      }
+      ckpt.every = numberOrExit("--checkpoint-every", value(), 1, INT_MAX);
     } else if (arg == "--checkpoint-dir") {
       ckpt.dir = value();
     } else if (arg == "--restart") {
       ckpt.restart = value();
     } else if (arg == "--ensemble") {
-      ensemble = std::atoi(value());
-      if (ensemble <= 0) {
-        std::fprintf(stderr,
-                     "grist_run: --ensemble needs a positive member count "
-                     "(got '%d')\n",
-                     ensemble);
-        return 2;
-      }
+      ensemble = numberOrExit("--ensemble", value(), 1, 4096);
     } else if (arg == "--perturb-seed") {
-      perturb_seed = std::strtoull(value(), nullptr, 10);
+      perturb_seed = numberOrExit<std::uint64_t>("--perturb-seed", value(), 0,
+                                                 UINT64_MAX);
       seed_given = true;
     } else {
       pos.push_back(argv[i]);
@@ -349,9 +354,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const int steps = pos.size() > 1
+                        ? numberOrExit("steps", pos[1], 0, INT_MAX)
+                        : config.getInt("steps", 48);
+
   if (ensemble > 0) {
-    const int steps =
-        pos.size() > 1 ? std::atoi(pos[1]) : config.getInt("steps", 48);
     try {
       return runEnsemble(config, steps, ensemble, perturb_seed);
     } catch (const std::exception& e) {
@@ -361,10 +368,8 @@ int main(int argc, char** argv) {
   }
 
   if (ranks > 1 || transport == "shm") {
-    const int steps =
-        pos.size() > 1 ? std::atoi(pos[1]) : config.getInt("steps", 48);
     try {
-      return runMultiRank(config, steps, std::max<Index>(ranks, 1), transport,
+      return runMultiRank(config, steps, ranks, transport,
                           pin, wire_latency, ckpt);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "grist_run: %s\n", e.what());
@@ -397,8 +402,6 @@ int main(int argc, char** argv) {
                 restart_in.c_str(), model.simDays(), model.dynSteps());
   }
 
-  const int steps =
-      pos.size() > 1 ? std::atoi(pos[1]) : config.getInt("steps", 48);
   const int report = std::max(1, config.getInt("report_interval", 12));
   std::printf("scheme %s, grid G%d (%d cells), %d steps\n", model.schemeName(),
               config.getInt("grid_level", 4), mesh.ncells, steps);

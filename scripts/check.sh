@@ -42,6 +42,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# ISA flags belong to the backend's dispatch tiers only: a TU built with
+# -mavx* outside src/backend runs with no cpuid check and dies with SIGILL
+# on a host without that extension.
+echo "== ISA-flag guard: -mavx* only in src/backend CMakeLists =="
+isa_offenders=$(find . \( -name 'build*' -o -name .bench_build -o -name .git \) \
+  -prune -o -name CMakeLists.txt -print | grep -v '^\./src/backend/' |
+  xargs grep -ln -e '-mavx' || true)
+if [[ -n "$isa_offenders" ]]; then
+  echo "error: -mavx* flags outside src/backend (route the kernel through" \
+    "the SIMD dispatch table instead):" >&2
+  echo "$isa_offenders" >&2
+  exit 1
+fi
+
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
@@ -56,9 +70,10 @@ else
   # active tier down, so forcing "scalar" pins the portable tier and the
   # unset run exercises the best tier cpuid grants on this machine.
   echo "== SIMD dispatch pass: backend + dycore suites per tier =="
-  for tier in scalar ""; do
+  for tier in scalar avx2 ""; do
     label="${tier:-best-available}"
-    for bin in test_backend test_dycore test_fused_kernels; do
+    for bin in test_backend test_dycore test_fused_kernels test_core \
+               test_model_alloc; do
       echo "-- $bin (tier: $label)"
       if [[ -n "$tier" ]]; then
         GRIST_SIMD_TIER="$tier" ./build/tests/"$bin" >/dev/null

@@ -15,13 +15,18 @@
 // exemplar): cpuid picks the best tier the build carries and the CPU
 // supports; GRIST_SIMD_TIER=scalar|avx2|avx512 clamps it down (never up)
 // so tests can pin every tier on one machine. The dispatch surface is a
-// table of per-kernel function pointers, two slots per kernel (NS = double
-// / float), one entry per Fig. 9 registry kernel.
+// table of per-kernel function pointers, two slots per NS-templated kernel
+// (NS = double / float): the Fig. 9 registry kernels -- compute_rrr and
+// vert_implicit_solver in the forms the dycore step calls (rrr_alpha_p /
+// rrr_p without the Exner and pi_mid outputs, the member-lane solve) --
+// plus the step's RK3 save/update and flux-accumulation sweeps.
 //
 // Numerical contract: every tier is BITWISE identical to the HostBackend
 // instantiation, in both NS precisions, for every nlev (masked/scalar
-// fringe included). That holds because vectorization is only ever over the
-// independent k dimension -- per-element operation order is untouched, the
+// fringe included). That holds because vectorization is only ever over an
+// independent dimension (k, the flat entity*k index of an elementwise
+// sweep, or the ensemble member) -- per-element operation order is
+// untouched, the
 // j (stencil) accumulation order is preserved by keeping j loops outer,
 // IEEE vector div/cvt round like their scalar forms, and the vector TUs are
 // compiled with -ffp-contract=off so no FMA contraction sneaks in relative
@@ -84,10 +89,6 @@ struct KernelTable {
   void (*primal_normal_flux_edge[2])(const HexMesh&, Index nedges, int nlev,
                                      const double* delp, const double* u,
                                      double* flux) = {};
-  void (*compute_rrr[2])(Index ncells, int nlev, double ptop,
-                         const double* delp, const double* theta,
-                         const double* phi, double* alpha, double* p,
-                         double* exner, double* pi_mid) = {};
   void (*calc_coriolis_term[2])(const HexMesh&, const TrskWeights&,
                                 Index nedges, int nlev, const double* flux,
                                 const double* qv, double* tend_u) = {};
@@ -105,13 +106,6 @@ struct KernelTable {
                                       double* flux_low, double* flux_anti,
                                       double* q_td, double* rp,
                                       double* rm) = {};
-  /// Column-sequential (Thomas) -- hard double, same body every tier; both
-  /// slots carry the same pointer so callers can index uniformly.
-  void (*vert_implicit_solver[2])(Index ncells, int nlev, double dt,
-                                  double ptop, const double* delp,
-                                  const double* theta, const double* p,
-                                  double* w, double* phi,
-                                  double w_damp_tau) = {};
   void (*fused_edge_fluxes[2])(const HexMesh&, Index nedges, int nlev,
                                const double* delp, const double* u,
                                double* flux, double* uflux) = {};
@@ -136,6 +130,53 @@ struct KernelTable {
                                      const double* p, const double* div_u,
                                      const double* vor, double nu_div,
                                      double nu_vor, double* tend_u) = {};
+
+  // --- The dycore step's own sweeps. `cells`/`edges` == nullptr means the
+  // contiguous range [0, n); otherwise the n listed entities (the overlap
+  // schedule's boundary/interior bands). Entries without an NS slot are
+  // double-only. ---
+
+  /// compute_rrr restricted to what the step reads: alpha and p. The
+  /// Exner pow and the pi_mid prefix sum are never computed. Bitwise equal
+  /// to kernels::computeRrr<NS>'s alpha/p.
+  void (*rrr_alpha_p[2])(const Index* cells, Index n, int nlev,
+                         const double* delp, const double* theta,
+                         const double* phi, double* alpha, double* p) = {};
+  /// p alone, in double: the pressure the implicit solver reads (bitwise
+  /// kernels::computeRrr<double>'s p).
+  void (*rrr_p)(const Index* cells, Index n, int nlev, const double* delp,
+                const double* theta, const double* phi, double* p) = nullptr;
+  /// RK3 step-start copies as flat cell*k sweeps: delp0 = delp,
+  /// thetam0 = delp*theta; u0 = u.
+  void (*save_cell_start)(Index ncells, int nlev, const double* delp,
+                          const double* theta, double* delp0,
+                          double* thetam0) = nullptr;
+  void (*save_edge_start)(Index nedges, int nlev, const double* u,
+                          double* u0) = nullptr;
+  /// RK3 stage update from the step-start copies, with the positivity
+  /// backstop (a layer drained below 10% of its step-start mass is held
+  /// there and keeps its step-start theta) as a branch-free blend.
+  void (*update_cells)(const Index* cells, Index n, int nlev, double dts,
+                       const double* delp0, const double* thetam0,
+                       const double* delp_tend, const double* thetam_tend,
+                       double* delp, double* theta) = nullptr;
+  void (*update_edges)(const Index* edges, Index n, int nlev, double dts,
+                       const double* u0, const double* u_tend,
+                       double* u) = nullptr;
+  /// acc += flux (the tracer mass-flux window), flat over nedges*nlev.
+  void (*accumulate_flux)(Index nedges, int nlev, const double* flux,
+                          double* acc) = nullptr;
+  /// The vertical implicit (w, phi) solve for `nmembers` states at once,
+  /// member index as the vector lane (blocks of up to 8). The pointer
+  /// arrays hold one entry per member. Per-lane arithmetic is exactly
+  /// kernels::vertImplicitColumn's, so each member's result is bitwise the
+  /// column solve's; at nmembers == 1 this IS the column solve.
+  void (*vert_solve_lanes)(const Index* cells, Index n, int nmembers,
+                           int nlev, double dt, double ptop,
+                           const double* const* delp,
+                           const double* const* theta,
+                           const double* const* p, double* const* w,
+                           double* const* phi, double w_damp_tau) = nullptr;
 };
 
 /// Table slot for an NS precision.

@@ -21,11 +21,11 @@
 //     per-k accumulator rows from the thread's Workspace arena. Each k's
 //     contributions still arrive in ascending-j order, so every accumulation
 //     chain is unchanged.
-//   - std::pow and the column-sequential Thomas solve stay scalar in every
-//     tier (a vector math library would round differently; the solver has a
-//     loop-carried dependence). compute_rrr splits into a scalar prefix-sum
-//     loop, a vectorizable alpha loop, and a scalar pow loop; the vertical
-//     implicit solver reuses the shared column body unchanged.
+//   - std::pow stays scalar in every tier (a vector math library would
+//     round differently): the EOS entries vectorize alpha and the pow
+//     argument, then run a scalar pow loop. The Thomas solve is
+//     loop-carried in k, so vert_solve_lanes vectorizes across members
+//     instead, replaying vertImplicitColumn's per-column order in each lane.
 //   - max/min folds keep first-operand-wins tie semantics: max(a, max(b, c))
 //     reproduces std::max({a, b, c}) exactly, signed zeros included.
 //   - The limiter's branch `if (fa < 0) p_in -= fa; else p_out += fa;`
@@ -192,44 +192,137 @@ void fusedEdgeFluxesImpl(const HexMesh& m, Index nedges, int nlev,
 }
 
 // ---------------------------------------------------------------------------
-// compute_rrr: scalar prefix sum (loop-carried pi_acc), vector alpha loop,
-// scalar pow loop. dphi is recomputed in the pow loop -- same inputs, same
-// expression, bit-identical value.
+// rrr_alpha_p / rrr_p: compute_rrr minus its dead outputs. Per row, one
+// vector loop over k writes alpha and stages the pow argument through p;
+// the libm pow pass stays scalar. Expressions and their order are exactly
+// computeRrrColumn's, so alpha/p match it bit for bit.
 // ---------------------------------------------------------------------------
-template <precision::NsReal NS>
-void computeRrrImpl(Index ncells, int nlev, double ptop, const double* delp,
-                    const double* theta, const double* phi, double* alpha,
-                    double* p, double* exner, double* pi_mid) {
+template <precision::NsReal NS, bool kAlpha>
+inline void rrrRow(int nlev, const double* __restrict dp,
+                   const double* __restrict th, const double* __restrict ph,
+                   double* __restrict al, double* __restrict pr) {
   using namespace grist::constants;
-  const double gamma = kCp / (kCp - kRd);
-#pragma omp parallel for schedule(static)
-  for (Index c = 0; c < ncells; ++c) {
-    const double* __restrict dp = delp + c * nlev;
-    const double* __restrict th = theta + c * nlev;
-    const double* __restrict ph = phi + c * (nlev + 1);
-    double* __restrict al = alpha + c * nlev;
-    double* __restrict pr = p + c * nlev;
-    double* __restrict ex = exner + c * nlev;
-    double* __restrict pim = pi_mid + c * nlev;
-    double pi_acc = ptop;
-    for (int k = 0; k < nlev; ++k) {
-      pim[k] = pi_acc + 0.5 * dp[k];
-      pi_acc += dp[k];
-    }
+  const double gamma = kCp / (kCp - kRd);  // cp/cv
 #pragma omp simd
-    for (int k = 0; k < nlev; ++k) {
-      const NS dphi = static_cast<NS>(ph[k] - ph[k + 1]);
+  for (int k = 0; k < nlev; ++k) {
+    const NS dphi = static_cast<NS>(ph[k] - ph[k + 1]);
+    if constexpr (kAlpha) {
       al[k] = static_cast<double>(dphi / static_cast<NS>(dp[k]));
     }
+    const double rho = dp[k] / static_cast<double>(dphi);
+    pr[k] = rho * kRd * th[k] / kP0;
+  }
+  for (int k = 0; k < nlev; ++k) pr[k] = kP0 * std::pow(pr[k], gamma);
+}
+
+template <precision::NsReal NS>
+void rrrAlphaPImpl(const Index* cells, Index n, int nlev, const double* delp,
+                   const double* theta, const double* phi, double* alpha,
+                   double* p) {
+#pragma omp parallel for schedule(static)
+  for (Index i = 0; i < n; ++i) {
+    const Index c = cells ? cells[i] : i;
+    rrrRow<NS, true>(nlev, delp + c * nlev, theta + c * nlev,
+                     phi + c * (nlev + 1), alpha + c * nlev, p + c * nlev);
+  }
+}
+
+void rrrPImpl(const Index* cells, Index n, int nlev, const double* delp,
+              const double* theta, const double* phi, double* p) {
+#pragma omp parallel for schedule(static)
+  for (Index i = 0; i < n; ++i) {
+    const Index c = cells ? cells[i] : i;
+    rrrRow<double, false>(nlev, delp + c * nlev, theta + c * nlev,
+                          phi + c * (nlev + 1), nullptr, p + c * nlev);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// RK3 save / update / accumulate: elementwise, so the contiguous form is
+// one flat cell*k (edge*k) sweep and the band form vectorizes each listed
+// row. The positivity backstop is a blend: both divides run and the
+// discarded one is dropped (thetam0/delp0 is always defined, and a
+// speculative nt/nd cannot trap with exceptions masked).
+// ---------------------------------------------------------------------------
+void saveCellStartImpl(Index ncells, int nlev, const double* __restrict delp,
+                       const double* __restrict theta,
+                       double* __restrict delp0, double* __restrict thetam0) {
+  const Index total = ncells * nlev;
+#pragma omp parallel for simd schedule(static)
+  for (Index i = 0; i < total; ++i) {
+    delp0[i] = delp[i];
+    thetam0[i] = delp[i] * theta[i];
+  }
+}
+
+void saveEdgeStartImpl(Index nedges, int nlev, const double* __restrict u,
+                       double* __restrict u0) {
+  const Index total = nedges * nlev;
+#pragma omp parallel for simd schedule(static)
+  for (Index i = 0; i < total; ++i) u0[i] = u[i];
+}
+
+inline void updateCellAt(Index i, double dts, const double* __restrict delp0,
+                         const double* __restrict thetam0,
+                         const double* __restrict delp_tend,
+                         const double* __restrict thetam_tend,
+                         double* __restrict delp, double* __restrict theta) {
+  const double d0 = delp0[i];
+  const double nd = d0 + dts * delp_tend[i];
+  const double nt = thetam0[i] + dts * thetam_tend[i];
+  const double floor_d = 0.1 * d0;
+  const bool floored = nd < floor_d;
+  delp[i] = floored ? floor_d : nd;
+  theta[i] = floored ? thetam0[i] / d0 : nt / nd;
+}
+
+void updateCellsImpl(const Index* cells, Index n, int nlev, double dts,
+                     const double* delp0, const double* thetam0,
+                     const double* delp_tend, const double* thetam_tend,
+                     double* delp, double* theta) {
+  if (!cells) {
+    const Index total = n * nlev;
+#pragma omp parallel for simd schedule(static)
+    for (Index i = 0; i < total; ++i) {
+      updateCellAt(i, dts, delp0, thetam0, delp_tend, thetam_tend, delp, theta);
+    }
+    return;
+  }
+#pragma omp parallel for schedule(static)
+  for (Index j = 0; j < n; ++j) {
+    const Index base = cells[j] * nlev;
+#pragma omp simd
     for (int k = 0; k < nlev; ++k) {
-      const NS dphi = static_cast<NS>(ph[k] - ph[k + 1]);
-      const double rho = dp[k] / static_cast<double>(dphi);
-      const double pk = kP0 * std::pow(rho * kRd * th[k] / kP0, gamma);
-      pr[k] = pk;
-      ex[k] = static_cast<double>(
-          std::pow(static_cast<NS>(pk / kP0), static_cast<NS>(kKappa)));
+      updateCellAt(base + k, dts, delp0, thetam0, delp_tend, thetam_tend, delp,
+                   theta);
     }
   }
+}
+
+void updateEdgesImpl(const Index* edges, Index n, int nlev, double dts,
+                     const double* __restrict u0,
+                     const double* __restrict u_tend, double* __restrict u) {
+  if (!edges) {
+    const Index total = n * nlev;
+#pragma omp parallel for simd schedule(static)
+    for (Index i = 0; i < total; ++i) u[i] = u0[i] + dts * u_tend[i];
+    return;
+  }
+#pragma omp parallel for schedule(static)
+  for (Index j = 0; j < n; ++j) {
+    const Index base = edges[j] * nlev;
+#pragma omp simd
+    for (int k = 0; k < nlev; ++k) {
+      u[base + k] = u0[base + k] + dts * u_tend[base + k];
+    }
+  }
+}
+
+void accumulateFluxImpl(Index nedges, int nlev, const double* __restrict flux,
+                        double* __restrict acc) {
+  const Index total = nedges * nlev;
+#pragma omp parallel for simd schedule(static)
+  for (Index i = 0; i < total; ++i) acc[i] += flux[i];
 }
 
 // ---------------------------------------------------------------------------
@@ -506,46 +599,146 @@ void tracerHoriFluxLimiterImpl(const HexMesh& m, Index ncells, int nlev,
 }
 
 // ---------------------------------------------------------------------------
-// vert_implicit_solver: column-sequential Thomas solve -- hard double and
-// scalar in every tier (the recurrence is loop-carried). Reuses the shared
-// column body via the SimdBackend instantiation, which is structurally the
-// Host one, so parity is by construction.
+// vert_solve_lanes: the column solve (kernels::vertImplicitColumn) with the
+// member index as the vector lane. The Thomas recurrence is sequential in k but independent
+// across members, so M copies of one cell turn its divide chain into
+// lane-parallel IEEE divides. Lane-major scratch is [k][lane]: a k-offset
+// becomes a stride-L offset in a flat loop. Per-lane operation order is
+// exactly vertImplicitColumn's.
 // ---------------------------------------------------------------------------
-void vertImplicitSolverImplBody(Index ncells, int nlev, double dt, double ptop,
-                                const double* delp, const double* theta,
-                                const double* p, double* w, double* phi,
-                                double w_damp_tau) {
+void vertSolveLanesImpl(const Index* cells, Index ncols, int nmembers,
+                        int nlev, double dt, double ptop,
+                        const double* const* delp, const double* const* theta,
+                        const double* const* p, double* const* w,
+                        double* const* phi, double w_damp_tau) {
+  using namespace grist::constants;
+  constexpr int kMaxLanes = 8;
+  const double gamma = kCp / (kCp - kRd);
+  const double g = kGravity;
+  const int n = nlev - 1;
+
+  for (int m0 = 0; m0 < nmembers; m0 += kMaxLanes) {
+    const int L = std::min(kMaxLanes, nmembers - m0);
+    const double* const* dp_m = delp + m0;
+    const double* const* th_m = theta + m0;
+    const double* const* p_m = p + m0;
+    double* const* w_m = w + m0;
+    double* const* phi_m = phi + m0;
+
 #pragma omp parallel
-  {
-    Workspace& ws = Workspace::threadLocal();
-    ws.reserve(Workspace::bytesFor<double>(nlev) * 5 +
-               Workspace::bytesFor<double>(nlev + 1));
+    {
+      Workspace& ws = Workspace::threadLocal();
+      const std::size_t row = Workspace::bytesFor<double>(nlev * kMaxLanes);
+      const std::size_t irow =
+          Workspace::bytesFor<double>((nlev + 1) * kMaxLanes);
+      ws.reserve(7 * row + 3 * irow + Workspace::bytesFor<double>(kMaxLanes));
 #pragma omp for schedule(static)
-    for (Index c = 0; c < ncells; ++c) {
-      const Workspace::Frame frame(ws);
-      const int n = nlev - 1;
-      kernels::VertSolveScratch scratch;
-      scratch.comp = ws.acquire<double>(nlev);
-      scratch.lower = ws.acquire<double>(n);
-      scratch.diag = ws.acquire<double>(n);
-      scratch.upper = ws.acquire<double>(n);
-      scratch.rhs = ws.acquire<double>(n);
-      scratch.wnew = ws.acquire<double>(nlev + 1);
-      SimdBackend::Context ctx;
-      kernels::vertImplicitColumn<SimdBackend>(
-          ctx, c, nlev, dt, ptop, hostView(delp), hostView(theta), hostView(p),
-          hostMut(w), hostMut(phi), w_damp_tau, scratch);
+      for (Index i = 0; i < ncols; ++i) {
+        const Index c = cells ? cells[i] : i;
+        const Workspace::Frame frame(ws);
+        double* dp_ln = ws.acquire<double>(nlev * L);
+        double* p_ln = ws.acquire<double>(nlev * L);
+        double* comp = ws.acquire<double>(nlev * L);
+        double* phi_ln = ws.acquire<double>((nlev + 1) * L);
+        double* w_ln = ws.acquire<double>((nlev + 1) * L);
+        double* wnew = ws.acquire<double>((nlev + 1) * L);
+        double* lower = ws.acquire<double>(n * L);
+        double* diag = ws.acquire<double>(n * L);
+        double* upper = ws.acquire<double>(n * L);
+        double* rhs = ws.acquire<double>(n * L);
+        double* theta0 = ws.acquire<double>(L);
+
+        const Index cc = c * nlev;
+        const Index ci = c * (nlev + 1);
+        for (int k = 0; k < nlev; ++k) {
+          for (int l = 0; l < L; ++l) {
+            dp_ln[k * L + l] = dp_m[l][cc + k];
+            p_ln[k * L + l] = p_m[l][cc + k];
+          }
+        }
+        for (int k = 0; k <= nlev; ++k) {
+          for (int l = 0; l < L; ++l) {
+            phi_ln[k * L + l] = phi_m[l][ci + k];
+            w_ln[k * L + l] = w_m[l][ci + k];
+          }
+        }
+        for (int l = 0; l < L; ++l) theta0[l] = th_m[l][cc + 0];
+
+        // comp[j] = gamma p_j / (phi_j - phi_{j+1}).
+#pragma omp simd
+        for (int j = 0; j < nlev * L; ++j) {
+          comp[j] = gamma * p_ln[j] / (phi_ln[j] - phi_ln[j + L]);
+        }
+        // Rows for interior interfaces k = 1..n at flat j = (k-1)*L + lane.
+#pragma omp simd
+        for (int j = 0; j < n * L; ++j) {
+          const double dpi = 0.5 * (dp_ln[j] + dp_ln[j + L]);
+          const double ck = dt * g / dpi;
+          const double a = ck * dt * g;
+          lower[j] = -a * comp[j];
+          diag[j] = 1.0 + a * (comp[j + L] + comp[j]);
+          upper[j] = -a * comp[j + L];
+          rhs[j] = w_ln[j + L] + ck * (p_ln[j + L] - p_ln[j]) - dt * g;
+        }
+        // Thomas: sequential in k, lane-parallel.
+        for (int r = 1; r < n; ++r) {
+#pragma omp simd
+          for (int l = 0; l < L; ++l) {
+            const double mm = lower[r * L + l] / diag[(r - 1) * L + l];
+            diag[r * L + l] -= mm * upper[(r - 1) * L + l];
+            rhs[r * L + l] -= mm * rhs[(r - 1) * L + l];
+          }
+        }
+        for (int j = 0; j < (nlev + 1) * L; ++j) wnew[j] = 0.0;
+        if (n > 0) {
+#pragma omp simd
+          for (int l = 0; l < L; ++l) {
+            wnew[n * L + l] = rhs[(n - 1) * L + l] / diag[(n - 1) * L + l];
+          }
+          for (int r = n - 2; r >= 0; --r) {
+#pragma omp simd
+            for (int l = 0; l < L; ++l) {
+              wnew[(r + 1) * L + l] =
+                  (rhs[r * L + l] - upper[r * L + l] * wnew[(r + 2) * L + l]) /
+                  diag[r * L + l];
+            }
+          }
+        }
+        if (w_damp_tau > 0) {
+#pragma omp simd
+          for (int j = L; j < nlev * L; ++j) wnew[j] /= 1.0 + dt / w_damp_tau;
+        }
+        // Inversion limiter on pre-update phi; wnew row k sits at j + L.
+#pragma omp simd
+        for (int j = 0; j < n * L; ++j) {
+          const double room =
+              0.25 * std::min(phi_ln[j] - phi_ln[j + L],
+                              phi_ln[j + L] - phi_ln[j + 2 * L]);
+          const double bound = room / (dt * g);
+          double wk = wnew[j + L];
+          wk = wk > bound ? bound : wk;
+          wk = wk < -bound ? -bound : wk;
+          wnew[j + L] = wk;
+        }
+        // Scatter w, update interior phi, re-attach the top interface.
+        for (int k = 0; k <= nlev; ++k) {
+          for (int l = 0; l < L; ++l) w_m[l][ci + k] = wnew[k * L + l];
+        }
+        for (int k = 1; k <= n; ++k) {
+          for (int l = 0; l < L; ++l) {
+            phi_m[l][ci + k] += dt * g * wnew[k * L + l];
+          }
+        }
+        for (int l = 0; l < L; ++l) {
+          const double pi_top_mid = ptop + 0.5 * dp_ln[l];
+          const double alpha_top = kRd * theta0[l] *
+                                   std::pow(pi_top_mid / kP0, kKappa) /
+                                   pi_top_mid;
+          phi_m[l][ci + 0] = phi_m[l][ci + 1] + alpha_top * dp_ln[l];
+        }
+      }
     }
   }
-}
-
-template <precision::NsReal NS>
-void vertImplicitSolverImpl(Index ncells, int nlev, double dt, double ptop,
-                            const double* delp, const double* theta,
-                            const double* p, double* w, double* phi,
-                            double w_damp_tau) {
-  vertImplicitSolverImplBody(ncells, nlev, dt, ptop, delp, theta, p, w, phi,
-                             w_damp_tau);
 }
 
 // ---------------------------------------------------------------------------
@@ -801,8 +994,6 @@ const KernelTable& GRIST_SIMD_TIER_FN() {
     t.tier = GRIST_SIMD_TIER_ID;
     t.primal_normal_flux_edge[0] = &primalNormalFluxEdgeImpl<double>;
     t.primal_normal_flux_edge[1] = &primalNormalFluxEdgeImpl<float>;
-    t.compute_rrr[0] = &computeRrrImpl<double>;
-    t.compute_rrr[1] = &computeRrrImpl<float>;
     t.calc_coriolis_term[0] = &calcCoriolisTermImpl<double>;
     t.calc_coriolis_term[1] = &calcCoriolisTermImpl<float>;
     t.tend_grad_ke_at_edge[0] = &tendGradKeAtEdgeImpl<double>;
@@ -811,8 +1002,6 @@ const KernelTable& GRIST_SIMD_TIER_FN() {
     t.div_at_cell[1] = &divAtCellImpl<float>;
     t.tracer_hori_flux_limiter[0] = &tracerHoriFluxLimiterImpl<double>;
     t.tracer_hori_flux_limiter[1] = &tracerHoriFluxLimiterImpl<float>;
-    t.vert_implicit_solver[0] = &vertImplicitSolverImpl<double>;
-    t.vert_implicit_solver[1] = &vertImplicitSolverImpl<float>;
     t.fused_edge_fluxes[0] = &fusedEdgeFluxesImpl<double>;
     t.fused_edge_fluxes[1] = &fusedEdgeFluxesImpl<float>;
     t.fused_cell_diagnostics[0] = &fusedCellDiagnosticsImpl<double>;
@@ -823,6 +1012,15 @@ const KernelTable& GRIST_SIMD_TIER_FN() {
     t.fused_scalar_tendencies[1] = &fusedScalarTendenciesImpl<float>;
     t.fused_momentum_tendency[0] = &fusedMomentumTendencyImpl<double>;
     t.fused_momentum_tendency[1] = &fusedMomentumTendencyImpl<float>;
+    t.rrr_alpha_p[0] = &rrrAlphaPImpl<double>;
+    t.rrr_alpha_p[1] = &rrrAlphaPImpl<float>;
+    t.rrr_p = &rrrPImpl;
+    t.save_cell_start = &saveCellStartImpl;
+    t.save_edge_start = &saveEdgeStartImpl;
+    t.update_cells = &updateCellsImpl;
+    t.update_edges = &updateEdgesImpl;
+    t.accumulate_flux = &accumulateFluxImpl;
+    t.vert_solve_lanes = &vertSolveLanesImpl;
     return t;
   }();
   return table;

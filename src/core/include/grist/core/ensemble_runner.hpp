@@ -1,13 +1,16 @@
-// Batched ensemble execution engine: step M model members as ONE fused
+// Batched ensemble execution engine: step M model members as ONE
 // workload instead of M independent Model instances.
+//
+// The dycore step is not ensemble-specific: Model runs the same
+// dycore::Dycore at M = 1, this runner runs it at M = members, so the EOS,
+// RK3 sweeps and implicit solve are one code path for both.
 //
 // What is shared, held exactly once:
 //   - mesh + TRSK weights (borrowed, like Model),
 //   - the trained Q1Q2Net/RadMlp via shared_ptr -- including their quant
 //     caches, so bf16/int8 weight packing happens once for all members,
-//   - one EnsembleDycore: a single set of transient dycore scratch fields
-//     reused across members, with the vertical implicit solve batched
-//     member-per-SIMD-lane (see dycore/ensemble_dycore.hpp),
+//   - one M-member Dycore: its transient scratch is reused member after
+//     member, and the vertical implicit solve runs member-per-SIMD-lane,
 //   - under the ML scheme, one fused MlPhysicsSuite over M*ncells columns:
 //     every physics step concatenates all members' columns into one
 //     PhysicsInput, so the Q1Q2/RadMlp GEMM batches (fp32 and quantized)
@@ -16,7 +19,8 @@
 //     per-member suites for the recorded benchmark pair).
 //
 // What is per member: the prognostic State, tskin/precip land bookkeeping,
-// the tracer-window accumulators, and the perturbation seed.
+// the tracer-window accumulators (the Dycore's mass-flux window included),
+// and the perturbation seed.
 //
 // The contract: every member's full trajectory is BITWISE identical to the
 // same (seed-matched) initial state run solo through Model, in DP and MIX,
@@ -29,7 +33,7 @@
 #include <vector>
 
 #include "grist/core/model.hpp"
-#include "grist/dycore/ensemble_dycore.hpp"
+#include "grist/dycore/dycore.hpp"
 
 namespace grist::core {
 
@@ -97,7 +101,7 @@ class EnsembleRunner {
 
   const grid::HexMesh& mesh_;
   EnsembleConfig config_;
-  dycore::EnsembleDycore edy_;
+  dycore::Dycore dycore_;
   coupler::Coupler coupler_;
   std::vector<dycore::State> states_;
   std::vector<dycore::State*> state_ptrs_;

@@ -106,6 +106,7 @@ class Model {
   dycore::State state_;
 
   parallel::Field delp_at_tracer_start_;
+  parallel::Field mean_flux_;  ///< tracer-step scratch: window-mean flux
   std::vector<double> tskin_;
   std::vector<double> precip_accum_;
   physics::PhysicsInput phys_in_;

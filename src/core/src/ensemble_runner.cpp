@@ -45,7 +45,7 @@ EnsembleRunner::EnsembleRunner(const grid::HexMesh& mesh,
                                const dycore::State& initial)
     : mesh_(mesh),
       config_(std::move(config)),
-      edy_(mesh, trsk, config_.model.dyn, config_.members),
+      dycore_(mesh, trsk, config_.model.dyn, config_.members),
       coupler_(mesh, config_.model.dyn.nlev),
       mean_flux_scratch_(mesh.nedges, config_.model.dyn.nlev) {
   ModelConfig& mc = config_.model;
@@ -115,11 +115,11 @@ EnsembleRunner::EnsembleRunner(const grid::HexMesh& mesh,
       member_out_.emplace_back(mesh.ncells, nlev);
     }
   }
-  edy_.resetAccumulatedFlux();
+  dycore_.resetAccumulatedFlux();
 }
 
 void EnsembleRunner::step() {
-  edy_.step(state_ptrs_.data());
+  dycore_.step(state_ptrs_.data());
   ++dyn_steps_;
   sim_seconds_ += config_.model.dyn.dt;
   if (dyn_steps_ % config_.model.trac_interval == 0) tracerStep();
@@ -131,18 +131,17 @@ void EnsembleRunner::run(int ndyn_steps) {
 }
 
 void EnsembleRunner::tracerStep() {
-  const int nsub = edy_.accumulatedSteps();
+  const int nsub = dycore_.accumulatedSteps();
   if (nsub == 0) return;
   const ModelConfig& mc = config_.model;
   for (int m = 0; m < config_.members; ++m) {
     const std::size_t mi = static_cast<std::size_t>(m);
     dycore::State& state = states_[mi];
-    // Member's window-mean mass flux into the preallocated scratch (solo
-    // Model divides a copy; same values, no allocation here).
-    const parallel::Field& acc = edy_.accumulatedMassFlux(m);
-    std::copy(acc.data(), acc.data() + acc.size(), mean_flux_scratch_.data());
-    for (std::size_t i = 0; i < mean_flux_scratch_.size(); ++i) {
-      mean_flux_scratch_.data()[i] /= static_cast<double>(nsub);
+    // Member's window-mean mass flux into the preallocated scratch (the
+    // same division as Model::tracerStep).
+    const parallel::Field& acc = dycore_.accumulatedMassFlux(m);
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      mean_flux_scratch_.data()[i] = acc.data()[i] / static_cast<double>(nsub);
     }
     dycore::TracerTransportArgs args;
     args.mesh = &mesh_;
@@ -159,7 +158,7 @@ void EnsembleRunner::tracerStep() {
     std::copy(state.delp.data(), state.delp.data() + state.delp.size(),
               delp_at_tracer_start_[mi].data());
   }
-  edy_.resetAccumulatedFlux();
+  dycore_.resetAccumulatedFlux();
 }
 
 void EnsembleRunner::physicsStep() {

@@ -31,6 +31,7 @@ Model::Model(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
       coupler_(mesh, config_.dyn.nlev),
       state_(std::move(initial)),
       delp_at_tracer_start_(state_.delp),
+      mean_flux_(mesh.nedges, config_.dyn.nlev),
       tskin_(initialSkinTemperature(mesh)),
       precip_accum_(mesh.ncells, 0.0),
       phys_in_(mesh.ncells, config_.dyn.nlev),
@@ -206,16 +207,18 @@ void Model::run(int ndyn_steps) {
 void Model::tracerStep() {
   const int nsub = dycore_.accumulatedSteps();
   if (nsub == 0) return;
-  parallel::Field mean_flux = dycore_.accumulatedMassFlux();
-  for (std::size_t i = 0; i < mean_flux.size(); ++i) {
-    mean_flux.data()[i] /= static_cast<double>(nsub);
+  // Window-mean mass flux into the constructor-owned scratch (no warm-path
+  // allocation).
+  const parallel::Field& acc = dycore_.accumulatedMassFlux();
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    mean_flux_.data()[i] = acc.data()[i] / static_cast<double>(nsub);
   }
   dycore::TracerTransportArgs args;
   args.mesh = &mesh_;
   args.ncells_prog = mesh_.ncells;
   args.nlev = config_.dyn.nlev;
   args.dt = nsub * config_.dyn.dt;
-  args.mean_flux = mean_flux.data();
+  args.mean_flux = mean_flux_.data();
   args.delp_old = delp_at_tracer_start_.data();
   args.delp_new = state_.delp.data();
   for (auto& tracer : state_.tracers) {

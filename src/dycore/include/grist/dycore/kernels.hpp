@@ -161,6 +161,9 @@ void calcCoriolisTerm(const HexMesh& m, const TrskWeights& trsk, Index nedges,
 // p is always computed in double: it feeds the pressure-gradient and
 // gravity terms, which the paper identifies as precision-sensitive. The
 // pow() calls dominating this kernel still run in NS for alpha/Pi.
+// The dycore step reads only alpha and p, so it calls the dispatch table's
+// rrr_alpha_p / rrr_p entries instead (bitwise these alpha/p, without the
+// Exner pow or the pi_mid sum); the coupler needs the full kernel.
 // ---------------------------------------------------------------------------
 template <precision::NsReal NS>
 inline void computeRrrColumn(Index c, int nlev, double ptop, const double* delp,
@@ -181,20 +184,6 @@ void computeRrr(Index ncells, int nlev, double ptop, const double* delp,
   for (Index c = 0; c < ncells; ++c) {
     computeRrrColumn<NS>(c, nlev, ptop, delp, theta, phi, alpha, p, exner,
                          pi_mid);
-  }
-}
-
-/// Band variant: same per-column arithmetic, restricted to the cell indices
-/// in `cells` (the boundary or interior band of a decomposed rank). Columns
-/// are independent, so splitting the sweep is bit-exact.
-template <precision::NsReal NS>
-void computeRrrBand(const Index* cells, Index nband, int nlev, double ptop,
-                    const double* delp, const double* theta, const double* phi,
-                    double* alpha, double* p, double* exner, double* pi_mid) {
-#pragma omp parallel for schedule(static)
-  for (Index i = 0; i < nband; ++i) {
-    computeRrrColumn<NS>(cells[i], nlev, ptop, delp, theta, phi, alpha, p,
-                         exner, pi_mid);
   }
 }
 
@@ -266,13 +255,6 @@ void del2Scalar(const HexMesh& m, Index ncells, int nlev, const double* scalar,
 void vertImplicitSolver(Index ncells, int nlev, double dt, double ptop,
                         const double* delp, const double* theta, const double* p,
                         double* w, double* phi, double w_damp_tau);
-
-/// Band variant of the column solve, restricted to the cell indices in
-/// `cells`. Columns are independent, so splitting the sweep is bit-exact.
-void vertImplicitSolverBand(const Index* cells, Index nband, int nlev,
-                            double dt, double ptop, const double* delp,
-                            const double* theta, const double* p, double* w,
-                            double* phi, double w_damp_tau);
 
 // ===========================================================================
 // Fused single-sweep kernels. The dycore tendency step is memory-bandwidth

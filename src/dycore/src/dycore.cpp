@@ -13,23 +13,39 @@ namespace grist::dycore {
 
 using parallel::Field;
 
+namespace simd = backend::simd;
+
 namespace {
 
 Bounds fullBounds(const grid::HexMesh& mesh) {
   return Bounds{mesh.ncells, mesh.ncells, mesh.nedges, mesh.nvertices};
 }
 
+// The step's own sweeps -- EOS, RK3 save/update, flux accumulation and the
+// implicit solve -- exist only in the dispatch table. With routing off
+// (use_simd = false or GRIST_SIMD=0) they run the portable scalar tier;
+// every tier is bitwise identical, so the route only changes speed.
+const simd::KernelTable& stepTable(const DycoreConfig& config) {
+  return config.use_simd && simd::enabled() ? simd::table()
+                                            : simd::table(simd::Tier::kScalar);
+}
+
 } // namespace
 
 Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
-               DycoreConfig config)
-    : Dycore(mesh, trsk, config, fullBounds(mesh)) {}
+               DycoreConfig config, int members)
+    : Dycore(mesh, trsk, config, fullBounds(mesh), members) {}
 
 Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
-               DycoreConfig config, Bounds bounds)
-    : mesh_(mesh), trsk_(trsk), config_(config), bounds_(bounds) {
+               DycoreConfig config, Bounds bounds, int members)
+    : mesh_(mesh),
+      trsk_(trsk),
+      config_(config),
+      bounds_(bounds),
+      nmembers_(members) {
   if (config_.nlev < 2) throw std::invalid_argument("Dycore: nlev < 2");
   if (config_.dt <= 0) throw std::invalid_argument("Dycore: dt <= 0");
+  if (nmembers_ < 1) throw std::invalid_argument("Dycore: members < 1");
   const int nlev = config_.nlev;
 
   // Scratch fields, grouped BY MESH ENTITY. Keep additions inside the
@@ -41,8 +57,6 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   ke_ = Field(mesh.ncells, nlev);
   alpha_ = Field(mesh.ncells, nlev);
   p_ = Field(mesh.ncells, nlev);
-  exner_ = Field(mesh.ncells, nlev);
-  pi_mid_ = Field(mesh.ncells, nlev);
   div_u_ = Field(mesh.ncells, nlev);
   thetam_tend_ = Field(mesh.ncells, nlev);
   delp_tend_ = Field(mesh.ncells, nlev);
@@ -53,10 +67,22 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   uflux_ = Field(mesh.nedges, nlev);
   u_tend_ = Field(mesh.nedges, nlev);
   u0_ = Field(mesh.nedges, nlev);
-  acc_flux_ = Field(mesh.nedges, nlev);
   // -- vertex fields (nvertices x nlev) --
   vor_ = Field(mesh.nvertices, nlev);
   qv_ = Field(mesh.nvertices, nlev);
+  // -- per member --
+  const std::size_t mm = static_cast<std::size_t>(nmembers_);
+  acc_flux_.reserve(mm);
+  p_solve_.reserve(mm - 1);
+  for (int m = 0; m < nmembers_; ++m) {
+    acc_flux_.emplace_back(mesh.nedges, nlev);
+    if (m + 1 < nmembers_) p_solve_.emplace_back(mesh.ncells, nlev);
+  }
+  solve_delp_.resize(mm);
+  solve_theta_.resize(mm);
+  solve_p_.resize(mm);
+  solve_w_.resize(mm);
+  solve_phi_.resize(mm);
 
   const auto expect = [nlev](const Field& f, Index nentity, const char* name) {
     if (f.entities() != nentity || f.components() != nlev) {
@@ -68,8 +94,6 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   expect(ke_, mesh.ncells, "ke");
   expect(alpha_, mesh.ncells, "alpha");
   expect(p_, mesh.ncells, "p");
-  expect(exner_, mesh.ncells, "exner");
-  expect(pi_mid_, mesh.ncells, "pi_mid");
   expect(div_u_, mesh.ncells, "div_u");
   expect(thetam_tend_, mesh.ncells, "thetam_tend");
   expect(delp_tend_, mesh.ncells, "delp_tend");
@@ -79,25 +103,27 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   expect(uflux_, mesh.nedges, "uflux");
   expect(u_tend_, mesh.nedges, "u_tend");
   expect(u0_, mesh.nedges, "u0");
-  expect(acc_flux_, mesh.nedges, "acc_flux");
   expect(vor_, mesh.nvertices, "vor");
   expect(qv_, mesh.nvertices, "qv");
+  for (const Field& f : acc_flux_) expect(f, mesh.nedges, "acc_flux");
+  for (const Field& f : p_solve_) expect(f, mesh.ncells, "p_solve");
 }
 
 void Dycore::resetAccumulatedFlux() {
-  acc_flux_.fill(0.0);
+  for (Field& f : acc_flux_) f.fill(0.0);
   acc_steps_ = 0;
 }
 
 void Dycore::restoreAccumulatedFlux(const parallel::Field& flux, int steps) {
-  if (flux.entities() != acc_flux_.entities() ||
-      flux.components() != acc_flux_.components()) {
+  Field& acc = acc_flux_[0];
+  if (flux.entities() != acc.entities() ||
+      flux.components() != acc.components()) {
     throw std::invalid_argument("Dycore::restoreAccumulatedFlux: shape mismatch");
   }
   if (steps < 0) {
     throw std::invalid_argument("Dycore::restoreAccumulatedFlux: negative steps");
   }
-  std::copy(flux.data(), flux.data() + flux.size(), acc_flux_.data());
+  std::copy(flux.data(), flux.data() + flux.size(), acc.data());
   acc_steps_ = steps;
 }
 
@@ -129,15 +155,22 @@ void Dycore::setBands(Bands bands) {
 }
 
 void Dycore::step(State& state, const ExchangeFn& exchange) {
+  if (nmembers_ != 1) {
+    throw std::logic_error("Dycore::step(State&): members() != 1");
+  }
   const ScopedTimer timer("dycore");
+  State* const states[1] = {&state};
   if (config_.ns == precision::NsMode::kDouble) {
-    stepImpl<double>(state, exchange, nullptr);
+    stepImpl<double>(states, exchange, nullptr);
   } else {
-    stepImpl<float>(state, exchange, nullptr);
+    stepImpl<float>(states, exchange, nullptr);
   }
 }
 
 void Dycore::step(State& state, const OverlapHooks& hooks) {
+  if (nmembers_ != 1) {
+    throw std::logic_error("Dycore::step(overlap): members() != 1");
+  }
   if (!has_bands_) {
     throw std::logic_error("Dycore::step(overlap): setBands() first");
   }
@@ -145,36 +178,51 @@ void Dycore::step(State& state, const OverlapHooks& hooks) {
     throw std::invalid_argument("Dycore::step(overlap): both hooks required");
   }
   const ScopedTimer timer("dycore");
+  State* const states[1] = {&state};
   if (config_.ns == precision::NsMode::kDouble) {
-    stepImpl<double>(state, {}, &hooks);
+    stepImpl<double>(states, {}, &hooks);
   } else {
-    stepImpl<float>(state, {}, &hooks);
+    stepImpl<float>(states, {}, &hooks);
+  }
+}
+
+void Dycore::step(State* const* states) {
+  const ScopedTimer timer("dycore");
+  if (config_.ns == precision::NsMode::kDouble) {
+    stepImpl<double>(states, {}, nullptr);
+  } else {
+    stepImpl<float>(states, {}, nullptr);
   }
 }
 
 // The tendency step is organized as FIVE fused single-sweep kernels (one
-// per entity class + tendencies) instead of the former ~12 field sweeps.
-// Each fused kernel reproduces the unfused sequence's arithmetic order
-// element-for-element, so this restructuring is bit-exact (see
-// tests/dycore/test_fused_kernels.cpp); the win is memory traffic --
+// per entity class + tendencies) after the EOS, instead of the former ~12
+// field sweeps. Each fused kernel reproduces the unfused sequence's
+// arithmetic order element-for-element, so this restructuring is bit-exact
+// (see tests/dycore/test_fused_kernels.cpp); the win is memory traffic --
 // connectivity/geometry streamed once, outputs written once.
 template <typename NS>
 void Dycore::computeTendencies(const State& state) {
   const int nlev = config_.nlev;
   namespace k = kernels;
-  namespace simd = backend::simd;
+  constexpr int si = simd::kNsIndex<NS>;
 
-  // Runtime Host-vs-Simd routing: every SIMD tier is bitwise-identical to
-  // the Host instantiation (tests/backend/test_simd.cpp), so the choice is
-  // purely about speed -- config_.use_simd pins the Host path for the
-  // benchmark baseline, GRIST_SIMD=0 disables routing process-wide, and
-  // the table itself picks the best tier cpuid allows.
+  // Thermodynamic diagnostics on the diagnostic cell band: alpha and p
+  // only. compute_rrr's Exner and pi_mid outputs are never read by the
+  // step (the coupler runs its own computeRrr), so they are not computed.
+  stepTable(config_).rrr_alpha_p[si](nullptr, bounds_.cells_diag, nlev,
+                                     state.delp.data(), state.theta.data(),
+                                     state.phi.data(), alpha_.data(),
+                                     p_.data());
+
+  // Runtime Host-vs-Simd routing of the stencil sweeps: every SIMD tier is
+  // bitwise-identical to the Host instantiation (tests/backend/
+  // test_simd.cpp), so the choice is purely about speed -- config_.use_simd
+  // pins the Host path for the benchmark baseline, GRIST_SIMD=0 disables
+  // routing process-wide, and the table itself picks the best tier cpuid
+  // allows.
   if (config_.use_simd && simd::enabled()) {
     const simd::KernelTable& tb = simd::table();
-    constexpr int si = simd::kNsIndex<NS>;
-    tb.compute_rrr[si](bounds_.cells_diag, nlev, config_.ptop,
-                       state.delp.data(), state.theta.data(), state.phi.data(),
-                       alpha_.data(), p_.data(), exner_.data(), pi_mid_.data());
     tb.fused_edge_fluxes[si](mesh_, mesh_.nedges, nlev, state.delp.data(),
                              state.u.data(), flux_.data(), uflux_.data());
     tb.fused_cell_diagnostics[si](mesh_, bounds_.cells_diag, nlev,
@@ -194,11 +242,6 @@ void Dycore::computeTendencies(const State& state) {
         config_.diff_coef / config_.dt, u_tend_.data());
     return;
   }
-
-  // Thermodynamic diagnostics (compute_rrr) on the diagnostic cell band.
-  k::computeRrr<NS>(bounds_.cells_diag, nlev, config_.ptop, state.delp.data(),
-                    state.theta.data(), state.phi.data(), alpha_.data(), p_.data(),
-                    exner_.data(), pi_mid_.data());
 
   // Fused edge sweep: mass flux + plain velocity flux from one pass over
   // ALL local edges (both cells of a local edge are always local).
@@ -233,143 +276,96 @@ void Dycore::computeTendencies(const State& state) {
 }
 
 template <typename NS>
-void Dycore::stepImpl(State& state, const ExchangeFn& exchange,
+void Dycore::stepImpl(State* const* states, const ExchangeFn& exchange,
                       const OverlapHooks* hooks) {
   const int nlev = config_.nlev;
-
-  // Save step-start prognostics for the Runge-Kutta combinations.
-#pragma omp parallel for schedule(static)
-  for (Index c = 0; c < mesh_.ncells; ++c) {
-    for (int kk = 0; kk < nlev; ++kk) {
-      delp0_(c, kk) = state.delp(c, kk);
-      thetam0_(c, kk) = state.delp(c, kk) * state.theta(c, kk);
-    }
-  }
-#pragma omp parallel for schedule(static)
-  for (Index e = 0; e < mesh_.nedges; ++e) {
-    for (int kk = 0; kk < nlev; ++kk) u0_(e, kk) = state.u(e, kk);
-  }
-
-  // Prognostic update sweeps, callable either contiguously (cells ==
-  // nullptr: the lockstep schedule) or on a band list (the overlapped
-  // schedule). Per-entity arithmetic is identical either way, and entities
-  // are independent, so both schedules produce bitwise-identical states.
-  const auto updateCells = [&](const Index* cells, Index n, double dts) {
-#pragma omp parallel for schedule(static)
-    for (Index i = 0; i < n; ++i) {
-      const Index c = cells ? cells[i] : i;
-      for (int kk = 0; kk < nlev; ++kk) {
-        double new_delp = delp0_(c, kk) + dts * delp_tend_(c, kk);
-        const double new_thetam = thetam0_(c, kk) + dts * thetam_tend_(c, kk);
-        // Positivity backstop: a Lagrangian layer drained past 10% of its
-        // step-start mass is runaway divergence (the vertical remap
-        // restores such columns on its cadence); clamp the mass and carry
-        // theta through unchanged. Never triggers in healthy flow.
-        const double floor = 0.1 * delp0_(c, kk);
-        if (new_delp < floor) {
-          new_delp = floor;
-          state.delp(c, kk) = new_delp;
-          state.theta(c, kk) = thetam0_(c, kk) / delp0_(c, kk);
-          continue;
-        }
-        state.delp(c, kk) = new_delp;
-        state.theta(c, kk) = new_thetam / new_delp;
-      }
-    }
-  };
-  const auto updateEdges = [&](const Index* edges, Index n, double dts) {
-#pragma omp parallel for schedule(static)
-    for (Index i = 0; i < n; ++i) {
-      const Index e = edges ? edges[i] : i;
-      for (int kk = 0; kk < nlev; ++kk) {
-        state.u(e, kk) = u0_(e, kk) + dts * u_tend_(e, kk);
-      }
-    }
+  const simd::KernelTable& tb = stepTable(config_);
+  const auto size = [](const std::vector<Index>& v) {
+    return static_cast<Index>(v.size());
   };
 
-  // Wicker-Skamarock RK3: dt/3, dt/2, dt, each stage restarting from S^n.
+  // Member-sequential over the shared scratch: the RK3 explicit stages,
+  // then the member's flux accumulation and pre-solver pressure. flux_ is
+  // live only within the member's iteration, and the implicit solve does
+  // not touch it, so accumulating before the solve is state-invisible.
+  // Member m < M-1 keeps its pressure in p_solve_[m]; the last one in p_.
   const double stage_dt[3] = {config_.dt / 3.0, config_.dt / 2.0, config_.dt};
-  for (int stage = 0; stage < 3; ++stage) {
-    computeTendencies<NS>(state);
-    const double dts = stage_dt[stage];
-    if (hooks) {
-      // Overlapped: boundary band first, post the halo messages, compute
-      // the interior while they are in flight, then consume the halos
-      // (the next stage's tendencies read them).
-      updateCells(bands_.boundary_cells.data(),
-                  static_cast<Index>(bands_.boundary_cells.size()), dts);
-      updateEdges(bands_.boundary_edges.data(),
-                  static_cast<Index>(bands_.boundary_edges.size()), dts);
-      hooks->post();
-      updateCells(bands_.interior_cells.data(),
-                  static_cast<Index>(bands_.interior_cells.size()), dts);
-      updateEdges(bands_.interior_edges.data(),
-                  static_cast<Index>(bands_.interior_edges.size()), dts);
-      hooks->wait();
-    } else {
-      updateCells(nullptr, bounds_.cells_prog, dts);
-      updateEdges(nullptr, bounds_.edges_prog, dts);
-      if (exchange) exchange(state);
+  for (int m = 0; m < nmembers_; ++m) {
+    State& state = *states[m];
+    const std::size_t mi = static_cast<std::size_t>(m);
+    double* p_solve = m + 1 < nmembers_ ? p_solve_[mi].data() : p_.data();
+    tb.save_cell_start(mesh_.ncells, nlev, state.delp.data(),
+                       state.theta.data(), delp0_.data(), thetam0_.data());
+    tb.save_edge_start(mesh_.nedges, nlev, state.u.data(), u0_.data());
+
+    // One stage update over a cell set and an edge set (nullptr = the
+    // contiguous prognostic ranges). Entities are independent, so the
+    // banded and contiguous schedules give bitwise-identical states.
+    const auto update = [&](const Index* cells, Index nc, const Index* edges,
+                            Index ne, double dts) {
+      tb.update_cells(cells, nc, nlev, dts, delp0_.data(), thetam0_.data(),
+                      delp_tend_.data(), thetam_tend_.data(),
+                      state.delp.data(), state.theta.data());
+      tb.update_edges(edges, ne, nlev, dts, u0_.data(), u_tend_.data(),
+                      state.u.data());
+    };
+    // Wicker-Skamarock RK3: dt/3, dt/2, dt, each stage restarting from S^n.
+    for (int stage = 0; stage < 3; ++stage) {
+      computeTendencies<NS>(state);
+      const double dts = stage_dt[stage];
+      if (hooks) {
+        // Overlapped: boundary band first, post the halo messages, compute
+        // the interior while they are in flight, then consume the halos
+        // (the next stage's tendencies read them).
+        update(bands_.boundary_cells.data(), size(bands_.boundary_cells),
+               bands_.boundary_edges.data(), size(bands_.boundary_edges), dts);
+        hooks->post();
+        update(bands_.interior_cells.data(), size(bands_.interior_cells),
+               bands_.interior_edges.data(), size(bands_.interior_edges), dts);
+        hooks->wait();
+      } else {
+        update(nullptr, bounds_.cells_prog, nullptr, bounds_.edges_prog, dts);
+        if (exchange) exchange(state);
+      }
     }
+    // The mass flux driving tracer transport (double precision).
+    tb.accumulate_flux(mesh_.nedges, nlev, flux_.data(), acc_flux_[mi].data());
+    if (!hooks) {
+      tb.rrr_p(nullptr, bounds_.cells_prog, nlev, state.delp.data(),
+               state.theta.data(), state.phi.data(), p_solve);
+    }
+    solve_delp_[mi] = state.delp.data();
+    solve_theta_[mi] = state.theta.data();
+    solve_p_[mi] = p_solve;
+    solve_w_[mi] = state.w.data();
+    solve_phi_[mi] = state.phi.data();
   }
 
-  // Vertically implicit acoustic adjustment of (w, phi); pressure is
-  // recomputed for the updated delp/theta in full double precision. The
-  // column solve reads no halos, so the overlapped schedule posts the
-  // boundary columns' results and solves the interior columns while the
-  // messages are in flight.
+  // Vertically implicit acoustic adjustment of (w, phi), members batched as
+  // SIMD lanes, on pressure recomputed in double for the updated
+  // delp/theta. The column solve reads no halos, so the overlapped
+  // schedule posts the boundary columns' results and solves the interior
+  // columns while the messages are in flight.
+  const auto solve = [&](const Index* cells, Index n) {
+    tb.vert_solve_lanes(cells, n, nmembers_, nlev, config_.dt, config_.ptop,
+                        solve_delp_.data(), solve_theta_.data(),
+                        solve_p_.data(), solve_w_.data(), solve_phi_.data(),
+                        config_.w_damp_tau);
+  };
   if (hooks) {
-    const Index* bcells = bands_.boundary_cells.data();
-    const Index nb = static_cast<Index>(bands_.boundary_cells.size());
-    const Index* icells = bands_.interior_cells.data();
-    const Index ni = static_cast<Index>(bands_.interior_cells.size());
-    kernels::computeRrrBand<double>(bcells, nb, nlev, config_.ptop,
-                                    state.delp.data(), state.theta.data(),
-                                    state.phi.data(), alpha_.data(), p_.data(),
-                                    exner_.data(), pi_mid_.data());
-    kernels::vertImplicitSolverBand(bcells, nb, nlev, config_.dt, config_.ptop,
-                                    state.delp.data(), state.theta.data(),
-                                    p_.data(), state.w.data(), state.phi.data(),
-                                    config_.w_damp_tau);
+    const State& state = *states[0];
+    const auto presolve = [&](const std::vector<Index>& band) {
+      tb.rrr_p(band.data(), size(band), nlev, state.delp.data(),
+               state.theta.data(), state.phi.data(), p_.data());
+      solve(band.data(), size(band));
+    };
+    presolve(bands_.boundary_cells);
     hooks->post();
-    kernels::computeRrrBand<double>(icells, ni, nlev, config_.ptop,
-                                    state.delp.data(), state.theta.data(),
-                                    state.phi.data(), alpha_.data(), p_.data(),
-                                    exner_.data(), pi_mid_.data());
-    kernels::vertImplicitSolverBand(icells, ni, nlev, config_.dt, config_.ptop,
-                                    state.delp.data(), state.theta.data(),
-                                    p_.data(), state.w.data(), state.phi.data(),
-                                    config_.w_damp_tau);
+    presolve(bands_.interior_cells);
     hooks->wait();
-  } else if (config_.use_simd && backend::simd::enabled()) {
-    // Lockstep schedule through the SIMD table (contiguous prefix only --
-    // the band lists above stay on the Host drivers). The solver entry is
-    // scalar in every tier; it rides the table for uniform routing.
-    const backend::simd::KernelTable& tb = backend::simd::table();
-    tb.compute_rrr[0](bounds_.cells_prog, nlev, config_.ptop,
-                      state.delp.data(), state.theta.data(), state.phi.data(),
-                      alpha_.data(), p_.data(), exner_.data(), pi_mid_.data());
-    tb.vert_implicit_solver[0](bounds_.cells_prog, nlev, config_.dt,
-                               config_.ptop, state.delp.data(),
-                               state.theta.data(), p_.data(), state.w.data(),
-                               state.phi.data(), config_.w_damp_tau);
-    if (exchange) exchange(state);
   } else {
-    kernels::computeRrr<double>(bounds_.cells_prog, nlev, config_.ptop,
-                                state.delp.data(), state.theta.data(),
-                                state.phi.data(), alpha_.data(), p_.data(),
-                                exner_.data(), pi_mid_.data());
-    kernels::vertImplicitSolver(bounds_.cells_prog, nlev, config_.dt,
-                                config_.ptop, state.delp.data(),
-                                state.theta.data(), p_.data(), state.w.data(),
-                                state.phi.data(), config_.w_damp_tau);
-    if (exchange) exchange(state);
-  }
-
-  // Accumulate the (double-precision) mass flux driving tracer transport.
-#pragma omp parallel for schedule(static)
-  for (Index e = 0; e < mesh_.nedges; ++e) {
-    for (int kk = 0; kk < nlev; ++kk) acc_flux_(e, kk) += flux_(e, kk);
+    solve(nullptr, bounds_.cells_prog);
+    if (exchange) exchange(*states[0]);
   }
   ++acc_steps_;
 }
@@ -416,14 +412,9 @@ void calcPressureGradient(const HexMesh& m, Index nedges, int nlev,
 // interfaces (w = 0 at the top and the surface). delta-pi at interface k is
 // the mean of the adjacent layer masses. This kernel carries the gravity
 // and acoustic terms the paper pins to double precision.
-namespace {
-
-// Shared implementation: `cells == nullptr` solves the contiguous range
-// [0, ncols); otherwise the listed columns (boundary/interior band).
-void vertImplicitSolverImpl(const Index* cells, Index ncols, int nlev,
-                            double dt, double ptop, const double* delp,
-                            const double* theta, const double* p, double* w,
-                            double* phi, double w_damp_tau) {
+void vertImplicitSolver(Index ncells, int nlev, double dt, double ptop,
+                        const double* delp, const double* theta, const double* p,
+                        double* w, double* phi, double w_damp_tau) {
   using common::Workspace;
 #pragma omp parallel
   {
@@ -434,8 +425,7 @@ void vertImplicitSolverImpl(const Index* cells, Index ncols, int nlev,
     ws.reserve(Workspace::bytesFor<double>(nlev) * 5 +
                Workspace::bytesFor<double>(nlev + 1));
 #pragma omp for schedule(static)
-    for (Index i = 0; i < ncols; ++i) {
-      const Index c = cells ? cells[i] : i;
+    for (Index c = 0; c < ncells; ++c) {
       const Workspace::Frame frame(ws);
       const int n = nlev - 1;
       grist::backend::kernels::VertSolveScratch scratch;
@@ -453,29 +443,12 @@ void vertImplicitSolverImpl(const Index* cells, Index ncols, int nlev,
   } // omp parallel
 }
 
-} // namespace
-
-void vertImplicitSolver(Index ncells, int nlev, double dt, double ptop,
-                        const double* delp, const double* theta, const double* p,
-                        double* w, double* phi, double w_damp_tau) {
-  vertImplicitSolverImpl(nullptr, ncells, nlev, dt, ptop, delp, theta, p, w,
-                         phi, w_damp_tau);
-}
-
-void vertImplicitSolverBand(const Index* cells, Index nband, int nlev,
-                            double dt, double ptop, const double* delp,
-                            const double* theta, const double* p, double* w,
-                            double* phi, double w_damp_tau) {
-  vertImplicitSolverImpl(cells, nband, nlev, dt, ptop, delp, theta, p, w, phi,
-                         w_damp_tau);
-}
-
 } // namespace kernels
 
 // Explicit instantiations of the step for both precisions.
-template void Dycore::stepImpl<double>(State&, const ExchangeFn&,
+template void Dycore::stepImpl<double>(State* const*, const ExchangeFn&,
                                        const OverlapHooks*);
-template void Dycore::stepImpl<float>(State&, const ExchangeFn&,
+template void Dycore::stepImpl<float>(State* const*, const ExchangeFn&,
                                       const OverlapHooks*);
 
 } // namespace grist::dycore

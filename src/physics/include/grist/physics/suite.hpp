@@ -64,10 +64,10 @@ class ConventionalSuite final : public PhysicsSuite {
   LandModel land_;
   Convection convection_;
 
-  // Radiation cache (heating + surface fluxes reused between full calls).
+  // Radiation output, allocated once: each radiation call writes it, and
+  // its heating + surface fluxes are reused until the next one.
   int steps_since_radiation_;
-  Field cached_rad_heating_;
-  std::vector<double> cached_gsw_, cached_glw_;
+  PhysicsOutput rad_out_;
 };
 
 /// Q1 (apparent heat source, K/s) and Q2 (apparent moisture sink expressed

@@ -17,9 +17,7 @@ ConventionalSuite::ConventionalSuite(Index ncolumns, int nlev,
       land_(ncolumns, config.land),
       convection_(config.convection),
       steps_since_radiation_(config.radiation_interval),  // fire on first call
-      cached_rad_heating_(ncolumns, nlev, 0.0),
-      cached_gsw_(ncolumns, 0.0),
-      cached_glw_(ncolumns, 0.0) {}
+      rad_out_(ncolumns, nlev) {}
 
 void ConventionalSuite::run(const PhysicsInput& in, double dt, PhysicsOutput& out) {
   const ScopedTimer timer("physics.conventional");
@@ -29,21 +27,17 @@ void ConventionalSuite::run(const PhysicsInput& in, double dt, PhysicsOutput& ou
   // ---- radiation on its own (longer) cadence, cached in between ----
   if (++steps_since_radiation_ >= config_.radiation_interval) {
     steps_since_radiation_ = 0;
-    PhysicsOutput rad_only(in.ncolumns, in.nlev);
-    {
-      const ScopedTimer rt("physics.radiation");
-      radiation_.run(in, rad_only);
-    }
-    cached_rad_heating_ = rad_only.dtdt;
-    cached_gsw_ = rad_only.gsw;
-    cached_glw_ = rad_only.glw;
+    // Radiation accumulates its heating into dtdt; gsw/glw are overwritten.
+    rad_out_.dtdt.fill(0.0);
+    const ScopedTimer rt("physics.radiation");
+    radiation_.run(in, rad_out_);
   }
 #pragma omp parallel for schedule(static)
   for (Index c = 0; c < in.ncolumns; ++c) {
-    for (int k = 0; k < in.nlev; ++k) out.dtdt(c, k) += cached_rad_heating_(c, k);
+    for (int k = 0; k < in.nlev; ++k) out.dtdt(c, k) += rad_out_.dtdt(c, k);
   }
-  out.gsw = cached_gsw_;
-  out.glw = cached_glw_;
+  out.gsw = rad_out_.gsw;
+  out.glw = rad_out_.glw;
 
   // ---- surface fluxes, then PBL mixing forced by them ----
   surface_.run(in, out);

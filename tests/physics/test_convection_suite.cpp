@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "grist/ml/traindata.hpp"
 #include "grist/physics/convection.hpp"
 #include "grist/physics/saturation.hpp"
@@ -86,6 +88,37 @@ TEST(ConventionalSuite, RadiationCacheReusedBetweenCalls) {
     EXPECT_DOUBLE_EQ(out1.gsw[c], out2.gsw[c]);
     EXPECT_DOUBLE_EQ(out1.glw[c], out2.glw[c]);
   }
+}
+
+TEST(ConventionalSuite, SuccessiveRadiationCallsAreBitwiseIdentical) {
+  // Radiation accumulates into its output buffer, which the suite keeps
+  // across calls: each firing must start from zero. Same input -> the same
+  // bits, except tskin_new, which the land model's soil state moves.
+  PhysicsInput in = ml::synthesizeColumns(ml::table1Scenarios()[0], 8, 20);
+  ConventionalSuiteConfig cfg;
+  cfg.radiation_interval = 1;
+  ConventionalSuite suite(in.ncolumns, in.nlev, cfg);
+  PhysicsOutput out1(in.ncolumns, in.nlev), out2(in.ncolumns, in.nlev);
+  suite.run(in, 600.0, out1);
+  suite.run(in, 600.0, out2);
+  const auto same = [](const std::vector<double>& a,
+                       const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  const auto sameField = [](const Field& a, const Field& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(sameField(out1.dtdt, out2.dtdt));
+  EXPECT_TRUE(sameField(out1.dqvdt, out2.dqvdt));
+  EXPECT_TRUE(sameField(out1.dqcdt, out2.dqcdt));
+  EXPECT_TRUE(sameField(out1.dqrdt, out2.dqrdt));
+  EXPECT_TRUE(sameField(out1.dudt, out2.dudt));
+  EXPECT_TRUE(sameField(out1.dvdt, out2.dvdt));
+  EXPECT_TRUE(same(out1.gsw, out2.gsw));
+  EXPECT_TRUE(same(out1.glw, out2.glw));
+  EXPECT_TRUE(same(out1.precip, out2.precip));
 }
 
 TEST(DeriveQ1Q2, SignConventions) {
