@@ -160,8 +160,8 @@ int runMultiRank(const grist::Config& config, int steps, grist::Index nranks,
         partition::Partitioner::partition(session.mesh(), nranks));
     drive([&](int n) { session.run(n); },
           [&](long step) {
-            return core::captureDynRun(session.gather(), cfg, glevel, step,
-                                       nranks, part_fp);
+            return core::captureDynRun(session.gather(), cfg, session.mesh(),
+                                       step, nranks, part_fp);
           });
     stats = session.commStats();
   } else if (transport == "threads") {
@@ -182,7 +182,7 @@ int runMultiRank(const grist::Config& config, int steps, grist::Index nranks,
         partition::Partitioner::fingerprint(model.decomposition().cell_part);
     drive([&](int n) { model.run(n); },
           [&](long step) {
-            return core::captureDynRun(model.gatherState(), cfg, glevel, step,
+            return core::captureDynRun(model.gatherState(), cfg, mesh, step,
                                        nranks, part_fp);
           });
     stats = model.commStats();

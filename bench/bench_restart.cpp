@@ -36,7 +36,7 @@ struct Fixture {
     cfg.nlev = nlev;
     cfg.dt = 450.0;
     snap = core::captureDynRun(dycore::initBaroclinicWave(mesh, cfg), cfg,
-                               mesh.level, /*steps_done=*/0, /*nranks=*/1,
+                               mesh, /*steps_done=*/0, /*nranks=*/1,
                                /*partition_fingerprint=*/0);
     dir = (fs::temp_directory_path() /
            ("grist_bench_restart_g" + std::to_string(glevel)))

@@ -10,7 +10,6 @@
 #include "grist/dycore/diagnostics.hpp"
 #include "grist/dycore/init.hpp"
 #include "grist/grid/counts.hpp"
-#include "grist/grid/reorder.hpp"
 #include "grist/dycore/dycore.hpp"
 
 int main(int argc, char** argv) {
@@ -22,9 +21,9 @@ int main(int argc, char** argv) {
               level, grid::nominalSpacingKm(level), hours);
 
   // 1) Grid + TRSK operator weights.
-  const grid::HexMesh mesh = grid::buildReorderedHexMesh(level);
+  const grid::HexMesh mesh = grid::buildHexMesh(level);
   const grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
-  std::printf("grid: %d cells, %d edges, %d vertices (BFS-reordered)\n",
+  std::printf("grid: %d cells, %d edges, %d vertices (BFS-ordered)\n",
               mesh.ncells, mesh.nedges, mesh.nvertices);
 
   // 2) Model configuration (DP dycore + conventional physics = "DP-PHY").

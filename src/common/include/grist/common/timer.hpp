@@ -4,8 +4,10 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace grist {
 
@@ -26,33 +28,38 @@ class Timer {
 };
 
 /// Accumulates wall time per named section across the whole process.
-/// Thread-safe for distinct sections via per-call locking.
+/// Thread-safe for distinct sections via per-call locking. Lookups are
+/// heterogeneous, so adding to a section that already exists never touches
+/// the heap.
 class TimingRegistry {
  public:
+  using Totals = std::map<std::string, double, std::less<>>;
+
   static TimingRegistry& instance();
 
-  void add(const std::string& section, double seconds);
-  double total(const std::string& section) const;
+  void add(std::string_view section, double seconds);
+  double total(std::string_view section) const;
   /// Section name -> accumulated seconds; a snapshot copy.
-  std::map<std::string, double> snapshot() const;
+  Totals snapshot() const;
   void clear();
 
  private:
   TimingRegistry() = default;
-  mutable std::map<std::string, double> totals_;
+  Totals totals_;
 };
 
-/// RAII scope timer feeding TimingRegistry.
+/// RAII scope timer feeding TimingRegistry. `section` must outlive the
+/// timer (a string literal in practice).
 class ScopedTimer {
  public:
-  explicit ScopedTimer(std::string section) : section_(std::move(section)) {}
+  explicit ScopedTimer(const char* section) : section_(section) {}
   ~ScopedTimer() { TimingRegistry::instance().add(section_, timer_.elapsed()); }
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  std::string section_;
+  const char* section_;
   Timer timer_;
 };
 

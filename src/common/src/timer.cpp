@@ -12,18 +12,23 @@ TimingRegistry& TimingRegistry::instance() {
   return registry;
 }
 
-void TimingRegistry::add(const std::string& section, double seconds) {
+void TimingRegistry::add(std::string_view section, double seconds) {
   const std::lock_guard<std::mutex> lock(g_mutex);
-  totals_[section] += seconds;
+  const auto it = totals_.find(section);
+  if (it != totals_.end()) {
+    it->second += seconds;
+  } else {
+    totals_.emplace(section, seconds);
+  }
 }
 
-double TimingRegistry::total(const std::string& section) const {
+double TimingRegistry::total(std::string_view section) const {
   const std::lock_guard<std::mutex> lock(g_mutex);
   const auto it = totals_.find(section);
   return it == totals_.end() ? 0.0 : it->second;
 }
 
-std::map<std::string, double> TimingRegistry::snapshot() const {
+TimingRegistry::Totals TimingRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(g_mutex);
   return totals_;
 }

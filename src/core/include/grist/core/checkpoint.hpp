@@ -24,25 +24,34 @@
 
 namespace grist::core {
 
-/// CONFIG section describing a dynamics-only run (no cadences).
+/// CONFIG section describing a dynamics-only run (no cadences) on `mesh`.
 io::ConfigSection dynConfigSection(const dycore::DycoreConfig& cfg,
-                                   int grid_level, int ntracers, Index nranks,
+                                   const grid::HexMesh& mesh, int ntracers,
+                                   Index nranks,
                                    std::uint64_t partition_fingerprint);
 
-/// Validate the bitwise-relevant CONFIG fields (grid_level, nlev, ntracers,
-/// dt, NS mode) and STATE presence/shape against the resuming run. Throws
-/// std::runtime_error naming the mismatching field. A snapshot without a
-/// CONFIG section (legacy files) only gets the STATE shape check.
-void validateDynSnapshot(const io::Snapshot& snap,
-                         const dycore::DycoreConfig& cfg, int grid_level,
-                         Index ncells, Index nedges, int ntracers);
+/// Refuse a checkpoint whose mesh numbering differs from `mesh`'s: its
+/// values are stored by global index and would land in the wrong cells.
+/// Throws std::runtime_error naming both fingerprints; `who` prefixes the
+/// message.
+void checkMeshNumbering(const io::ConfigSection& cs, const grid::HexMesh& mesh,
+                        const char* who);
 
-/// Snapshot a dynamics-only run: STATE (global canonical) + CLOCK
+/// Validate the bitwise-relevant CONFIG fields (grid_level, mesh numbering,
+/// nlev, ntracers, dt, NS mode) and STATE presence/shape against the
+/// resuming run. Throws std::runtime_error naming the mismatching field. A
+/// snapshot without a CONFIG section (legacy files) only gets the STATE
+/// shape check.
+void validateDynSnapshot(const io::Snapshot& snap,
+                         const dycore::DycoreConfig& cfg,
+                         const grid::HexMesh& mesh, int ntracers);
+
+/// Snapshot a dynamics-only run on `mesh`: STATE (global canonical) + CLOCK
 /// (steps_done, sim seconds derived from dt) + CONFIG.
 io::Snapshot captureDynRun(const dycore::State& global,
-                           const dycore::DycoreConfig& cfg, int grid_level,
-                           long steps_done, Index nranks,
-                           std::uint64_t partition_fingerprint);
+                           const dycore::DycoreConfig& cfg,
+                           const grid::HexMesh& mesh, long steps_done,
+                           Index nranks, std::uint64_t partition_fingerprint);
 
 /// Read `path`, validate against the resuming run, and return the global
 /// initial state. `steps_done`, when non-null, receives the checkpointed

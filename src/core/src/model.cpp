@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "grist/common/math.hpp"
+#include "grist/core/checkpoint.hpp"
 #include "grist/dycore/tracer.hpp"
 #include "grist/dycore/vertical_remap.hpp"
 #include "grist/physics/held_suarez.hpp"
@@ -99,15 +100,10 @@ io::Snapshot Model::snapshot() const {
   diag.precip_accum = precip_accum_;
   snap.diag = diag;
 
-  io::ConfigSection cs;
-  cs.grid_level = mesh_.level;
-  cs.writer_nranks = 1;
-  cs.nlev = config_.dyn.nlev;
-  cs.ntracers = static_cast<std::int32_t>(state_.tracers.size());
+  io::ConfigSection cs = dynConfigSection(
+      config_.dyn, mesh_, static_cast<int>(state_.tracers.size()), 1, 0);
   cs.trac_interval = config_.trac_interval;
   cs.phy_interval = config_.phy_interval;
-  cs.dt = config_.dyn.dt;
-  cs.ns_single = config_.dyn.ns == precision::NsMode::kSingle ? 1 : 0;
   snap.config = cs;
 
   if (config_.scheme == PhysicsScheme::kMl) {
@@ -135,6 +131,7 @@ void Model::restore(const io::Snapshot& snap) {
   };
   if (snap.config) {
     const io::ConfigSection& cs = *snap.config;
+    checkMeshNumbering(cs, mesh_, "Model::restore");
     if (cs.nlev != config_.dyn.nlev) mismatch("nlev", cs.nlev, config_.dyn.nlev);
     if (cs.ntracers != static_cast<std::int32_t>(state_.tracers.size())) {
       mismatch("ntracers", cs.ntracers,

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "grist/common/math.hpp"
@@ -63,6 +64,10 @@ struct HexMesh {
   }
   /// Sphere radius the geometry was scaled to (m).
   double radius = constants::kEarthRadius;
+  /// Connectivity hash (see numberingFingerprint) of this mesh as
+  /// buildHexMesh returned it; applyPermutation carries it over. 0 for a
+  /// mesh assembled by other means.
+  std::uint64_t built_connectivity_hash = 0;
 
   /// Mean and extreme grid spacings (m), from edge_de.
   double meanSpacing() const;
@@ -73,7 +78,25 @@ struct HexMesh {
 /// Build the hexagonal C-grid as the Voronoi dual of the level-L icosahedral
 /// triangulation, on a sphere of radius `radius` (meters). Small-planet
 /// idealized tests pass a reduced radius.
+///
+/// Entities come in breadth-first locality order (paper section 3.1.3):
+/// cells in BFS order from cell 0, edges and dual vertices in the order that
+/// BFS first touches them (grid/reorder.hpp). Stencil neighbours therefore
+/// sit close together in memory. This is the only numbering any run uses.
 HexMesh buildHexMesh(int level, double radius = constants::kEarthRadius);
+
+/// FNV-1a hash of the mesh connectivity (cell_offset, cell_cells, edge_cell,
+/// edge_vertex). Two meshes hash equal only if they number every entity the
+/// same way.
+std::uint64_t connectivityHash(const HexMesh& mesh);
+
+/// How `mesh` is numbered relative to the numbering buildHexMesh gave it:
+/// connectivityHash(mesh) XOR mesh.built_connectivity_hash. 0 for a mesh in
+/// its built numbering, nonzero for a relabeled one. Checkpoints record it
+/// because they store values by index. The built numbering itself is pinned
+/// by a connectivity-hash golden test; changing it must bump
+/// io::Snapshot::kFormatVersion.
+std::uint64_t numberingFingerprint(const HexMesh& mesh);
 
 /// Adjacency graph over cells (CSR), used by the partitioner and by the
 /// BFS index reordering.

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "grist/grid/reorder.hpp"
+
 namespace grist::grid {
 namespace {
 
@@ -46,7 +48,13 @@ double HexMesh::maxSpacing() const {
   return edge_de.empty() ? 0 : *std::max_element(edge_de.begin(), edge_de.end());
 }
 
-HexMesh buildHexMesh(int level, double radius) {
+namespace {
+
+// The Voronoi dual in the numbering the icosahedral bisection produces:
+// cells are triangulation vertices, edges and dual vertices follow the
+// triangulation's edges and triangles. Neighbour ids are scattered across
+// the whole array (see buildHexMesh).
+HexMesh buildBisectionHexMesh(int level, double radius) {
   if (radius <= 0) throw std::invalid_argument("buildHexMesh: radius must be positive");
   const TriMesh tri = buildTriMesh(level);
   const std::vector<TriEdge> tedges = extractEdges(tri);
@@ -214,6 +222,35 @@ HexMesh buildHexMesh(int level, double radius) {
     }
   }
   return m;
+}
+
+} // namespace
+
+HexMesh buildHexMesh(int level, double radius) {
+  const HexMesh bisection = buildBisectionHexMesh(level, radius);
+  HexMesh m = applyPermutation(bisection, bfsPermutation(bisection));
+  m.built_connectivity_hash = connectivityHash(m);
+  return m;
+}
+
+std::uint64_t connectivityHash(const HexMesh& mesh) {
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;  // FNV-1a prime
+    }
+  };
+  mix(mesh.cell_offset.data(), mesh.cell_offset.size() * sizeof(Index));
+  mix(mesh.cell_cells.data(), mesh.cell_cells.size() * sizeof(Index));
+  mix(mesh.edge_cell.data(), mesh.edge_cell.size() * sizeof(mesh.edge_cell[0]));
+  mix(mesh.edge_vertex.data(), mesh.edge_vertex.size() * sizeof(mesh.edge_vertex[0]));
+  return h;
+}
+
+std::uint64_t numberingFingerprint(const HexMesh& mesh) {
+  return connectivityHash(mesh) ^ mesh.built_connectivity_hash;
 }
 
 CellGraph cellGraph(const HexMesh& mesh) {

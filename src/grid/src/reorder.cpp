@@ -1,8 +1,12 @@
 #include "grist/grid/reorder.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <queue>
+#include <random>
 #include <stdexcept>
+#include <utility>
 
 namespace grist::grid {
 
@@ -39,10 +43,23 @@ Permutation bfsPermutation(const HexMesh& m, Index root) {
   return p;
 }
 
+Permutation randomPermutation(const HexMesh& m, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  Permutation p;
+  for (auto [v, n] : {std::pair{&p.cell, m.ncells}, {&p.edge, m.nedges},
+                      {&p.vertex, m.nvertices}}) {
+    v->resize(n);
+    std::iota(v->begin(), v->end(), Index{0});
+    std::shuffle(v->begin(), v->end(), rng);
+  }
+  return p;
+}
+
 HexMesh applyPermutation(const HexMesh& m, const Permutation& p) {
   HexMesh out;
   out.level = m.level;
   out.radius = m.radius;
+  out.built_connectivity_hash = m.built_connectivity_hash;
   out.ncells = m.ncells;
   out.nedges = m.nedges;
   out.nvertices = m.nvertices;
@@ -117,11 +134,6 @@ HexMesh applyPermutation(const HexMesh& m, const Permutation& p) {
     }
   }
   return out;
-}
-
-HexMesh buildReorderedHexMesh(int level, double radius) {
-  const HexMesh raw = buildHexMesh(level, radius);
-  return applyPermutation(raw, bfsPermutation(raw));
 }
 
 double indexSpread(const HexMesh& m) {

@@ -21,8 +21,9 @@
 //   MLWT    ML weight fingerprints + QuantCache snapshot versions (PR 7
 //           lifecycle): restore refuses to resume against different nets
 //   CONFIG  run-configuration fingerprint (nlev, ntracers, dt, NS mode,
-//           cadences; writer rank count and partition fingerprint as
-//           provenance) -- restore rejects incompatible runs by field name
+//           cadences, mesh numbering; writer rank count and partition
+//           fingerprint as provenance) -- restore rejects incompatible runs
+//           by field name
 //
 // Writes are atomic: serialize, write to `path.tmp`, fsync, rename; a crash
 // mid-write never clobbers the last good checkpoint. writeCheckpoint()
@@ -125,6 +126,11 @@ struct ConfigSection {
   double dt = 0.0;                   ///< *
   std::uint8_t ns_single = 0;        ///< * NsMode: 1 = MIX, 0 = DP
   std::uint64_t partition_fingerprint = 0;  ///< provenance
+  /// * grid::numberingFingerprint of the writer's mesh: 0 in the numbering
+  /// buildHexMesh gives, nonzero for a relabeled mesh. STATE and DIAG are
+  /// stored by global index, so they only mean the same cells under the
+  /// same numbering.
+  std::uint64_t mesh_fingerprint = 0;
 };
 
 /// Header + section table of a snapshot file, without payloads.
@@ -145,7 +151,8 @@ struct SnapshotInfo {
 class Snapshot {
  public:
   static constexpr std::uint64_t kMagic = 0x4752495354535732ull;   // "GRISTSW2"
-  static constexpr std::uint32_t kFormatVersion = 2;
+  /// 3: CONFIG carries the mesh-numbering fingerprint.
+  static constexpr std::uint32_t kFormatVersion = 3;
 
   std::optional<StateSection> state;
   std::optional<std::vector<double>> land;  ///< tskin, ncells
@@ -158,7 +165,7 @@ class Snapshot {
   /// Throws std::runtime_error on any I/O failure (the .tmp is removed).
   void write(const std::string& path) const;
 
-  /// Read and validate a snapshot (v2) or a legacy GRISTSW1 restart file
+  /// Read and validate a snapshot (v3) or a legacy GRISTSW1 restart file
   /// (converted into STATE + LAND + CLOCK). Throws std::runtime_error on
   /// missing file, wrong magic, version mismatch, truncation or checksum
   /// failure, naming the offending section.

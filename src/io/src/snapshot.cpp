@@ -237,6 +237,7 @@ std::vector<char> serializeConfig(const ConfigSection& c) {
   w.pod(c.dt);
   w.pod(c.ns_single);
   w.pod(c.partition_fingerprint);
+  w.pod(c.mesh_fingerprint);
   return std::move(w.buf);
 }
 
@@ -252,6 +253,7 @@ ConfigSection parseConfig(const std::vector<char>& buf, const std::string& path)
   c.dt = r.pod<double>();
   c.ns_single = r.pod<std::uint8_t>();
   c.partition_fingerprint = r.pod<std::uint64_t>();
+  c.mesh_fingerprint = r.pod<std::uint64_t>();
   r.finish();
   return c;
 }

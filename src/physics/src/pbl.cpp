@@ -1,6 +1,7 @@
 #include "grist/physics/pbl.hpp"
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "grist/common/math.hpp"
@@ -13,13 +14,17 @@ using constants::kLv;
 
 namespace {
 
+// Column scratch lives on the stack, so a warm physics step never touches
+// the heap (ConventionalSuite enforces the same bound).
+constexpr int kMaxLevels = 128;
+
 // Implicit vertical diffusion of one scalar profile: solves
 // (I - dt D) s^{+} = s + dt * f_surface, D in flux form on the height grid.
 // rho dz per layer = delp / g. Returns tendencies into tend.
 void diffuseColumn(int nlev, double dt, const double* k_int, const double* delp,
                    const double* zmid, const double* s, double surf_flux_term,
                    double* tend) {
-  std::vector<double> lower(nlev), diag(nlev), upper(nlev), rhs(nlev);
+  double lower[kMaxLevels], diag[kMaxLevels], upper[kMaxLevels], rhs[kMaxLevels];
   (void)delp;
   for (int k = 0; k < nlev; ++k) {
     double a = 0.0, c = 0.0;
@@ -44,7 +49,7 @@ void diffuseColumn(int nlev, double dt, const double* k_int, const double* delp,
     diag[k] -= m * upper[k - 1];
     rhs[k] -= m * rhs[k - 1];
   }
-  std::vector<double> snew(nlev);
+  double snew[kMaxLevels];
   snew[nlev - 1] = rhs[nlev - 1] / diag[nlev - 1];
   for (int k = nlev - 2; k >= 0; --k) {
     snew[k] = (rhs[k] - upper[k] * snew[k + 1]) / diag[k];
@@ -57,11 +62,13 @@ void diffuseColumn(int nlev, double dt, const double* k_int, const double* delp,
 void Pbl::run(const PhysicsInput& in, double dt, const std::vector<double>& shflx,
               const std::vector<double>& lhflx, PhysicsOutput& out) const {
   const int nlev = in.nlev;
+  if (nlev > kMaxLevels) throw std::invalid_argument("Pbl: nlev > 128");
 #pragma omp parallel for schedule(static)
   for (Index c = 0; c < in.ncolumns; ++c) {
     // K profile: parabolic in the PBL, small aloft; enhanced when the
     // surface layer is unstably stratified.
-    std::vector<double> k_int(nlev + 1, config_.k_free);
+    double k_int[kMaxLevels + 1];
+    for (int k = 0; k <= nlev; ++k) k_int[k] = config_.k_free;
     const double unstable =
         in.tskin[c] > in.t(c, nlev - 1) ? 1.0 : 0.3;  // crude stability factor
     for (int k = 1; k < nlev; ++k) {
@@ -73,15 +80,15 @@ void Pbl::run(const PhysicsInput& in, double dt, const std::vector<double>& shfl
     }
 
     const double mass_bot = in.delp(c, nlev - 1) / kGravity;  // kg/m^2
-    std::vector<double> column(nlev), tend(nlev);
+    double column[kMaxLevels], tend[kMaxLevels];
     const auto run_scalar = [&](auto getter, double surf_term, Field& out_tend,
                                 auto putter) {
       for (int k = 0; k < nlev; ++k) {
         column[k] = getter(k);
         tend[k] = 0.0;
       }
-      diffuseColumn(nlev, dt, k_int.data(), &in.delp(c, 0), &in.zmid(c, 0),
-                    column.data(), surf_term, tend.data());
+      diffuseColumn(nlev, dt, k_int, &in.delp(c, 0), &in.zmid(c, 0), column,
+                    surf_term, tend);
       for (int k = 0; k < nlev; ++k) out_tend(c, k) += putter(k, tend[k]);
     };
     // Heat mixes as POTENTIAL temperature (diffusing T directly would pump

@@ -1,9 +1,9 @@
 // Zero-allocation guard for the solo Model step: once the model is warm
 // (dycore scratch and tracer-step scratch sized in the ctor, per-thread
 // Workspace arenas grown, coupler scratch built, quant-free fp32 nets
-// packed), a full cadence cycle -- dynamics, tracer transport and ML
-// physics -- must not touch the heap. The solo twin of
-// tests/ensemble/test_ensemble_alloc.cpp.
+// packed), a full cadence cycle -- dynamics, tracer transport and ML or
+// conventional physics with radiation -- must not touch the heap. The solo
+// twin of tests/ensemble/test_ensemble_alloc.cpp.
 //
 // This binary overrides the global allocation operators to count heap
 // traffic, so it is its own test executable (see tests/CMakeLists.txt).
@@ -104,6 +104,26 @@ TEST(ModelAllocationGuard, WarmMlCadenceCycleIsHeapFreeDp) {
 
 TEST(ModelAllocationGuard, WarmMlCadenceCycleIsHeapFreeMix) {
   expectWarmMlCycleHeapFree(precision::NsMode::kSingle);
+}
+
+TEST(ModelAllocationGuard, WarmConventionalRadiationCycleIsHeapFreeDp) {
+  // DP-PHY over lcm(trac, phy, rad): every cadence fires, radiation
+  // included, and the named physics timers add to existing sections.
+  const grid::HexMesh mesh = grid::buildHexMesh(2);
+  const grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
+  ModelConfig mc;
+  mc.dyn.nlev = 10;
+  mc.dyn.dt = 300.0;
+  mc.scheme = PhysicsScheme::kConventional;
+  ASSERT_EQ(mc.trac_interval, 8);
+  ASSERT_EQ(mc.phy_interval, 15);
+  ASSERT_EQ(mc.conventional.radiation_interval, 3);
+  const int cycle = 360;  // lcm(8, 15, 15 * 3)
+
+  Model model(mesh, trsk, mc, dycore::initBaroclinicWave(mesh, mc.dyn, 3));
+  model.run(cycle);
+  EXPECT_EQ(allocsDuring([&] { model.run(cycle); }), 0)
+      << model.schemeName();
 }
 
 } // namespace

@@ -179,18 +179,25 @@ TEST_F(SnapshotTest, TruncatedHeaderPeekThrows) {
 }
 
 TEST_F(SnapshotTest, VersionMismatchNamesBothVersions) {
-  makeFull().write(path_);
-  std::vector<char> buf = slurpFile(path_);
-  const std::uint32_t bogus = 99;
-  std::memcpy(buf.data() + 8, &bogus, sizeof bogus);  // version field
-  dumpFile(path_, buf);
-  try {
-    Snapshot::read(path_);
-    FAIL() << "expected version rejection";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version 99"), std::string::npos) << what;
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+  // 2 is the version before CONFIG carried the mesh-numbering fingerprint:
+  // such files hold values under the pre-BFS numbering and must be refused.
+  for (const std::uint32_t bogus : {99u, 2u}) {
+    makeFull().write(path_);
+    std::vector<char> buf = slurpFile(path_);
+    std::memcpy(buf.data() + 8, &bogus, sizeof bogus);  // version field
+    dumpFile(path_, buf);
+    try {
+      Snapshot::read(path_);
+      FAIL() << "expected version rejection of " << bogus;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(bogus) + " unsupported"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("version " + std::to_string(Snapshot::kFormatVersion)),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

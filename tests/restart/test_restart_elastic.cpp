@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -15,6 +16,7 @@
 #include "grist/core/model.hpp"
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/init.hpp"
+#include "grist/grid/reorder.hpp"
 #include "grist/io/restart.hpp"
 #include "grist/io/snapshot.hpp"
 #include "grist/partition/partitioner.hpp"
@@ -75,7 +77,7 @@ class ElasticBase : public ::testing::Test {
       ParallelModel writer(mesh_, trsk_, cfg_, write_ranks,
                            dycore::initBaroclinicWave(mesh_, cfg_));
       writer.run(pre);
-      captureDynRun(writer.gatherState(), cfg_, mesh_.level, pre, write_ranks,
+      captureDynRun(writer.gatherState(), cfg_, mesh_, pre, write_ranks,
                     partFp(write_ranks))
           .write(path_);
     }
@@ -156,7 +158,7 @@ TEST_F(ElasticBase, RestoreRejectsForeignRunShape) {
   dycore::State wrong(mesh_, cfg_.nlev + 2, 1);
   EXPECT_THROW(model.restoreGlobalState(wrong), std::runtime_error);
   // And the file-level validator names the offending CONFIG field.
-  captureDynRun(model.gatherState(), cfg_, mesh_.level, 4, 2, partFp(2))
+  captureDynRun(model.gatherState(), cfg_, mesh_, 4, 2, partFp(2))
       .write(path_);
   try {
     loadDynRestart(path_, mesh_, cfg_, /*ntracers=*/3, nullptr);
@@ -173,6 +175,33 @@ TEST_F(ElasticBase, RestoreRejectsForeignRunShape) {
     FAIL() << "expected dt rejection";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("dt"), std::string::npos);
+  }
+}
+
+TEST_F(ElasticBase, RestoreRejectsRelabeledMesh) {
+  // Same level, same entity counts, different numbering: STATE is stored by
+  // global index, so the fingerprint is the only thing that can tell.
+  const grid::HexMesh relabeled =
+      grid::applyPermutation(mesh_, grid::randomPermutation(mesh_, 42));
+  ParallelModel model(mesh_, trsk_, cfg_, 2,
+                      dycore::initBaroclinicWave(mesh_, cfg_));
+  captureDynRun(model.gatherState(), cfg_, mesh_, 4, 2, partFp(2))
+      .write(path_);
+  EXPECT_NO_THROW(loadDynRestart(path_, mesh_, cfg_, 1, nullptr));
+  try {
+    loadDynRestart(path_, relabeled, cfg_, 1, nullptr);
+    FAIL() << "expected mesh numbering rejection";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("mesh_fingerprint"), std::string::npos) << what;
+    char written[19], run[19];
+    std::snprintf(written, sizeof written, "0x%016llx",
+                  static_cast<unsigned long long>(grid::numberingFingerprint(mesh_)));
+    std::snprintf(run, sizeof run, "0x%016llx",
+                  static_cast<unsigned long long>(
+                      grid::numberingFingerprint(relabeled)));
+    EXPECT_NE(what.find(written), std::string::npos) << what;
+    EXPECT_NE(what.find(run), std::string::npos) << what;
   }
 }
 
@@ -301,6 +330,29 @@ TEST_F(ModelSnapshot, ConfigMismatchNamesOffendingField) {
     FAIL() << "expected trac_interval rejection";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("trac_interval"), std::string::npos);
+  }
+}
+
+TEST_F(ModelSnapshot, RestoreRejectsRelabeledMesh) {
+  Model first(mesh_, trsk_, cfg_, coldStart());
+  first.run(2);
+  const io::Snapshot snap = first.snapshot();
+  ASSERT_TRUE(snap.config);
+  // The built numbering records 0; a relabeled mesh records its offset.
+  EXPECT_EQ(snap.config->mesh_fingerprint, 0u);
+
+  const grid::HexMesh relabeled =
+      grid::applyPermutation(mesh_, grid::randomPermutation(mesh_, 42));
+  const grid::TrskWeights trsk = grid::buildTrskWeights(relabeled);
+  Model other(relabeled, trsk, cfg_,
+              dycore::initBaroclinicWave(relabeled, cfg_.dyn, 3));
+  try {
+    other.restore(snap);
+    FAIL() << "expected mesh numbering rejection";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("Model::restore"), std::string::npos) << what;
+    EXPECT_NE(what.find("mesh_fingerprint"), std::string::npos) << what;
   }
 }
 

@@ -77,7 +77,7 @@ class ShmRestartBase : public ::testing::Test {
       MpSession writer(spec);
       writer.run(pre);
       const auto part = partition::Partitioner::partition(mesh_, write_ranks);
-      core::captureDynRun(writer.gather(), cfg_, mesh_.level, pre, write_ranks,
+      core::captureDynRun(writer.gather(), cfg_, mesh_, pre, write_ranks,
                           partition::Partitioner::fingerprint(part))
           .write(path_);
     }  // writer fleet fully torn down before the resumed fleet spawns
