@@ -5,12 +5,10 @@
 // quotes: G4 (2562 cells), nlev 20, DP dycore, fp32 ML physics suite
 // (q1q2 channels 24 / res 2, rad hidden 48), default cadences (tracer
 // every 8, physics every 15 dynamics steps), M = 8 perturbed members.
-// Three variants, identical numerics (the ENSEMBLE ctest label asserts
+// Two variants, identical numerics (the ENSEMBLE ctest label asserts
 // bitwise member-vs-solo identity):
 //   BM_SoloModels           -- M independent Model instances, the baseline
-//   BM_EnsembleBatched      -- EnsembleRunner, cross-member fused GEMMs
-//   BM_EnsemblePerMemberGemm-- EnsembleRunner, per-member GEMMs (isolates
-//                              the GEMM-batching contribution)
+//   BM_EnsembleBatched      -- one EnsembleRunner stepping all M members
 // Record to BENCH_ensemble.json via the GRIST_ENSEMBLE_BENCH=1 stage of
 // scripts/check.sh; a committed baseline turns the run into a >5%
 // regression gate through scripts/bench_compare.py.
@@ -101,13 +99,12 @@ void BM_SoloModels(benchmark::State& state) {
 }
 BENCHMARK(BM_SoloModels)->Unit(benchmark::kMillisecond);
 
-void runEnsembleVariant(benchmark::State& state, bool cross_member_gemm) {
+void BM_EnsembleBatched(benchmark::State& state) {
   Fixture& f = fixture();
   core::EnsembleConfig ec;
   ec.model = f.mc;
   ec.members = kMembers;
   ec.perturb_seed = kSeed;
-  ec.cross_member_gemm = cross_member_gemm;
   core::EnsembleRunner runner(f.mesh, f.trsk, ec, f.initial);
   runner.run(kStepsPerIter);  // warm-up, untimed
   for (auto _ : state) {
@@ -115,16 +112,7 @@ void runEnsembleVariant(benchmark::State& state, bool cross_member_gemm) {
   }
   addMemberStepsRate(state);
 }
-
-void BM_EnsembleBatched(benchmark::State& state) {
-  runEnsembleVariant(state, /*cross_member_gemm=*/true);
-}
 BENCHMARK(BM_EnsembleBatched)->Unit(benchmark::kMillisecond);
-
-void BM_EnsemblePerMemberGemm(benchmark::State& state) {
-  runEnsembleVariant(state, /*cross_member_gemm=*/false);
-}
-BENCHMARK(BM_EnsemblePerMemberGemm)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -10,22 +10,39 @@ beyond --threshold (default 5%) is flagged. When a file was recorded with
 entries are ignored. Benchmarks present in only one file are listed but
 never fail the run (the set is expected to grow).
 
-Exit status: 0 = no regression, 1 = at least one regression, 2 = bad input.
+Timings are comparable only when both files were recorded in the same
+context: a file whose google-benchmark `context` differs in any of
+CONTEXT_KEYS is refused, naming both values.
+
+Exit status: 0 = no regression, 1 = at least one regression, 2 = bad input,
+3 = the two files were recorded in different contexts.
 """
 
 import argparse
 import json
 import sys
 
+CONTEXT_KEYS = ("num_cpus", "library_build_type")
 
-def load_times(path):
-    """name -> (real_time, time_unit), preferring median aggregates."""
+
+def load(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            return json.load(f)
     except (OSError, ValueError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
+
+
+def context_mismatch(base_doc, cand_doc):
+    """Reasons the two files were not recorded in one context."""
+    a, b = base_doc.get("context", {}), cand_doc.get("context", {})
+    return [f"{k}: {a.get(k)} vs {b.get(k)}" for k in CONTEXT_KEYS
+            if a.get(k) != b.get(k)]
+
+
+def load_times(doc, path):
+    """name -> (real_time, time_unit), preferring median aggregates."""
     times = {}
     have_aggregates = set()
     for b in doc.get("benchmarks", []):
@@ -60,8 +77,14 @@ def main():
                     help="max tolerated slowdown fraction (default 0.05)")
     args = ap.parse_args()
 
-    base = load_times(args.baseline)
-    cand = load_times(args.candidate)
+    base_doc, cand_doc = load(args.baseline), load(args.candidate)
+    reasons = context_mismatch(base_doc, cand_doc)
+    if reasons:
+        print("bench_compare: refusing to compare across contexts: "
+              + "; ".join(reasons), file=sys.stderr)
+        return 3
+    base = load_times(base_doc, args.baseline)
+    cand = load_times(cand_doc, args.candidate)
     shared = sorted(set(base) & set(cand))
     only_base = sorted(set(base) - set(cand))
     only_cand = sorted(set(cand) - set(base))

@@ -199,17 +199,18 @@ if [[ "${GRIST_SKIP_ENSEMBLE:-0}" == "1" ]]; then
   echo "== skipping batched-ensemble pass (GRIST_SKIP_ENSEMBLE=1) =="
 else
   # Batched-ensemble contract: every member stepped through EnsembleRunner
-  # must be bitwise identical to the same seed-matched member run solo
-  # through Model -- across M in {2,4,8}, DP and MIX, fp32 and quantized
-  # (bf16/int8) ML physics, and both GEMM-batching modes -- and the warm
-  # fused step must stay off the heap (the ENSEMBLE-labeled alloc guard).
+  # (a Model with M members) must be bitwise identical to the same
+  # seed-matched member run solo through Model -- across M in {2,4,8}, DP
+  # and MIX, conventional, Held-Suarez and fp32/quantized (bf16/int8) ML
+  # physics -- and the warm M-member step must stay off the heap, radiation
+  # cycle included (the ENSEMBLE-labeled alloc guard).
   echo "== batched-ensemble pass: ENSEMBLE suites (member-vs-solo bitwise) =="
   ctest --test-dir build -L ENSEMBLE --output-on-failure
   if [[ "${GRIST_ENSEMBLE_BENCH:-0}" == "1" ]]; then
-    # Batched EnsembleRunner vs M independent Models (members/s), plus the
-    # cross-member vs per-member GEMM pair, recorded for the README table;
-    # a committed baseline turns the run into a >5% regression gate through
-    # bench_compare.py.
+    # Batched EnsembleRunner vs M independent Models (members/s), recorded
+    # for the README table; a committed baseline from the same kind of host
+    # turns the run into a >5% regression gate through bench_compare.py
+    # (which refuses, exit 3, a baseline from another context).
     echo "-- recording BENCH_ensemble.json (batched vs solo members/s)"
     ./build/bench/bench_ensemble \
       --benchmark_repetitions=3 --benchmark_report_aggregates_only \

@@ -23,6 +23,9 @@ class Config {
   bool has(const std::string& key) const;
 
   std::string getString(const std::string& key, const std::string& fallback) const;
+  /// Numeric values must be one whole token (grist::parseNumber): trailing
+  /// characters, a fraction for an int, NaN/inf and overflow throw
+  /// std::runtime_error naming the key and the token.
   int getInt(const std::string& key, int fallback) const;
   double getDouble(const std::string& key, double fallback) const;
   bool getBool(const std::string& key, bool fallback) const;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "grist/common/parse.hpp"
 
 namespace grist {
 namespace {
@@ -20,6 +23,21 @@ std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return s;
+}
+
+/// The whole value as one finite number of type T, or a runtime_error
+/// naming the key and the token.
+template <typename T>
+T parseValue(const std::string& key, const std::string& token) {
+  const auto v = parseNumber<T>(token, std::numeric_limits<T>::lowest(),
+                                std::numeric_limits<T>::max());
+  if (!v) {
+    throw std::runtime_error("Config: '" + key + "' expects " +
+                             (std::numeric_limits<T>::is_integer ? "an integer"
+                                                                 : "a finite number") +
+                             ", got '" + token + "'");
+  }
+  return *v;
 }
 
 } // namespace
@@ -79,12 +97,12 @@ std::string Config::getString(const std::string& key, const std::string& fallbac
 
 int Config::getInt(const std::string& key, int fallback) const {
   const auto v = find(key);
-  return v ? std::stoi(*v) : fallback;
+  return v ? parseValue<int>(key, *v) : fallback;
 }
 
 double Config::getDouble(const std::string& key, double fallback) const {
   const auto v = find(key);
-  return v ? std::stod(*v) : fallback;
+  return v ? parseValue<double>(key, *v) : fallback;
 }
 
 bool Config::getBool(const std::string& key, bool fallback) const {

@@ -2,6 +2,12 @@
 // transport, the physics suite (conventional or ML) and the coupling
 // interface under the paper's timestep hierarchy (Table 2: Dyn/Trac/Phy/Rad)
 // and scheme matrix (Table 3: DP/MIX x PHY/ML).
+//
+// Model is the one owner of that cadence, for M >= 1 members: one M-member
+// Dycore and one Coupler serve every member, and each member keeps its own
+// State, physics suite and batch, tracer-window delp, tskin and
+// precipitation accumulator. A solo run is M = 1; EnsembleRunner is a Model
+// whose members are perturbed copies of one initial state.
 #pragma once
 
 #include <memory>
@@ -30,8 +36,8 @@ inline const char* schemeLabel(precision::NsMode ns, PhysicsScheme physics) {
   return physics == PhysicsScheme::kConventional ? "MIX-PHY" : "MIX-ML";
 }
 
-/// Default land initialization (zonally symmetric SST-like profile); used
-/// by both Model and EnsembleRunner.
+/// Default land initialization (zonally symmetric SST-like profile), the
+/// same for every member.
 std::vector<double> initialSkinTemperature(const grid::HexMesh& mesh);
 
 struct ModelConfig {
@@ -48,28 +54,38 @@ struct ModelConfig {
 
 class Model {
  public:
-  /// Takes ownership of the initial state. The mesh/weights must outlive
-  /// the model. State must carry >= 3 tracers (qv, qc, qr).
+  /// Solo run (M = 1): takes ownership of the initial state. The
+  /// mesh/weights must outlive the model. State must carry >= 3 tracers
+  /// (qv, qc, qr).
   Model(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
         ModelConfig config, dycore::State initial);
+  /// M = members.size() >= 1 members stepped together; each member's
+  /// trajectory is bitwise the one it would take solo.
+  Model(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
+        ModelConfig config, std::vector<dycore::State> members);
 
-  /// Advance by one dynamics step; fires tracer transport and physics on
-  /// their configured cadences.
+  /// Advance every member by one dynamics step; fires tracer transport and
+  /// physics on their configured cadences.
   void step();
   void run(int ndyn_steps);
 
-  const dycore::State& state() const { return state_; }
-  dycore::State& state() { return state_; }
+  int members() const { return static_cast<int>(members_.size()); }
+  const dycore::State& state(int m = 0) const { return member(m).state; }
+  dycore::State& state(int m = 0) { return member(m).state; }
   double simSeconds() const { return sim_seconds_; }
   double simDays() const { return sim_seconds_ / 86400.0; }
 
-  /// Accumulated precipitation since construction, mm, per cell.
-  const std::vector<double>& accumulatedPrecip() const { return precip_accum_; }
-  /// Mean precipitation RATE over the simulated period so far, mm/day.
+  /// Member m's accumulated precipitation since construction, mm, per cell.
+  const std::vector<double>& accumulatedPrecip(int m = 0) const {
+    return member(m).precip_accum;
+  }
+  /// Member 0's mean precipitation RATE over the simulated period so far,
+  /// mm/day.
   std::vector<double> meanPrecipRate() const;
 
-  const std::vector<double>& tskin() const { return tskin_; }
-  /// Restore land/clock state from a restart file (see io/restart.hpp).
+  const std::vector<double>& tskin(int m = 0) const { return member(m).tskin; }
+  /// Restore member 0's land/clock state from a restart file (see
+  /// io/restart.hpp).
   void setTskin(std::vector<double> tskin);
   void setSimSeconds(double seconds) { sim_seconds_ = seconds; }
   /// Re-synchronize internal accumulators after the state was replaced
@@ -79,22 +95,41 @@ class Model {
 
   /// Capture everything a bitwise resume needs: STATE + LAND + CLOCK +
   /// DIAG (accumulator windows, so mid-tracer-window checkpoints are exact)
-  /// + CONFIG, and MLWT weight provenance under the ML scheme.
+  /// + CONFIG, and MLWT weight provenance under the ML scheme. A checkpoint
+  /// holds one member: throws std::logic_error when members() > 1.
   io::Snapshot snapshot() const;
   /// Restore from a snapshot (including legacy GRISTSW1 conversions).
   /// Validates CONFIG (nlev/ntracers/dt/ns/cadences) and MLWT fingerprints
   /// when present, throwing std::runtime_error naming the mismatch. With a
   /// DIAG section the resume is bitwise anywhere in the cadence; without
   /// one (legacy files) it falls back to resyncAfterRestart() semantics.
+  /// Throws std::logic_error when members() > 1.
   void restore(const io::Snapshot& snap);
 
   long dynSteps() const { return dyn_steps_; }
   const ModelConfig& config() const { return config_; }
+  const grid::HexMesh& mesh() const { return mesh_; }
   const char* schemeName() const;
-  physics::PhysicsSuite& suite() { return *suite_; }
   dycore::Dycore& dycore() { return dycore_; }
 
  private:
+  /// Everything one member owns.
+  struct Member {
+    dycore::State state;
+    std::unique_ptr<physics::PhysicsSuite> suite;
+    physics::PhysicsInput phys_in;
+    physics::PhysicsOutput phys_out;
+    parallel::Field delp_at_tracer_start;
+    std::vector<double> tskin;
+    std::vector<double> precip_accum;
+  };
+
+  const Member& member(int m) const {
+    return members_[static_cast<std::size_t>(m)];
+  }
+  Member& member(int m) { return members_[static_cast<std::size_t>(m)]; }
+  /// Throws std::logic_error naming the member count unless members() == 1.
+  void requireSolo(const char* who) const;
   void tracerStep();
   void physicsStep();
 
@@ -102,15 +137,10 @@ class Model {
   ModelConfig config_;
   dycore::Dycore dycore_;
   coupler::Coupler coupler_;
-  std::unique_ptr<physics::PhysicsSuite> suite_;
-  dycore::State state_;
+  std::vector<Member> members_;
+  std::vector<dycore::State*> state_ptrs_;  ///< Dycore::step operand table
 
-  parallel::Field delp_at_tracer_start_;
   parallel::Field mean_flux_;  ///< tracer-step scratch: window-mean flux
-  std::vector<double> tskin_;
-  std::vector<double> precip_accum_;
-  physics::PhysicsInput phys_in_;
-  physics::PhysicsOutput phys_out_;
   double sim_seconds_ = 0.0;
   long dyn_steps_ = 0;
 };

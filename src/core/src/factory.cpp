@@ -115,7 +115,6 @@ std::unique_ptr<EnsembleBundle> makeEnsembleFromConfig(
   ecfg.members = members;
   ecfg.perturb_seed = perturb_seed;
   ecfg.perturb_amplitude = config.getDouble("perturb_amplitude", 1e-3);
-  ecfg.cross_member_gemm = config.getInt("cross_member_gemm", 1) != 0;
   dycore::State initial = buildInitialState(config, bundle->mesh, ecfg.model);
   bundle->runner = std::make_unique<EnsembleRunner>(bundle->mesh, bundle->trsk,
                                                     std::move(ecfg), initial);

@@ -13,9 +13,10 @@
 namespace grist::core {
 
 std::vector<double> initialSkinTemperature(const grid::HexMesh& mesh) {
-  // Zonally symmetric SST-like profile: warm tropics, cold poles. Shared
-  // with EnsembleRunner so ensemble members and solo models start from the
-  // same land state (a parity precondition for the ENSEMBLE bitwise gate).
+  // Zonally symmetric SST-like profile: warm tropics, cold poles. Every
+  // member starts from it, so ensemble members and solo models start from
+  // the same land state (a parity precondition for the ENSEMBLE bitwise
+  // gate).
   std::vector<double> tskin(mesh.ncells);
   for (Index c = 0; c < mesh.ncells; ++c) {
     const double lat = mesh.cell_ll[c].lat;
@@ -24,45 +25,71 @@ std::vector<double> initialSkinTemperature(const grid::HexMesh& mesh) {
   return tskin;
 }
 
+namespace {
+
+std::vector<dycore::State> oneMember(dycore::State state) {
+  std::vector<dycore::State> members;
+  members.push_back(std::move(state));
+  return members;
+}
+
+} // namespace
+
 Model::Model(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
              ModelConfig config, dycore::State initial)
+    : Model(mesh, trsk, std::move(config), oneMember(std::move(initial))) {}
+
+Model::Model(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
+             ModelConfig config, std::vector<dycore::State> members)
     : mesh_(mesh),
       config_(std::move(config)),
-      dycore_(mesh, trsk, config_.dyn),
+      dycore_(mesh, trsk, config_.dyn, static_cast<int>(members.size())),
       coupler_(mesh, config_.dyn.nlev),
-      state_(std::move(initial)),
-      delp_at_tracer_start_(state_.delp),
-      mean_flux_(mesh.nedges, config_.dyn.nlev),
-      tskin_(initialSkinTemperature(mesh)),
-      precip_accum_(mesh.ncells, 0.0),
-      phys_in_(mesh.ncells, config_.dyn.nlev),
-      phys_out_(mesh.ncells, config_.dyn.nlev) {
-  if (state_.tracers.size() < 3) {
-    throw std::invalid_argument("Model: state needs >= 3 tracers (qv, qc, qr)");
+      mean_flux_(mesh.nedges, config_.dyn.nlev) {
+  for (const dycore::State& s : members) {
+    if (s.tracers.size() < 3) {
+      throw std::invalid_argument("Model: state needs >= 3 tracers (qv, qc, qr)");
+    }
   }
   if (config_.trac_interval < 1 || config_.phy_interval < 1) {
     throw std::invalid_argument("Model: bad timestep hierarchy");
   }
-  if (config_.scheme == PhysicsScheme::kHeldSuarez) {
-    suite_ = std::make_unique<physics::HeldSuarezSuite>();
-  } else if (config_.scheme == PhysicsScheme::kMl) {
-    if (!config_.q1q2 || !config_.rad_mlp) {
-      throw std::invalid_argument("Model: ML scheme requires trained networks");
-    }
-    suite_ = std::make_unique<ml::MlPhysicsSuite>(
-        mesh.ncells, config_.dyn.nlev, config_.q1q2, config_.rad_mlp, config_.ml);
-  } else {
-    // Scale-aware convection: pass the mesh's own spacing.
+  if (config_.scheme == PhysicsScheme::kMl && (!config_.q1q2 || !config_.rad_mlp)) {
+    throw std::invalid_argument("Model: ML scheme requires trained networks");
+  }
+  // Scale-aware convection: pass the mesh's own spacing.
+  if (config_.scheme == PhysicsScheme::kConventional) {
     config_.conventional.grid_dx = mesh.meanSpacing();
-    suite_ = std::make_unique<physics::ConventionalSuite>(
-        mesh.ncells, config_.dyn.nlev, config_.conventional);
+  }
+  const int nlev = config_.dyn.nlev;
+  const auto makeSuite = [&]() -> std::unique_ptr<physics::PhysicsSuite> {
+    if (config_.scheme == PhysicsScheme::kHeldSuarez) {
+      return std::make_unique<physics::HeldSuarezSuite>();
+    }
+    if (config_.scheme == PhysicsScheme::kMl) {
+      return std::make_unique<ml::MlPhysicsSuite>(mesh.ncells, nlev, config_.q1q2,
+                                                  config_.rad_mlp, config_.ml);
+    }
+    return std::make_unique<physics::ConventionalSuite>(mesh.ncells, nlev,
+                                                        config_.conventional);
+  };
+  members_.reserve(members.size());
+  state_ptrs_.reserve(members.size());
+  for (dycore::State& s : members) {
+    parallel::Field delp = s.delp;
+    members_.push_back(Member{std::move(s), makeSuite(),
+                              physics::PhysicsInput(mesh.ncells, nlev),
+                              physics::PhysicsOutput(mesh.ncells, nlev),
+                              std::move(delp), initialSkinTemperature(mesh),
+                              std::vector<double>(mesh.ncells, 0.0)});
+    state_ptrs_.push_back(&members_.back().state);
   }
   dycore_.resetAccumulatedFlux();
 }
 
 void Model::resyncAfterRestart() {
   dycore_.resetAccumulatedFlux();
-  delp_at_tracer_start_ = state_.delp;
+  for (Member& m : members_) m.delp_at_tracer_start = m.state.delp;
   dyn_steps_ = 0;
 }
 
@@ -70,7 +97,14 @@ void Model::setTskin(std::vector<double> tskin) {
   if (static_cast<Index>(tskin.size()) != mesh_.ncells) {
     throw std::invalid_argument("Model::setTskin: size mismatch");
   }
-  tskin_ = std::move(tskin);
+  members_.front().tskin = std::move(tskin);
+}
+
+void Model::requireSolo(const char* who) const {
+  if (members() != 1) {
+    throw std::logic_error(std::string(who) + ": " + std::to_string(members()) +
+                           " members; a checkpoint holds one (members() == 1)");
+  }
 }
 
 const char* Model::schemeName() const {
@@ -78,9 +112,11 @@ const char* Model::schemeName() const {
 }
 
 io::Snapshot Model::snapshot() const {
+  requireSolo("Model::snapshot");
+  const Member& solo = members_.front();
   io::Snapshot snap;
-  snap.state = io::StateSection::capture(state_);
-  snap.land = tskin_;
+  snap.state = io::StateSection::capture(solo.state);
+  snap.land = solo.tskin;
 
   io::ClockSection clock;
   clock.sim_seconds = sim_seconds_;
@@ -95,13 +131,13 @@ io::Snapshot Model::snapshot() const {
   const parallel::Field& af = dycore_.accumulatedMassFlux();
   diag.acc_flux.assign(af.data(), af.data() + af.size());
   diag.delp_at_tracer_start.assign(
-      delp_at_tracer_start_.data(),
-      delp_at_tracer_start_.data() + delp_at_tracer_start_.size());
-  diag.precip_accum = precip_accum_;
+      solo.delp_at_tracer_start.data(),
+      solo.delp_at_tracer_start.data() + solo.delp_at_tracer_start.size());
+  diag.precip_accum = solo.precip_accum;
   snap.diag = diag;
 
   io::ConfigSection cs = dynConfigSection(
-      config_.dyn, mesh_, static_cast<int>(state_.tracers.size()), 1, 0);
+      config_.dyn, mesh_, static_cast<int>(solo.state.tracers.size()), 1, 0);
   cs.trac_interval = config_.trac_interval;
   cs.phy_interval = config_.phy_interval;
   snap.config = cs;
@@ -120,6 +156,8 @@ io::Snapshot Model::snapshot() const {
 }
 
 void Model::restore(const io::Snapshot& snap) {
+  requireSolo("Model::restore");
+  Member& solo = members_.front();
   if (!snap.state) {
     throw std::runtime_error("Model::restore: snapshot has no STATE section");
   }
@@ -133,9 +171,9 @@ void Model::restore(const io::Snapshot& snap) {
     const io::ConfigSection& cs = *snap.config;
     checkMeshNumbering(cs, mesh_, "Model::restore");
     if (cs.nlev != config_.dyn.nlev) mismatch("nlev", cs.nlev, config_.dyn.nlev);
-    if (cs.ntracers != static_cast<std::int32_t>(state_.tracers.size())) {
+    if (cs.ntracers != static_cast<std::int32_t>(solo.state.tracers.size())) {
       mismatch("ntracers", cs.ntracers,
-               static_cast<double>(state_.tracers.size()));
+               static_cast<double>(solo.state.tracers.size()));
     }
     if (cs.dt != config_.dyn.dt) mismatch("dt", cs.dt, config_.dyn.dt);
     const std::uint8_t ns =
@@ -161,7 +199,7 @@ void Model::restore(const io::Snapshot& snap) {
     }
   }
 
-  snap.state->restoreTo(state_);
+  snap.state->restoreTo(solo.state);
   if (snap.land) setTskin(*snap.land);
   if (snap.clock) {
     sim_seconds_ = snap.clock->sim_seconds;
@@ -178,19 +216,19 @@ void Model::restore(const io::Snapshot& snap) {
     std::memcpy(flux.data(), d.acc_flux.data(),
                 d.acc_flux.size() * sizeof(double));
     dycore_.restoreAccumulatedFlux(flux, d.acc_steps);
-    std::memcpy(delp_at_tracer_start_.data(), d.delp_at_tracer_start.data(),
+    std::memcpy(solo.delp_at_tracer_start.data(), d.delp_at_tracer_start.data(),
                 d.delp_at_tracer_start.size() * sizeof(double));
-    precip_accum_ = d.precip_accum;
+    solo.precip_accum = d.precip_accum;
   } else {
     // No accumulator windows (legacy / dynamics-only snapshot): reset the
     // flux window, exact only at tracer-step boundaries.
     dycore_.resetAccumulatedFlux();
-    delp_at_tracer_start_ = state_.delp;
+    solo.delp_at_tracer_start = solo.state.delp;
   }
 }
 
 void Model::step() {
-  dycore_.step(state_);
+  dycore_.step(state_ptrs_.data());
   ++dyn_steps_;
   sim_seconds_ += config_.dyn.dt;
   if (dyn_steps_ % config_.trac_interval == 0) tracerStep();
@@ -204,48 +242,55 @@ void Model::run(int ndyn_steps) {
 void Model::tracerStep() {
   const int nsub = dycore_.accumulatedSteps();
   if (nsub == 0) return;
-  // Window-mean mass flux into the constructor-owned scratch (no warm-path
-  // allocation).
-  const parallel::Field& acc = dycore_.accumulatedMassFlux();
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    mean_flux_.data()[i] = acc.data()[i] / static_cast<double>(nsub);
-  }
   dycore::TracerTransportArgs args;
   args.mesh = &mesh_;
   args.ncells_prog = mesh_.ncells;
   args.nlev = config_.dyn.nlev;
   args.dt = nsub * config_.dyn.dt;
   args.mean_flux = mean_flux_.data();
-  args.delp_old = delp_at_tracer_start_.data();
-  args.delp_new = state_.delp.data();
-  for (auto& tracer : state_.tracers) {
-    dycore::tracerTransport(args, config_.dyn.ns, tracer.data());
+  for (int m = 0; m < members(); ++m) {
+    Member& mb = member(m);
+    // Window-mean mass flux into the constructor-owned scratch (no
+    // warm-path allocation).
+    const parallel::Field& acc = dycore_.accumulatedMassFlux(m);
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      mean_flux_.data()[i] = acc.data()[i] / static_cast<double>(nsub);
+    }
+    args.delp_old = mb.delp_at_tracer_start.data();
+    args.delp_new = mb.state.delp.data();
+    for (auto& tracer : mb.state.tracers) {
+      dycore::tracerTransport(args, config_.dyn.ns, tracer.data());
+    }
+    // Vertically-Lagrangian layers drift between remaps; bring the columns
+    // back to reference levels on the tracer cadence (as production
+    // mass-coordinate cores do) so thin layers cannot be drained to zero.
+    dycore::verticalRemap(mesh_.ncells, config_.dyn.nlev, config_.dyn.ptop,
+                          mb.state);
+    mb.delp_at_tracer_start = mb.state.delp;
   }
   dycore_.resetAccumulatedFlux();
-  // Vertically-Lagrangian layers drift between remaps; bring the columns
-  // back to reference levels on the tracer cadence (as production
-  // mass-coordinate cores do) so thin layers cannot be drained to zero.
-  dycore::verticalRemap(mesh_.ncells, config_.dyn.nlev, config_.dyn.ptop, state_);
-  delp_at_tracer_start_ = state_.delp;
 }
 
 void Model::physicsStep() {
   const double dt_phy = config_.phy_interval * config_.dyn.dt;
-  coupler_.stateToPhysics(state_, tskin_, sim_seconds_, phys_in_);
-  suite_->run(phys_in_, dt_phy, phys_out_);
-  coupler_.applyTendencies(phys_out_, dt_phy, state_);
-  // Land state and precipitation bookkeeping.
-  tskin_ = phys_out_.tskin_new;
-  for (Index c = 0; c < mesh_.ncells; ++c) {
-    precip_accum_[c] += phys_out_.precip[c] * dt_phy / 86400.0;  // mm
+  for (Member& m : members_) {
+    coupler_.stateToPhysics(m.state, m.tskin, sim_seconds_, m.phys_in);
+    m.suite->run(m.phys_in, dt_phy, m.phys_out);
+    coupler_.applyTendencies(m.phys_out, dt_phy, m.state);
+    // Land state and precipitation bookkeeping.
+    m.tskin = m.phys_out.tskin_new;
+    for (Index c = 0; c < mesh_.ncells; ++c) {
+      m.precip_accum[c] += m.phys_out.precip[c] * dt_phy / 86400.0;  // mm
+    }
   }
 }
 
 std::vector<double> Model::meanPrecipRate() const {
-  std::vector<double> rate(precip_accum_.size(), 0.0);
+  const std::vector<double>& accum = accumulatedPrecip();
+  std::vector<double> rate(accum.size(), 0.0);
   const double days = simDays();
   if (days <= 0) return rate;
-  for (std::size_t c = 0; c < rate.size(); ++c) rate[c] = precip_accum_[c] / days;
+  for (std::size_t c = 0; c < rate.size(); ++c) rate[c] = accum[c] / days;
   return rate;
 }
 

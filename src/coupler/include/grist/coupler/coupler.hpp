@@ -28,23 +28,9 @@ class Coupler {
   void stateToPhysics(const dycore::State& state, const std::vector<double>& tskin,
                       double sim_seconds, physics::PhysicsInput& input) const;
 
-  /// Offset form for fused multi-member physics batches: writes this
-  /// state's columns into `input` starting at column `col0` (`input` holds
-  /// M stacked member blocks of ncolumns() columns each). Column col0+c
-  /// receives exactly what column c receives in the plain form, so fused
-  /// batches stay per-column bitwise identical to solo coupling.
-  void stateToPhysics(const dycore::State& state, const std::vector<double>& tskin,
-                      double sim_seconds, physics::PhysicsInput& input,
-                      Index col0) const;
-
   /// Apply physics tendencies over dt: theta/tracers on cells, momentum
   /// projected back onto edge normals. Clips tracers at zero.
   void applyTendencies(const physics::PhysicsOutput& out, double dt,
-                       dycore::State& state) const;
-
-  /// Offset form: reads this state's tendencies from `out` starting at
-  /// column `col0` (the member's block in a fused batch).
-  void applyTendencies(const physics::PhysicsOutput& out, Index col0, double dt,
                        dycore::State& state) const;
 
   /// Number of cells this coupler serves (the prognostic bound).
@@ -58,8 +44,8 @@ class Coupler {
   // Per-cell local east/north unit vectors (for wind projection).
   std::vector<Vec3> east_, north_;
   // EOS scratch for the computeRrr calls in both directions, allocated once
-  // so warm coupling performs no heap allocation (the ensemble alloc guard
-  // steps through here). mutable: pure scratch, both methods are
+  // so warm coupling performs no heap allocation (the model and ensemble
+  // alloc guards step through here). mutable: pure scratch, both methods are
   // semantically const.
   mutable parallel::Field rrr_alpha_, rrr_p_, rrr_exner_, rrr_pi_mid_;
 };

@@ -29,13 +29,7 @@ Coupler::Coupler(const grid::HexMesh& mesh, int nlev, CouplerConfig config)
 void Coupler::stateToPhysics(const dycore::State& state,
                              const std::vector<double>& tskin, double sim_seconds,
                              physics::PhysicsInput& in) const {
-  stateToPhysics(state, tskin, sim_seconds, in, 0);
-}
-
-void Coupler::stateToPhysics(const dycore::State& state,
-                             const std::vector<double>& tskin, double sim_seconds,
-                             physics::PhysicsInput& in, Index col0) const {
-  if (col0 < 0 || in.ncolumns < col0 + ncells_ || in.nlev != nlev_) {
+  if (in.ncolumns < ncells_ || in.nlev != nlev_) {
     throw std::invalid_argument("Coupler::stateToPhysics: shape mismatch");
   }
   if (static_cast<Index>(tskin.size()) != ncells_) {
@@ -57,7 +51,6 @@ void Coupler::stateToPhysics(const dycore::State& state,
 
 #pragma omp parallel for schedule(static)
   for (Index c = 0; c < ncells_; ++c) {
-    const Index oc = col0 + c;  // column slot in (possibly fused) input
     // Perot velocity vector at the cell, per level.
     for (int k = 0; k < nlev_; ++k) {
       Vec3 vel{};
@@ -67,47 +60,41 @@ void Coupler::stateToPhysics(const dycore::State& state,
         vel = vel + dx * (mesh_.cell_edge_sign[j] * mesh_.edge_le[e] * state.u(e, k));
       }
       vel = vel * (1.0 / mesh_.cell_area[c]);
-      in.u(oc, k) = vel.dot(east_[c]);
-      in.v(oc, k) = vel.dot(north_[c]);
-      in.t(oc, k) = state.theta(c, k) * exner(c, k);
-      in.qv(oc, k) = state.tracers[config_.tracer_qv](c, k);
-      in.qc(oc, k) = static_cast<int>(state.tracers.size()) > config_.tracer_qc
-                         ? state.tracers[config_.tracer_qc](c, k)
-                         : 0.0;
-      in.qr(oc, k) = static_cast<int>(state.tracers.size()) > config_.tracer_qr
-                         ? state.tracers[config_.tracer_qr](c, k)
-                         : 0.0;
-      in.pmid(oc, k) = pi_mid(c, k);
-      in.delp(oc, k) = state.delp(c, k);
-      in.exner(oc, k) = exner(c, k);
-      in.zmid(oc, k) =
+      in.u(c, k) = vel.dot(east_[c]);
+      in.v(c, k) = vel.dot(north_[c]);
+      in.t(c, k) = state.theta(c, k) * exner(c, k);
+      in.qv(c, k) = state.tracers[config_.tracer_qv](c, k);
+      in.qc(c, k) = static_cast<int>(state.tracers.size()) > config_.tracer_qc
+                        ? state.tracers[config_.tracer_qc](c, k)
+                        : 0.0;
+      in.qr(c, k) = static_cast<int>(state.tracers.size()) > config_.tracer_qr
+                        ? state.tracers[config_.tracer_qr](c, k)
+                        : 0.0;
+      in.pmid(c, k) = pi_mid(c, k);
+      in.delp(c, k) = state.delp(c, k);
+      in.exner(c, k) = exner(c, k);
+      in.zmid(c, k) =
           0.5 * (state.phi(c, k) + state.phi(c, k + 1)) / kGravity;
     }
     double pint = config_.ptop;
-    in.pint(oc, 0) = pint;
+    in.pint(c, 0) = pint;
     for (int k = 0; k < nlev_; ++k) {
       pint += state.delp(c, k);
-      in.pint(oc, k + 1) = pint;
-      in.zint(oc, k) = state.phi(c, k) / kGravity;
+      in.pint(c, k + 1) = pint;
+      in.zint(c, k) = state.phi(c, k) / kGravity;
     }
-    in.zint(oc, nlev_) = state.phi(c, nlev_) / kGravity;
+    in.zint(c, nlev_) = state.phi(c, nlev_) / kGravity;
 
-    in.tskin[oc] = tskin[c];
+    in.tskin[c] = tskin[c];
     const LonLat ll = mesh_.cell_ll[c];
-    in.lat[oc] = ll.lat;
-    in.coszr[oc] = std::max(0.0, std::cos(ll.lat) * std::cos(ll.lon + hour_angle));
+    in.lat[c] = ll.lat;
+    in.coszr[c] = std::max(0.0, std::cos(ll.lat) * std::cos(ll.lon + hour_angle));
   }
 }
 
 void Coupler::applyTendencies(const physics::PhysicsOutput& out, double dt,
                               dycore::State& state) const {
-  applyTendencies(out, 0, dt, state);
-}
-
-void Coupler::applyTendencies(const physics::PhysicsOutput& out, Index col0,
-                              double dt, dycore::State& state) const {
-  if (col0 < 0 || out.dtdt.entities() < col0 + ncells_ ||
-      out.dtdt.components() != nlev_) {
+  if (out.dtdt.entities() < ncells_ || out.dtdt.components() != nlev_) {
     throw std::invalid_argument("Coupler::applyTendencies: shape mismatch");
   }
   // Cells: temperature tendency converts to theta through the Exner
@@ -120,11 +107,10 @@ void Coupler::applyTendencies(const physics::PhysicsOutput& out, Index col0,
                                       rrr_pi_mid_.data());
 #pragma omp parallel for schedule(static)
   for (Index c = 0; c < ncells_; ++c) {
-    const Index oc = col0 + c;
     for (int k = 0; k < nlev_; ++k) {
-      state.theta(c, k) += out.dtdt(oc, k) / exner(c, k) * dt;
+      state.theta(c, k) += out.dtdt(c, k) / exner(c, k) * dt;
       auto clip = [&](parallel::Field& q, const parallel::Field& tend) {
-        q(c, k) = std::max(0.0, q(c, k) + tend(oc, k) * dt);
+        q(c, k) = std::max(0.0, q(c, k) + tend(c, k) * dt);
       };
       clip(state.tracers[config_.tracer_qv], out.dqvdt);
       if (static_cast<int>(state.tracers.size()) > config_.tracer_qc) {
@@ -141,10 +127,8 @@ void Coupler::applyTendencies(const physics::PhysicsOutput& out, Index col0,
     const Index c1 = mesh_.edge_cell[e][0];
     const Index c2 = mesh_.edge_cell[e][1];
     for (int k = 0; k < nlev_; ++k) {
-      const Vec3 t1 = east_[c1] * out.dudt(col0 + c1, k) +
-                      north_[c1] * out.dvdt(col0 + c1, k);
-      const Vec3 t2 = east_[c2] * out.dudt(col0 + c2, k) +
-                      north_[c2] * out.dvdt(col0 + c2, k);
+      const Vec3 t1 = east_[c1] * out.dudt(c1, k) + north_[c1] * out.dvdt(c1, k);
+      const Vec3 t2 = east_[c2] * out.dudt(c2, k) + north_[c2] * out.dvdt(c2, k);
       state.u(e, k) += 0.5 * (t1 + t2).dot(mesh_.edge_normal[e]) * dt;
     }
   }

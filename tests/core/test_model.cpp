@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "grist/dycore/init.hpp"
 #include "grist/ml/traindata.hpp"
 
@@ -123,6 +128,25 @@ TEST_F(ModelRun, TooFewTracersThrows) {
   EXPECT_THROW(
       Model(mesh_, trsk_, config_, dycore::initBaroclinicWave(mesh_, config_.dyn, 1)),
       std::invalid_argument);
+}
+
+TEST_F(ModelRun, MultiMemberModelRefusesSnapshotAndRestore) {
+  // A checkpoint holds one member; an M-member Model says so, with M.
+  const dycore::State initial = dycore::initBaroclinicWave(mesh_, config_.dyn, 3);
+  const io::Snapshot snap = Model(mesh_, trsk_, config_, initial).snapshot();
+  Model model(mesh_, trsk_, config_, std::vector<dycore::State>(3, initial));
+  ASSERT_EQ(model.members(), 3);
+  const auto expectRefusal = [](const std::function<void()>& fn) {
+    try {
+      fn();
+      ADD_FAILURE() << "expected std::logic_error";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("3 members"), std::string::npos)
+          << e.what();
+    }
+  };
+  expectRefusal([&] { (void)model.snapshot(); });
+  expectRefusal([&] { model.restore(snap); });
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 // Zero-allocation guard for the batched ensemble step: once the runner is
 // warm (shared dycore scratch sized, per-thread Workspace arenas grown,
-// coupler scratch built in the ctor, the fused physics batch allocated
-// up front, quant snapshots cached), advancing all M members -- including
-// steps that fire tracer transport AND physics -- must not touch the heap.
+// coupler scratch and every member's physics batch built in the ctor,
+// quant snapshots cached), advancing all M members -- including steps that
+// fire tracer transport, physics and, under conventional physics,
+// radiation -- must not touch the heap.
 //
 // This binary overrides the global allocation operators to count heap
 // traffic, so it is its own test executable (see tests/CMakeLists.txt) --
@@ -14,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <numeric>
 
 #include "grist/core/ensemble_runner.hpp"
 #include "grist/dycore/init.hpp"
@@ -65,13 +67,18 @@ long allocsDuring(const std::function<void()>& fn) {
   return g_heap_allocs.load() - before;
 }
 
-ModelConfig mlConfig(int nlev, ml::Precision prec) {
+ModelConfig baseConfig(int nlev, PhysicsScheme scheme) {
   ModelConfig mc;
   mc.dyn.nlev = nlev;
   mc.dyn.dt = 300.0;
   mc.trac_interval = 4;
   mc.phy_interval = 5;
-  mc.scheme = PhysicsScheme::kMl;
+  mc.scheme = scheme;
+  return mc;
+}
+
+ModelConfig mlConfig(int nlev, ml::Precision prec) {
+  ModelConfig mc = baseConfig(nlev, PhysicsScheme::kMl);
   mc.ml.precision = prec;
   if (prec == ml::Precision::kInt8) mc.ml.quant_tolerance = 0.2;
   ml::Q1Q2NetConfig qcfg;
@@ -84,6 +91,17 @@ ModelConfig mlConfig(int nlev, ml::Precision prec) {
   rcfg.hidden = 16;
   mc.rad_mlp = std::make_shared<ml::RadMlp>(rcfg);
   return mc;
+}
+
+/// One cadence cycle: every tracer and physics boundary fires in it, and
+/// under conventional physics the radiation cadence (every
+/// radiation_interval physics steps) as well.
+int cadenceCycle(const ModelConfig& mc) {
+  int phy = mc.phy_interval;
+  if (mc.scheme == PhysicsScheme::kConventional) {
+    phy *= mc.conventional.radiation_interval;
+  }
+  return std::lcm(mc.trac_interval, phy);
 }
 
 class EnsembleAllocationGuard : public ::testing::Test {
@@ -99,26 +117,22 @@ class EnsembleAllocationGuard : public ::testing::Test {
     mesh_ = nullptr;
   }
 
-  static void expectWarmStepsHeapFree(ml::Precision prec,
-                                      bool cross_member_gemm) {
-    const int nlev = 10;
-    ModelConfig mc = mlConfig(nlev, prec);
+  static void expectWarmStepsHeapFree(const ModelConfig& mc, const char* label) {
     dycore::State initial = dycore::initBaroclinicWave(*mesh_, mc.dyn, 3);
     EnsembleConfig ec;
     ec.model = mc;
     ec.members = 4;
     ec.perturb_seed = 42;
-    ec.cross_member_gemm = cross_member_gemm;
     EnsembleRunner runner(*mesh_, *trsk_, ec, initial);
-    // Warm-up over one full cadence cycle (lcm(trac=4, phy=5) = 20 steps):
-    // arenas, OpenMP teams, quant snapshots + gate, and the timing
-    // registry's section entries all materialize here.
-    runner.run(20);
-    // The next cycle hits the same tracer/physics boundaries and must stay
-    // off the heap entirely.
-    EXPECT_EQ(allocsDuring([&] { runner.run(20); }), 0)
-        << ml::precisionName(prec)
-        << (cross_member_gemm ? " fused" : " per-member");
+    // Warm-up over one full cadence cycle: arenas, OpenMP teams, quant
+    // snapshots + gate, and the timing registry's section entries all
+    // materialize here.
+    const int cycle = cadenceCycle(mc);
+    runner.run(cycle);
+    // The next cycle hits the same tracer/physics/radiation boundaries and
+    // must stay off the heap entirely.
+    EXPECT_EQ(allocsDuring([&] { runner.run(cycle); }), 0)
+        << runner.schemeName() << " " << label;
   }
 
   static grid::HexMesh* mesh_;
@@ -128,17 +142,19 @@ class EnsembleAllocationGuard : public ::testing::Test {
 grid::HexMesh* EnsembleAllocationGuard::mesh_ = nullptr;
 grid::TrskWeights* EnsembleAllocationGuard::trsk_ = nullptr;
 
-TEST_F(EnsembleAllocationGuard, WarmStepsAreHeapFreeFp32Fused) {
-  expectWarmStepsHeapFree(ml::Precision::kFp32, /*cross_member_gemm=*/true);
-}
-
 TEST_F(EnsembleAllocationGuard, WarmStepsAreHeapFreeFp32PerMember) {
-  expectWarmStepsHeapFree(ml::Precision::kFp32, /*cross_member_gemm=*/false);
+  expectWarmStepsHeapFree(mlConfig(10, ml::Precision::kFp32), "fp32");
 }
 
 TEST_F(EnsembleAllocationGuard, WarmStepsAreHeapFreeQuantized) {
-  expectWarmStepsHeapFree(ml::Precision::kBf16, /*cross_member_gemm=*/true);
-  expectWarmStepsHeapFree(ml::Precision::kInt8, /*cross_member_gemm=*/true);
+  expectWarmStepsHeapFree(mlConfig(10, ml::Precision::kBf16), "bf16");
+  expectWarmStepsHeapFree(mlConfig(10, ml::Precision::kInt8), "int8");
+}
+
+TEST_F(EnsembleAllocationGuard, WarmRadiationCycleIsHeapFreeDpPhy) {
+  const ModelConfig mc = baseConfig(10, PhysicsScheme::kConventional);
+  ASSERT_EQ(cadenceCycle(mc), 60);  // lcm(4, 5 * 3)
+  expectWarmStepsHeapFree(mc, "conventional");
 }
 
 } // namespace

@@ -1,12 +1,13 @@
 // Batched-ensemble correctness gates (ctest label ENSEMBLE): every member
 // stepped through EnsembleRunner must stay BITWISE identical to the same
 // seed-matched initial state run solo through Model -- across member counts
-// M in {2,4,8}, DP and MIX dycore precision, fp32 and quantized (bf16/int8)
-// ML physics, and both the cross-member-fused and per-member GEMM modes.
+// M in {2,4,8}, DP and MIX dycore precision, conventional, Held-Suarez and
+// fp32/quantized (bf16/int8) ML physics.
 //
 // The comparison covers the full prognostic state (delp/theta/u/w/phi, all
 // tracers) plus the land bookkeeping (tskin, accumulated precip), after a
-// step count that crosses several tracer and physics cadence boundaries.
+// step count that crosses several tracer and physics cadence boundaries
+// (and, under conventional physics, two radiation calls).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -76,15 +77,20 @@ class EnsembleBitwise : public ::testing::Test {
     mesh_ = nullptr;
   }
 
-  static ModelConfig mlConfig(precision::NsMode ns,
-                              ml::Precision prec = ml::Precision::kFp32) {
+  static ModelConfig baseConfig(precision::NsMode ns, PhysicsScheme scheme) {
     ModelConfig mc;
     mc.dyn.nlev = kNlev;
     mc.dyn.dt = 300.0;
     mc.dyn.ns = ns;
     mc.trac_interval = 4;
     mc.phy_interval = 5;
-    mc.scheme = PhysicsScheme::kMl;
+    mc.scheme = scheme;
+    return mc;
+  }
+
+  static ModelConfig mlConfig(precision::NsMode ns,
+                              ml::Precision prec = ml::Precision::kFp32) {
+    ModelConfig mc = baseConfig(ns, PhysicsScheme::kMl);
     mc.ml.precision = prec;
     // Untrained random nets exceed the trained-net quantization envelope;
     // widen the acceptance gate like tests/ml/test_ml_alloc.cpp does.
@@ -101,19 +107,26 @@ class EnsembleBitwise : public ::testing::Test {
     return mc;
   }
 
+  /// Steps to compare over: kSteps, or under conventional physics through
+  /// its second radiation call (radiation fires on the first physics step
+  /// and then every radiation_interval physics steps).
+  static int windowSteps(const ModelConfig& mc) {
+    if (mc.scheme != PhysicsScheme::kConventional) return kSteps;
+    return mc.phy_interval * (mc.conventional.radiation_interval + 1);
+  }
+
   /// Run M members batched and each member solo from the same seeds; the
   /// trajectories must agree to the last bit.
   static void expectMembersMatchSolo(const ModelConfig& mc, int members,
-                                     bool cross_member_gemm,
                                      std::uint64_t seed = 42) {
+    const int steps = windowSteps(mc);
     dycore::State initial = dycore::initBaroclinicWave(*mesh_, mc.dyn, 3);
     EnsembleConfig ec;
     ec.model = mc;
     ec.members = members;
     ec.perturb_seed = seed;
-    ec.cross_member_gemm = cross_member_gemm;
     EnsembleRunner runner(*mesh_, *trsk_, ec, initial);
-    runner.run(kSteps);
+    runner.run(steps);
     for (int m = 0; m < members; ++m) {
       dycore::State s = initial;
       if (seed != 0) {
@@ -121,9 +134,10 @@ class EnsembleBitwise : public ::testing::Test {
                                      ec.perturb_amplitude);
       }
       Model solo(*mesh_, *trsk_, mc, std::move(s));
-      solo.run(kSteps);
+      solo.run(steps);
       EXPECT_EQ(memberDiff(runner, m, solo), 0)
-          << "member " << m << " of " << members << " diverged";
+          << runner.schemeName() << " member " << m << " of " << members
+          << " diverged";
     }
   }
 
@@ -137,35 +151,41 @@ grid::TrskWeights* EnsembleBitwise::trsk_ = nullptr;
 TEST_F(EnsembleBitwise, MembersMatchSoloDp) {
   const ModelConfig mc = mlConfig(precision::NsMode::kDouble);
   for (const int members : {2, 4, 8}) {
-    expectMembersMatchSolo(mc, members, /*cross_member_gemm=*/true);
+    expectMembersMatchSolo(mc, members);
   }
 }
 
 TEST_F(EnsembleBitwise, MembersMatchSoloMix) {
   const ModelConfig mc = mlConfig(precision::NsMode::kSingle);
   for (const int members : {2, 4, 8}) {
-    expectMembersMatchSolo(mc, members, /*cross_member_gemm=*/true);
+    expectMembersMatchSolo(mc, members);
   }
-}
-
-TEST_F(EnsembleBitwise, MembersMatchSoloPerMemberGemm) {
-  // The batching toggle changes only how the GEMMs are grouped, never the
-  // numbers.
-  const ModelConfig mc = mlConfig(precision::NsMode::kDouble);
-  expectMembersMatchSolo(mc, 4, /*cross_member_gemm=*/false);
 }
 
 TEST_F(EnsembleBitwise, MembersMatchSoloQuantizedBf16) {
   for (const auto ns : {precision::NsMode::kDouble, precision::NsMode::kSingle}) {
     const ModelConfig mc = mlConfig(ns, ml::Precision::kBf16);
-    expectMembersMatchSolo(mc, 4, /*cross_member_gemm=*/true);
+    expectMembersMatchSolo(mc, 4);
   }
 }
 
 TEST_F(EnsembleBitwise, MembersMatchSoloQuantizedInt8) {
   const ModelConfig mc =
       mlConfig(precision::NsMode::kDouble, ml::Precision::kInt8);
-  expectMembersMatchSolo(mc, 4, /*cross_member_gemm=*/true);
+  expectMembersMatchSolo(mc, 4);
+}
+
+TEST_F(EnsembleBitwise, MembersMatchSoloConventional) {
+  // DP-PHY and MIX-PHY, through two radiation calls.
+  for (const auto ns : {precision::NsMode::kDouble, precision::NsMode::kSingle}) {
+    expectMembersMatchSolo(baseConfig(ns, PhysicsScheme::kConventional), 4);
+  }
+}
+
+TEST_F(EnsembleBitwise, MembersMatchSoloHeldSuarez) {
+  for (const auto ns : {precision::NsMode::kDouble, precision::NsMode::kSingle}) {
+    expectMembersMatchSolo(baseConfig(ns, PhysicsScheme::kHeldSuarez), 4);
+  }
 }
 
 TEST_F(EnsembleBitwise, UnperturbedMembersStayIdenticalAndSpreadIsZero) {
