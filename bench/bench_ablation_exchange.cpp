@@ -1,30 +1,33 @@
-// Ablation: the halo-exchange transport and step schedule.
+// Ablation: the halo-exchange protocol, the overlapped step and the
+// transport. Every halo moves through one protocol, post()/wait()
+// (parallel/exchange.hpp).
 //
 // (1) Batched vs per-variable exchange (paper section 3.1.3: "a linked
 //     list is utilized to gather variables for exchange, and a single call
 //     to the communication interface efficiently completes the data
 //     exchange for all listed variables"): identical bytes, very different
 //     message counts.
-// (2) Packed vs unpacked transport: per-pattern contiguous message buffers
-//     (pack -> one transfer -> unpack) against the seed's element-wise
-//     gather/scatter.
-// (3) Overlap-off vs overlap-on step schedules on the Fig. 10 weak-scaling
-//     configuration (~320 cells/rank): the seed schedule (per-step thread
-//     spawn + unpacked exchange), the pooled lockstep schedule (persistent
-//     workers + packed collective exchange), and the pooled overlapped
-//     schedule (boundary-first sweeps + post/wait exchange).
+// (2) BM_ExchangePacked: one packed post/wait round (pack -> slot ->
+//     unpack per neighbor pair) of the seed ablation's traffic.
+// (3) The overlapped step on the Fig. 10 weak-scaling configuration (~320
+//     cells/rank), with instant delivery and with an emulated wire of
+//     latency tau per exchange round. The narrative reports the exposed
+//     wire time t(tau) - t(0) against the blocking bound of 4 rounds x tau
+//     -- what a step would pay if no interior compute ran under the wire.
 // (4) Transport: the same overlapped step with ranks as THREADS of this
 //     process vs as OS PROCESSES over the POSIX shm transport (BM_StepShm*,
 //     with and without core pinning and the emulated wire). This binary
 //     fork+execs itself as the rank workers, so worker dispatch runs first
 //     in main().
 //
-// The BM_Exchange*/BM_Step* pairs emit the standard google-benchmark JSON
-// with --benchmark_format=json (same schema as the bench_host_kernels
-// pairs); the narrative tables print first. scripts/check.sh records the
-// pairs to BENCH_exchange_schedules.json under GRIST_EXCHANGE_BENCH=1.
+// The BM_Exchange*/BM_Step* benchmarks emit the standard google-benchmark
+// JSON with --benchmark_format=json (same schema as the bench_host_kernels
+// pairs); the narrative tables print first. scripts/check.sh records them
+// to BENCH_exchange_schedules.json under GRIST_EXCHANGE_BENCH=1.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -72,22 +75,19 @@ ExchangeFixture& exchangeFixture() {
   return f;
 }
 
-void BM_ExchangeUnpacked(benchmark::State& state) {
-  ExchangeFixture& f = exchangeFixture();
-  parallel::Communicator comm(f.decomp);
-  for (auto _ : state) {
-    comm.exchangeUnpacked(f.lists);
-    benchmark::DoNotOptimize(f.vars[0][0].data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          (comm.stats().bytes / comm.stats().exchanges));
+/// One post/wait round driven from this thread: every rank posts before
+/// any rank waits, so no wait blocks on an unposted message.
+void exchangeRound(parallel::Communicator& comm, Index nranks) {
+  for (Index r = 0; r < nranks; ++r) comm.post(r);
+  for (Index r = 0; r < nranks; ++r) comm.wait(r);
 }
 
 void BM_ExchangePacked(benchmark::State& state) {
   ExchangeFixture& f = exchangeFixture();
   parallel::Communicator comm(f.decomp);
+  comm.plan(f.lists);
   for (auto _ : state) {
-    comm.exchange(f.lists);
+    exchangeRound(comm, f.nranks);
     benchmark::DoNotOptimize(f.vars[0][0].data());
   }
   state.SetBytesProcessed(state.iterations() *
@@ -95,9 +95,9 @@ void BM_ExchangePacked(benchmark::State& state) {
 }
 
 // ---------------------------------------------------------------------------
-// Step-schedule fixture: the measured point of the Fig. 10 weak-scaling
-// ladder this host can hold (G4 mesh, 8 ranks, ~320 cells/rank, nlev 10,
-// dt 240) -- the same configuration bench_fig10_weak_scaling measures.
+// Step fixture: the measured point of the Fig. 10 weak-scaling ladder
+// this host can hold (G4 mesh, 8 ranks, ~320 cells/rank, nlev 10, dt 240)
+// -- the same configuration bench_fig10_weak_scaling measures.
 // ---------------------------------------------------------------------------
 struct StepFixture {
   grid::HexMesh mesh = grid::buildHexMesh(4);
@@ -128,12 +128,10 @@ StepFixture& stepFixture() {
   return f;
 }
 
-void benchStep(benchmark::State& state, core::ParallelModel::Schedule sched,
-               double wire_latency) {
+void benchStep(benchmark::State& state, double wire_latency) {
   StepFixture& f = stepFixture();
   const dycore::State init = dycore::initBaroclinicWave(f.mesh, f.cfg);
   core::ParallelModel model(f.mesh, f.trsk, f.cfg, f.nranks, init);
-  model.setSchedule(sched);
   model.setWireLatency(wire_latency);
   model.step();  // warm-up: pool, OpenMP teams, Workspace arenas
   for (auto _ : state) {
@@ -142,33 +140,14 @@ void benchStep(benchmark::State& state, core::ParallelModel::Schedule sched,
   state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.cfg.nlev);
 }
 
-// Instant in-process delivery: isolates schedule overhead (thread churn,
-// barriers, copies). On a host with fewer cores than ranks the compute
-// serializes, so the three only differ by that overhead.
-void BM_StepSeedSpawnUnpacked(benchmark::State& state) {
-  benchStep(state, core::ParallelModel::Schedule::kSpawnUnpacked, 0.0);
-}
-void BM_StepLockstepPacked(benchmark::State& state) {
-  benchStep(state, core::ParallelModel::Schedule::kLockstep, 0.0);
-}
-void BM_StepOverlapPacked(benchmark::State& state) {
-  benchStep(state, core::ParallelModel::Schedule::kOverlap, 0.0);
-}
+// Instant in-process delivery: the step's compute plus the protocol's
+// pack/unpack and doorbell cost.
+void BM_StepOverlapPacked(benchmark::State& state) { benchStep(state, 0.0); }
 
 // Emulated interconnect (wire latency from the fat-tree model at full
-// machine scale): blocking schedules stall one latency window per exchange
-// round; the overlapped schedule runs interior compute under it.
-void BM_StepSeedSpawnUnpackedWire(benchmark::State& state) {
-  benchStep(state, core::ParallelModel::Schedule::kSpawnUnpacked,
-            stepFixture().wire_tau);
-}
-void BM_StepLockstepPackedWire(benchmark::State& state) {
-  benchStep(state, core::ParallelModel::Schedule::kLockstep,
-            stepFixture().wire_tau);
-}
+// machine scale): each round's interior compute runs under the window.
 void BM_StepOverlapPackedWire(benchmark::State& state) {
-  benchStep(state, core::ParallelModel::Schedule::kOverlap,
-            stepFixture().wire_tau);
+  benchStep(state, stepFixture().wire_tau);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,28 +187,78 @@ void BM_StepShmOverlapWire(benchmark::State& state) {
 // ---------------------------------------------------------------------------
 // Narrative tables (printed before the google-benchmark runs).
 // ---------------------------------------------------------------------------
-void printBatchingTable() {
-  std::printf("== Ablation: halo-exchange transport and step schedule ==\n\n");
+
+/// Exposed wire time of the overlapped step: t(tau) - t(0) per step,
+/// against the 4 x tau a step with nothing between post and wait would
+/// stall. Alternating blocks of warm steps on one model, medians of the
+/// per-block means.
+void printExposedWire() {
+  StepFixture& f = stepFixture();
+  const dycore::State init = dycore::initBaroclinicWave(f.mesh, f.cfg);
+  core::ParallelModel model(f.mesh, f.trsk, f.cfg, f.nranks, init);
+  model.step();  // warm-up: pool, OpenMP teams, Workspace arenas
+  const auto blockMs = [&model](double tau) {
+    constexpr int kSteps = 10;
+    model.setWireLatency(tau);
+    const auto t0 = std::chrono::steady_clock::now();
+    model.run(kSteps);
+    const std::chrono::duration<double, std::milli> dt =
+        std::chrono::steady_clock::now() - t0;
+    return dt.count() / kSteps;
+  };
+  constexpr int kBlocks = 7;
+  std::vector<double> t_zero, t_wire;
+  for (int b = 0; b < kBlocks; ++b) {
+    t_zero.push_back(blockMs(0.0));
+    t_wire.push_back(blockMs(f.wire_tau));
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double t0 = median(t_zero);
+  const double tw = median(t_wire);
+  const double bound = 4.0 * f.wire_tau * 1e3;
+  std::printf(
+      "-- overlapped step, Fig. 10 measured configuration (G4, %d ranks,\n"
+      "   ~320 cells/rank). The wire emulates the interconnect this rung\n"
+      "   stands in for: the fat-tree model prices one round of its\n"
+      "   per-rank halo traffic at the full 524,288-CG scale at %.1f us,\n"
+      "   and a posted message only becomes consumable that much later. --\n\n",
+      static_cast<int>(f.nranks), f.wire_tau * 1e6);
+  io::Table table({"t(0) ms/step", "t(tau) ms/step", "exposed ms/step",
+                   "blocking bound 4 x tau", "hidden"});
+  table.addRow({io::Table::num(t0, 3), io::Table::num(tw, 3),
+                io::Table::num(tw - t0, 3), io::Table::num(bound, 3),
+                io::Table::num(100.0 * (1.0 - (tw - t0) / bound), 0) + "%"});
+  table.print();
+  std::printf("\n");
+}
+
+void printNarrative() {
+  std::printf("== Ablation: halo-exchange protocol, overlap and transport ==\n\n");
   std::printf("-- batched vs per-variable exchange (message counts) --\n\n");
   ExchangeFixture& f = exchangeFixture();
   parallel::Communicator comm(f.decomp);
 
-  comm.exchange(f.lists);
+  comm.plan(f.lists);
+  exchangeRound(comm, f.nranks);
   const parallel::CommStats batched = comm.stats();
 
   comm.resetStats();
   for (int v = 0; v < f.nvars; ++v) {
     std::vector<parallel::ExchangeList> single(f.nranks);
     for (Index r = 0; r < f.nranks; ++r) single[r].addCellField(f.vars[v][r]);
-    comm.exchange(single);
+    comm.plan(single);
+    exchangeRound(comm, f.nranks);
   }
   const parallel::CommStats pervar = comm.stats();
 
   io::Table table({"Strategy", "Messages/step", "Bytes/step"});
-  table.addRow({"one batched call",
+  table.addRow({"one batched round",
                 io::Table::num(static_cast<double>(batched.messages), 0),
                 io::Table::num(static_cast<double>(batched.bytes), 0)});
-  table.addRow({"per-variable calls",
+  table.addRow({"per-variable rounds",
                 io::Table::num(static_cast<double>(pervar.messages), 0),
                 io::Table::num(static_cast<double>(pervar.bytes), 0)});
   table.print();
@@ -246,19 +275,7 @@ void printBatchingTable() {
       "message-count reduction is what keeps the latency term flat in the\n"
       "paper's weak-scaling curve.\n\n",
       t_one * 1e6, t_many * 1e6, f.nvars);
-  std::printf(
-      "-- schedules below run the Fig. 10 measured configuration (G4,\n"
-      "   8 ranks, ~320 cells/rank): BM_StepSeedSpawnUnpacked is the seed\n"
-      "   lockstep baseline; BM_StepOverlapPacked is the full overlap\n"
-      "   schedule. All schedules produce bitwise-identical states (see\n"
-      "   tests/core/test_parallel_model.cpp).\n"
-      "   The *Wire variants emulate the interconnect this rung stands in\n"
-      "   for: the fat-tree model prices one round of this rung's per-rank\n"
-      "   halo traffic at the full 524,288-CG scale at %.1f us, and posted\n"
-      "   messages only become consumable that much later. Blocking\n"
-      "   schedules stall 4 windows per step; the overlapped schedule\n"
-      "   computes its interior band under them. --\n\n",
-      stepFixture().wire_tau * 1e6);
+  printExposedWire();
   std::printf(
       "-- the BM_StepShm* variants run the SAME overlapped step with one\n"
       "   OS process per rank over the POSIX shm transport (pack buffers in\n"
@@ -269,13 +286,8 @@ void printBatchingTable() {
 
 } // namespace
 
-BENCHMARK(BM_ExchangeUnpacked)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExchangePacked)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StepSeedSpawnUnpacked)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StepLockstepPacked)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepOverlapPacked)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StepSeedSpawnUnpackedWire)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StepLockstepPackedWire)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepOverlapPackedWire)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepShmOverlap)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StepShmOverlapPinned)->Unit(benchmark::kMillisecond);
@@ -284,7 +296,7 @@ BENCHMARK(BM_StepShmOverlapWire)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   // The BM_StepShm* fixtures fork+exec this binary as their rank workers.
   if (auto rc = grist::core::mp::maybeRunWorker(argc, argv)) return *rc;
-  printBatchingTable();
+  printNarrative();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -505,202 +505,6 @@ void BM_SimdTendencyPipeline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
 }
 
-// ---------------------------------------------------------------------------
-// Backend-refactor reference pairs. legacyFused* are frozen copies of the
-// pre-refactor raw-pointer fused kernels; the BM_Fused* partners above now
-// route through the HostBackend instantiation of the shared backend bodies.
-// The pairs must stay within measurement noise of each other (the Host
-// views/context must compile away entirely) and, being bit-exact, validate
-// the refactor on the same inputs.
-// ---------------------------------------------------------------------------
-
-template <typename NS>
-void legacyFusedEdgeFluxes(const Fixture& f, const double* delp,
-                           const double* u, double* flux, double* uflux) {
-  const grid::HexMesh& m = f.mesh;
-  const int nlev = f.nlev;
-#pragma omp parallel for schedule(static)
-  for (Index e = 0; e < m.nedges; ++e) {
-    const Index c1 = m.edge_cell[e][0];
-    const Index c2 = m.edge_cell[e][1];
-    const double le_d = m.edge_le[e];
-    const NS le = static_cast<NS>(le_d);
-    for (int k = 0; k < nlev; ++k) {
-      const NS h1 = static_cast<NS>(delp[c1 * nlev + k]);
-      const NS h2 = static_cast<NS>(delp[c2 * nlev + k]);
-      const NS ue = static_cast<NS>(u[e * nlev + k]);
-      const NS centered = NS(0.5) * (h1 + h2);
-      const NS upwind = ue >= NS(0) ? h1 : h2;
-      const NS r = upwind / centered;
-      const NS blend = NS(1) / (NS(1) + r * r);
-      const NS he = centered + blend * (upwind - centered) * NS(0.5);
-      flux[e * nlev + k] = static_cast<double>(le * ue * he);
-      uflux[e * nlev + k] = le_d * u[e * nlev + k];
-    }
-  }
-}
-
-template <typename NS>
-void legacyFusedCellDiagnostics(const Fixture& f, const double* flux,
-                                const double* uflux, const double* u,
-                                double* div_flux, double* div_u, double* ke) {
-  const grid::HexMesh& m = f.mesh;
-  const int nlev = f.nlev;
-#pragma omp parallel for schedule(static)
-  for (Index c = 0; c < m.ncells; ++c) {
-    const NS inv_area = static_cast<NS>(1.0 / m.cell_area[c]);
-    double* df = div_flux + static_cast<std::size_t>(c) * nlev;
-    double* du = div_u + static_cast<std::size_t>(c) * nlev;
-    double* kc = ke + static_cast<std::size_t>(c) * nlev;
-    for (int k = 0; k < nlev; ++k) {
-      df[k] = 0.0;
-      du[k] = 0.0;
-      kc[k] = 0.0;
-    }
-    for (Index j = m.cell_offset[c]; j < m.cell_offset[c + 1]; ++j) {
-      const Index e = m.cell_edges[j];
-      const NS sign = static_cast<NS>(m.cell_edge_sign[j]);
-      const NS weight =
-          static_cast<NS>(0.25 * m.edge_le[e] * m.edge_de[e]) * inv_area;
-      for (int k = 0; k < nlev; ++k) {
-        df[k] += static_cast<double>(
-            sign * static_cast<NS>(flux[e * nlev + k]) * inv_area);
-        du[k] += static_cast<double>(
-            sign * static_cast<NS>(uflux[e * nlev + k]) * inv_area);
-        const NS ue = static_cast<NS>(u[e * nlev + k]);
-        kc[k] += static_cast<double>(weight * ue * ue);
-      }
-    }
-  }
-}
-
-template <typename NS>
-void legacyFusedMomentumTendency(const Fixture& f, const double* ke,
-                                 const double* qv, const double* flux,
-                                 const double* phi, const double* alpha,
-                                 const double* p, const double* div_u,
-                                 const double* vor, double* tend_u) {
-  const grid::HexMesh& m = f.mesh;
-  const grid::TrskWeights& trsk = f.trsk;
-  const int nlev = f.nlev;
-  const double nu_div = f.nu_div;
-  const double nu_vor = f.nu_vor;
-#pragma omp parallel
-  {
-    common::Workspace& ws = common::Workspace::threadLocal();
-    ws.reserve(2 * common::Workspace::bytesFor<NS>(nlev));
-#pragma omp for schedule(static)
-    for (Index e = 0; e < m.nedges; ++e) {
-      const common::Workspace::Frame frame(ws);
-      NS* qe_row = ws.get<NS>(nlev);
-      NS* acc_row = ws.get<NS>(nlev);
-      const Index c1 = m.edge_cell[e][0];
-      const Index c2 = m.edge_cell[e][1];
-      const Index v1 = m.edge_vertex[e][0];
-      const Index v2 = m.edge_vertex[e][1];
-      const NS inv_de = static_cast<NS>(1.0 / m.edge_de[e]);
-      const NS inv_le = static_cast<NS>(1.0 / m.edge_le[e]);
-      const NS scale = static_cast<NS>(m.edge_de[e] * m.edge_de[e]);
-      const double inv_de_d = 1.0 / m.edge_de[e];
-      for (int k = 0; k < nlev; ++k) {
-        qe_row[k] = NS(0.5) * (static_cast<NS>(qv[v1 * nlev + k]) +
-                               static_cast<NS>(qv[v2 * nlev + k]));
-        acc_row[k] = NS(0);
-      }
-      for (Index j = trsk.offset[e]; j < trsk.offset[e + 1]; ++j) {
-        const Index ep = trsk.edge[j];
-        const NS wj = static_cast<NS>(trsk.weight[j]);
-        const NS inv_lep = static_cast<NS>(1.0 / m.edge_le[ep]);
-        const double* qv1 = qv + m.edge_vertex[ep][0] * nlev;
-        const double* qv2 = qv + m.edge_vertex[ep][1] * nlev;
-        const double* fl = flux + ep * nlev;
-        for (int k = 0; k < nlev; ++k) {
-          const NS qep =
-              NS(0.5) * (static_cast<NS>(qv1[k]) + static_cast<NS>(qv2[k]));
-          acc_row[k] += wj * static_cast<NS>(fl[k]) * inv_lep * NS(0.5) *
-                        (qe_row[k] + qep);
-        }
-      }
-      for (int k = 0; k < nlev; ++k) {
-        double t = 0.0;
-        t += static_cast<double>(-(static_cast<NS>(ke[c2 * nlev + k]) -
-                                   static_cast<NS>(ke[c1 * nlev + k])) *
-                                 inv_de);
-        t += static_cast<double>(acc_row[k]);
-        const double phm1 =
-            0.5 * (phi[c1 * (nlev + 1) + k] + phi[c1 * (nlev + 1) + k + 1]);
-        const double phm2 =
-            0.5 * (phi[c2 * (nlev + 1) + k] + phi[c2 * (nlev + 1) + k + 1]);
-        const double alpha_e =
-            0.5 * (alpha[c1 * nlev + k] + alpha[c2 * nlev + k]);
-        t -= ((phm2 - phm1) + alpha_e * (p[c2 * nlev + k] - p[c1 * nlev + k])) *
-             inv_de_d;
-        const NS grad_div = (static_cast<NS>(div_u[c2 * nlev + k]) -
-                             static_cast<NS>(div_u[c1 * nlev + k])) *
-                            inv_de;
-        const NS curl_vor = (static_cast<NS>(vor[v2 * nlev + k]) -
-                             static_cast<NS>(vor[v1 * nlev + k])) *
-                            inv_le;
-        t += static_cast<double>(scale * (static_cast<NS>(nu_div) * grad_div -
-                                          static_cast<NS>(nu_vor) * curl_vor));
-        tend_u[e * nlev + k] = t;
-      }
-    }
-  } // omp parallel
-}
-
-template <typename NS>
-void BM_LegacyFusedEdgeFluxes(benchmark::State& state) {
-  Fixture& f = fixture();
-  legacyFusedEdgeFluxes<NS>(f, f.delp.data(), f.u.data(), f.flux.data(),
-                            f.uflux.data());
-  for (auto _ : state) {
-    legacyFusedEdgeFluxes<NS>(f, f.delp.data(), f.u.data(), f.flux.data(),
-                              f.uflux.data());
-    benchmark::DoNotOptimize(f.uflux.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
-}
-
-template <typename NS>
-void BM_LegacyFusedCellDiagnostics(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  legacyFusedCellDiagnostics<NS>(f, f.flux.data(), f.uflux.data(), f.u.data(),
-                                 f.div_flux.data(), f.div_u.data(),
-                                 f.ke.data());
-  for (auto _ : state) {
-    legacyFusedCellDiagnostics<NS>(f, f.flux.data(), f.uflux.data(), f.u.data(),
-                                   f.div_flux.data(), f.div_u.data(),
-                                   f.ke.data());
-    benchmark::DoNotOptimize(f.ke.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.nlev);
-}
-
-template <typename NS>
-void BM_LegacyFusedMomentumTendency(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  unfusedCellDiagnostics<NS>(f);
-  dycore::kernels::fusedVertexDiagnostics<NS>(f.mesh, f.mesh.nvertices, f.nlev,
-                                              f.u.data(), f.delp.data(),
-                                              constants::kOmega, f.vvor.data(),
-                                              f.vqv.data());
-  legacyFusedMomentumTendency<NS>(f, f.ke.data(), f.vqv.data(), f.flux.data(),
-                                  f.phi.data(), f.alpha.data(), f.p.data(),
-                                  f.div_u.data(), f.vvor.data(),
-                                  f.u_tend.data());
-  for (auto _ : state) {
-    legacyFusedMomentumTendency<NS>(f, f.ke.data(), f.vqv.data(), f.flux.data(),
-                                    f.phi.data(), f.alpha.data(), f.p.data(),
-                                    f.div_u.data(), f.vvor.data(),
-                                    f.u_tend.data());
-    benchmark::DoNotOptimize(f.u_tend.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
-}
-
 // The acceptance pair: the whole horizontal tendency step (everything
 // downstream of computeRrr), old multi-sweep sequence vs fused pipeline.
 template <typename NS>
@@ -938,14 +742,6 @@ BENCHMARK_TEMPLATE(BM_SimdScalarTendencies, double)->Unit(benchmark::kMillisecon
 BENCHMARK_TEMPLATE(BM_SimdScalarTendencies, float)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SimdMomentumTendency, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SimdMomentumTendency, float)->Unit(benchmark::kMillisecond);
-// Pre-refactor raw-pointer bodies vs the backend-layer instantiations the
-// production kernels now run: each Legacy/Fused pair must be within noise.
-BENCHMARK_TEMPLATE(BM_LegacyFusedEdgeFluxes, double)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_LegacyFusedEdgeFluxes, float)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_LegacyFusedCellDiagnostics, double)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_LegacyFusedCellDiagnostics, float)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_LegacyFusedMomentumTendency, double)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_LegacyFusedMomentumTendency, float)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_TEMPLATE(BM_UnfusedTendencyPipeline, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedTendencyPipeline, double)->Unit(benchmark::kMillisecond);

@@ -73,7 +73,7 @@ else
   for tier in scalar avx2 ""; do
     label="${tier:-best-available}"
     for bin in test_backend test_dycore test_fused_kernels test_core \
-               test_model_alloc; do
+               test_model_alloc test_parallel_model_alloc; do
       echo "-- $bin (tier: $label)"
       if [[ -n "$tier" ]]; then
         GRIST_SIMD_TIER="$tier" ./build/tests/"$bin" >/dev/null

@@ -124,10 +124,9 @@ struct KernelTable {
 /// the simd override; the AVX-512 entry requires AVX-512F+BW).
 simd::Tier bestTier();
 
-/// The active table: min(simd::activeTier(), bestTier()) -- GRIST_SIMD=0
-/// does NOT disable these tiers (there is no scalar production GEMM to fall
-/// back to; the scalar tier IS the fallback), but GRIST_SIMD_TIER /
-/// simd::forceTier clamp them down exactly like the stencil tiers.
+/// The active table: min(simd::activeTier(), bestTier()) -- GRIST_SIMD_TIER
+/// / simd::forceTier clamp these tiers down exactly like the stencil tiers
+/// (the scalar tier is the portable fallback).
 const KernelTable& table();
 
 /// A specific tier's table (clamped to bestTier()).

@@ -205,10 +205,6 @@ void forceTier(Tier t);
 /// Drop the forceTier()/env override and return to bestTier().
 void clearForcedTier();
 
-/// False iff GRIST_SIMD=0: the runtime master switch the dycore drivers
-/// consult before routing a sweep away from the Host instantiation.
-bool enabled();
-
 /// The active tier's kernel table.
 const KernelTable& table();
 

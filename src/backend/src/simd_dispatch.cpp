@@ -1,6 +1,6 @@
 // Runtime dispatch for the SIMD execution backend: cpuid picks the best
 // tier the build carries and the CPU supports; GRIST_SIMD_TIER clamps it
-// down (never up), GRIST_SIMD=0 disables routing altogether. Mirrors the
+// down (never up); GRIST_SIMD_TIER=scalar pins the portable tier. Mirrors the
 // DiagnosticsFactory-style CPU/GPU dispatch: callers see one table of
 // function pointers, never an #ifdef.
 
@@ -68,11 +68,8 @@ int envForcedTier() {
 
 struct DispatchState {
   Tier best;
-  bool enabled;
   DispatchState() {
     best = computeBestTier();
-    const char* s = std::getenv("GRIST_SIMD");
-    enabled = !(s && std::strcmp(s, "0") == 0);
     g_forced.store(envForcedTier(), std::memory_order_relaxed);
   }
 };
@@ -128,8 +125,6 @@ void clearForcedTier() {
   state();
   g_forced.store(-1, std::memory_order_relaxed);
 }
-
-bool enabled() { return state().enabled; }
 
 const KernelTable& table(Tier t) {
   switch (clampToBest(t)) {

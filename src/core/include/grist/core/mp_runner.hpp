@@ -5,15 +5,15 @@
 // the process boundary: every rank worker REBUILDS mesh, TRSK weights,
 // decomposition and initial state deterministically from the RunSpec
 // parameters (the builders are pure functions of them), so the only
-// communication is the packed halo exchange through the shared-memory
+// communication is the post/wait halo exchange through the shared-memory
 // transport -- which is why a cross-process run is bitwise identical to the
 // threaded pool: same local domains, same kernels, same exchanged bytes,
 // only the address spaces differ.
 //
 // Three pieces:
 //   RankProcessModel   one rank of the multi-rank step in THIS process:
-//                      ParallelModel's per-rank construction (local TRSK,
-//                      bounds, bands, scatter) over a local-rank
+//                      the RankDycore a ParallelModel pool thread steps
+//                      (parallel_model.hpp), over a local-rank
 //                      Communicator; warm step()s are heap-allocation-free.
 //   MpSession          parent-side handle: fork+execs one worker per rank
 //                      (this binary, re-entered via maybeRunWorker), then
@@ -65,7 +65,8 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes,
 
 /// One rank of the multi-rank step, running in this process over an
 /// explicit transport (normally ShmTransport; the in-process transport with
-/// nranks == 1 also works, which the unit tests use).
+/// nranks == 1 also works, which the unit tests use): the same RankDycore a
+/// ParallelModel pool thread steps, bound to a local-rank Communicator.
 class RankProcessModel {
  public:
   RankProcessModel(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
@@ -79,36 +80,17 @@ class RankProcessModel {
   /// One overlapped dynamics step (boundary -> post -> interior -> wait),
   /// collectively with every peer rank process. Warm steps allocate
   /// nothing on this path.
-  void step();
+  void step() { rank_.step(); }
   void run(int nsteps);
 
   void setWireLatency(double seconds) { comm_.setWireLatency(seconds); }
   parallel::CommStats commStats() const { return comm_.stats(); }
-  Index rank() const { return rank_; }
-  const dycore::State& localState() const { return state_; }
-  const parallel::LocalDomain& domain() const;
-
-  /// FNV-1a over this rank's owned entities (deterministic order: owned
-  /// cells' delp/theta/w/phi rows, then owned edges' u rows, then tracers).
-  std::uint64_t ownedHash() const;
-
-  /// Write this rank's owned entities at their global indices into flat
-  /// [entity][lev] arrays (the result-segment layout). Ranks own disjoint
-  /// entities, so concurrent writers never overlap.
-  void writeOwnedState(double* delp, double* theta, double* w, double* phi,
-                       double* u, double* tracers) const;
+  const RankDycore& local() const { return rank_; }
 
  private:
-  dycore::DycoreConfig config_;
   parallel::Decomposition decomp_;
   parallel::Communicator comm_;
-  Index rank_;
-  grid::TrskWeights local_trsk_;
-  Index ncells_global_ = 0;  ///< tracer block stride in the result layout
-  std::unique_ptr<dycore::Dycore> dycore_;
-  dycore::State state_;
-  parallel::ExchangeList list_;
-  dycore::Dycore::OverlapHooks hooks_;
+  RankDycore rank_;
 };
 
 /// Offsets into the shared control/result segment, computed identically by
@@ -174,7 +156,10 @@ class MpSession {
 
 /// Worker-mode dispatch. Call this FIRST in main(); when this process was
 /// exec'd as a rank worker it runs the worker loop and returns its exit
-/// code, otherwise nullopt.
+/// code, otherwise nullopt. Every operand is parsed whole-token and
+/// range-checked (ns must be exactly "dp" or "mix"); a malformed one
+/// returns 2 with a message naming the operand and the token, before
+/// anything is spawned or attached.
 std::optional<int> maybeRunWorker(int argc, char** argv);
 
 } // namespace grist::core::mp

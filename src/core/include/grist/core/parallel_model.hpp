@@ -1,26 +1,22 @@
-// Multi-rank (in-process) dynamical-core runs: each rank owns a LocalDomain,
-// steps its own Dycore, and halo-exchanges the five prognostic fields after
-// every Runge-Kutta stage through the batched exchange layer. Used for the
-// decomposition correctness gate (rank runs must match the single-domain
-// run bitwise in double precision) and for the measured end of the scaling
-// benchmarks (Figs. 10-11).
+// Multi-rank dynamical-core runs. Every rank -- a thread of ParallelModel's
+// pool or a process of mp::MpSession (mp_runner.hpp) -- steps one
+// RankDycore: its LocalDomain's TRSK table, a banded Dycore, the local
+// State and the five-field exchange list. Halos move one way only, through
+// the Communicator's post()/wait() protocol: each of the four exchange
+// rounds of a step (3 RK stages + vertical solve) is boundary-band compute
+// -> post() -> interior-band compute -> wait(), so communication hides
+// behind the interior sweep. Used for the decomposition correctness gate
+// (rank runs must match the single-domain run bitwise, DP and MIX) and for
+// the measured end of the scaling benchmarks (Figs. 10-11).
 //
-// Ranks run on a PERSISTENT worker pool (one thread per rank, created once)
-// released per step through reusable barriers -- a warm step() performs no
-// thread creation and no heap allocation (tests/core/test_parallel_model_
-// alloc.cpp). Three schedules share the pool:
-//   kOverlap (default)  boundary-band compute -> post() -> interior-band
-//                       compute -> wait(); communication is hidden behind
-//                       the interior sweep. Bitwise identical to lockstep.
-//   kLockstep           every exchange round is a full-stop stage barrier
-//                       whose completion step runs the packed collective
-//                       exchange.
-//   kSpawnUnpacked      the seed schedule (per-step std::thread spawn +
-//                       element-wise unpacked exchange), kept as the
-//                       baseline for bench_ablation_exchange.
+// ParallelModel runs N RankDycores on a PERSISTENT worker pool (one thread
+// per rank, created once) released per step through reusable barriers --
+// a warm step() performs no thread creation and no heap allocation
+// (tests/core/test_parallel_model_alloc.cpp).
 #pragma once
 
 #include <barrier>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -34,32 +30,72 @@ namespace grist::core {
 
 /// Remap the global TRSK table onto a rank's local edge ids. Only owned
 /// edges compute tendencies, and their neighbor edges are always local with
-/// halo depth 2. Shared by the in-process pool and the one-process-per-rank
-/// model (mp_runner.hpp).
+/// halo depth 2.
 grid::TrskWeights localTrskWeights(const grid::TrskWeights& global,
                                    const parallel::LocalDomain& dom);
 
-/// Scatter the global state into a rank-local state (all local entities).
-dycore::State scatterLocalState(const dycore::State& global,
-                                const parallel::LocalDomain& dom, int nlev,
-                                int ntracers);
-
-/// In-place variant: overwrite an existing rank-local state (all local
-/// entities, owned + halo) from the global state. Shapes must already
-/// match. Used by checkpoint restore, where replacing the State object
-/// would dangle the exchange lists' field pointers.
+/// Overwrite an existing rank-local state (all local entities, owned +
+/// halo) from the global state. Shapes must already match. In place, so
+/// the exchange lists' field pointers stay valid.
 void scatterIntoLocalState(const dycore::State& global,
                            const parallel::LocalDomain& dom,
                            dycore::State& local);
 
+/// One rank of a decomposed dynamics run: the rank-local TRSK table, the
+/// Dycore bounded to the rank's owned/diagnostic entities and banded for
+/// overlap, the local State (owned + halo) and its five-field exchange list
+/// (delp, theta, w, phi, u), plus the post/wait hooks that bind the step to
+/// `comm`. The owner plans `exchangeList()` on `comm` before the first
+/// step. Not movable: the Dycore and the hooks point into the object.
+class RankDycore {
+ public:
+  /// `dom`, the mesh behind `trsk` and `comm` must outlive the rank.
+  RankDycore(const parallel::LocalDomain& dom, const grid::TrskWeights& trsk,
+             const dycore::DycoreConfig& config,
+             const dycore::State& global_initial, parallel::Communicator& comm,
+             Index rank);
+
+  RankDycore(const RankDycore&) = delete;
+  RankDycore& operator=(const RankDycore&) = delete;
+
+  /// One overlapped dynamics step, collectively with every peer rank.
+  void step() { dycore_.step(state_, hooks_); }
+
+  /// Overwrite the local state (owned + halo) from a global state.
+  void restore(const dycore::State& global) {
+    scatterIntoLocalState(global, dom_, state_);
+  }
+
+  parallel::ExchangeList& exchangeList() { return list_; }
+  const dycore::State& state() const { return state_; }
+
+  /// Copy the owned rows into global [entity][component] arrays, one per
+  /// variable: 0 delp, 1 theta, 2 w, 3 phi, 4 u, 5 + t tracer t. Ranks own
+  /// disjoint entities, so concurrent writers never overlap.
+  void writeOwned(double* const* global) const;
+
+  /// FNV-1a over the owned rows in one fixed order: per owned cell its
+  /// delp, theta, w and phi rows; per owned edge its u row; then per
+  /// tracer its owned cell rows.
+  std::uint64_t ownedHash() const;
+
+ private:
+  /// The one owned-entity gather: visit the owned rows in ownedHash's
+  /// order as fn(var, global entity, row, n), var numbered as in
+  /// writeOwned.
+  template <typename Fn>
+  void forEachOwnedRow(Fn&& fn) const;
+
+  const parallel::LocalDomain& dom_;
+  grid::TrskWeights local_trsk_;
+  dycore::Dycore dycore_;
+  dycore::State state_;
+  parallel::ExchangeList list_;
+  dycore::Dycore::OverlapHooks hooks_;
+};
+
 class ParallelModel {
  public:
-  enum class Schedule {
-    kOverlap,        ///< split post/wait exchange overlapped with interior compute
-    kLockstep,       ///< packed collective exchange at stage barriers
-    kSpawnUnpacked,  ///< seed reference: per-step threads, element-wise exchange
-  };
-
   /// Decomposes `mesh` into `nranks` domains and scatters `global_initial`.
   /// The mesh and TRSK weights must outlive the model.
   ParallelModel(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
@@ -70,16 +106,9 @@ class ParallelModel {
   ParallelModel(const ParallelModel&) = delete;
   ParallelModel& operator=(const ParallelModel&) = delete;
 
-  /// One dynamics step across all ranks under the current schedule. All
-  /// schedules produce bitwise-identical states (exchanged values are exact
-  /// copies and band splitting only permutes independent per-entity loops).
+  /// One dynamics step across all ranks.
   void step();
   void run(int nsteps);
-
-  /// Select the step schedule (between steps only; not thread-safe against
-  /// a concurrent step()).
-  void setSchedule(Schedule s) { schedule_ = s; }
-  Schedule schedule() const { return schedule_; }
 
   /// Reassemble the global prognostic state from rank-owned entities.
   dycore::State gatherState() const;
@@ -102,39 +131,22 @@ class ParallelModel {
   void setWireLatency(double seconds) { comm_.setWireLatency(seconds); }
 
  private:
-  // Completion step of the lockstep stage barrier: the last rank to arrive
-  // runs the packed collective exchange for everyone.
-  struct StageExchange {
-    ParallelModel* model;
-    void operator()() const noexcept;
-  };
-
   void workerLoop(Index rank);
 
   const grid::HexMesh& mesh_;
   dycore::DycoreConfig config_;
   parallel::Decomposition decomp_;
   parallel::Communicator comm_;
-  std::vector<grid::TrskWeights> local_trsk_;
-  std::vector<std::unique_ptr<dycore::Dycore>> dycores_;
-  std::vector<dycore::State> states_;
-  std::vector<parallel::ExchangeList> lists_;
+  std::vector<std::unique_ptr<RankDycore>> ranks_;
 
-  // Per-rank exchange callbacks, built once in the constructor so the warm
-  // step path never constructs a std::function.
-  std::vector<dycore::Dycore::ExchangeFn> lockstep_fns_;
-  std::vector<dycore::Dycore::OverlapHooks> overlap_hooks_;
-
-  // Persistent pool: workers park at start_barrier_, run one step under
-  // schedule_, then park at done_barrier_. Both barriers count the nranks
-  // workers plus the caller of step(). schedule_/stopping_ are written by
-  // the main thread before it arrives at start_barrier_ and read by the
-  // workers after -- the barrier provides the happens-before edge.
-  Schedule schedule_ = Schedule::kOverlap;
+  // Persistent pool: workers park at start_barrier_, step their rank, then
+  // park at done_barrier_. Both barriers count the nranks workers plus the
+  // caller of step(). stopping_ is written by the main thread before it
+  // arrives at start_barrier_ and read by the workers after -- the barrier
+  // provides the happens-before edge.
   bool stopping_ = false;
   std::barrier<> start_barrier_;
   std::barrier<> done_barrier_;
-  std::barrier<StageExchange> stage_barrier_;
   std::vector<std::thread> workers_;
 };
 

@@ -8,10 +8,12 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
 #include "grist/common/hash.hpp"
+#include "grist/common/parse.hpp"
 #include "grist/core/checkpoint.hpp"
 #include "grist/dycore/init.hpp"
 #include "grist/parallel/mp_launch.hpp"
@@ -99,95 +101,19 @@ RankProcessModel::RankProcessModel(const grid::HexMesh& mesh,
                                    Index rank,
                                    const dycore::State& global_initial,
                                    std::shared_ptr<parallel::Transport> transport)
-    : config_(config),
-      decomp_(parallel::decompose(mesh, nranks, /*halo_depth=*/2)),
+    : decomp_(parallel::decompose(mesh, nranks, /*halo_depth=*/2)),
       comm_(decomp_, std::move(transport), rank),
-      rank_(rank),
-      local_trsk_(localTrskWeights(trsk, decomp_.domains[rank])),
-      ncells_global_(mesh.ncells) {
-  const parallel::LocalDomain& dom = decomp_.domains[rank_];
-  const int ntracers = static_cast<int>(global_initial.tracers.size());
-  dycore::Bounds bounds;
-  bounds.cells_prog = dom.ncells_owned;
-  bounds.cells_diag = dom.ncells_inner1;
-  bounds.edges_prog = dom.nedges_owned;
-  bounds.vertices_diag = dom.nvtx_complete;
-  dycore_ = std::make_unique<dycore::Dycore>(dom.mesh, local_trsk_, config_, bounds);
-  dycore::Bands bands;
-  bands.boundary_cells = dom.boundary_cells;
-  bands.interior_cells = dom.interior_cells;
-  bands.boundary_edges = dom.boundary_edges;
-  bands.interior_edges = dom.interior_edges;
-  dycore_->setBands(std::move(bands));
-  state_ = scatterLocalState(global_initial, dom, config_.nlev, ntracers);
-  list_.addCellField(state_.delp);
-  list_.addCellField(state_.theta);
-  list_.addCellField(state_.w);
-  list_.addCellField(state_.phi);
-  list_.addEdgeField(state_.u);
-  comm_.planLocal(list_);
-  hooks_.post = [this]() { comm_.post(rank_); };
-  hooks_.wait = [this]() { comm_.wait(rank_); };
+      rank_(decomp_.domains[rank], trsk, config, global_initial, comm_, rank) {
+  comm_.planLocal(rank_.exchangeList());
   // Initial halo fill, the distributed twin of ParallelModel's
-  // construction-time collective exchange (same bytes, same seq bump, same
-  // CommStats totals across the fleet).
-  comm_.post(rank_);
-  comm_.wait(rank_);
+  // construction-time round (same bytes, same seq bump, same CommStats
+  // totals across the fleet).
+  comm_.post(rank);
+  comm_.wait(rank);
 }
-
-void RankProcessModel::step() { dycore_->step(state_, hooks_); }
 
 void RankProcessModel::run(int nsteps) {
   for (int i = 0; i < nsteps; ++i) step();
-}
-
-const parallel::LocalDomain& RankProcessModel::domain() const {
-  return decomp_.domains[rank_];
-}
-
-std::uint64_t RankProcessModel::ownedHash() const {
-  const parallel::LocalDomain& dom = domain();
-  const std::size_t lev = static_cast<std::size_t>(config_.nlev);
-  std::uint64_t h = 14695981039346656037ull;
-  for (Index lc = 0; lc < dom.ncells_owned; ++lc) {
-    h = fnv1a(&state_.delp(lc, 0), lev * sizeof(double), h);
-    h = fnv1a(&state_.theta(lc, 0), lev * sizeof(double), h);
-    h = fnv1a(&state_.w(lc, 0), (lev + 1) * sizeof(double), h);
-    h = fnv1a(&state_.phi(lc, 0), (lev + 1) * sizeof(double), h);
-  }
-  for (Index le = 0; le < dom.nedges_owned; ++le) {
-    h = fnv1a(&state_.u(le, 0), lev * sizeof(double), h);
-  }
-  for (const auto& tr : state_.tracers) {
-    for (Index lc = 0; lc < dom.ncells_owned; ++lc) {
-      h = fnv1a(&tr(lc, 0), lev * sizeof(double), h);
-    }
-  }
-  return h;
-}
-
-void RankProcessModel::writeOwnedState(double* delp, double* theta, double* w,
-                                       double* phi, double* u,
-                                       double* tracers) const {
-  const parallel::LocalDomain& dom = domain();
-  const std::size_t lev = static_cast<std::size_t>(config_.nlev);
-  const std::size_t row = lev * sizeof(double);
-  const std::size_t row1 = (lev + 1) * sizeof(double);
-  for (Index lc = 0; lc < dom.ncells_owned; ++lc) {
-    const std::size_t g = static_cast<std::size_t>(dom.cell_global[lc]);
-    std::memcpy(delp + g * lev, &state_.delp(lc, 0), row);
-    std::memcpy(theta + g * lev, &state_.theta(lc, 0), row);
-    std::memcpy(w + g * (lev + 1), &state_.w(lc, 0), row1);
-    std::memcpy(phi + g * (lev + 1), &state_.phi(lc, 0), row1);
-    for (std::size_t t = 0; t < state_.tracers.size(); ++t) {
-      std::memcpy(tracers + (t * static_cast<std::size_t>(ncells_global_) + g) * lev,
-                  &state_.tracers[t](lc, 0), row);
-    }
-  }
-  for (Index le = 0; le < dom.nedges_owned; ++le) {
-    const std::size_t g = static_cast<std::size_t>(dom.edge_global[le]);
-    std::memcpy(u + g * lev, &state_.u(le, 0), row);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -224,6 +150,13 @@ int workerMain(const RunSpec& spec, Index rank) {
     return reinterpret_cast<double*>(base + off);
   };
 
+  std::vector<double*> targets{at(lay.delp_off), at(lay.theta_off),
+                               at(lay.w_off), at(lay.phi_off), at(lay.u_off)};
+  for (int t = 0; t < lay.ntracers; ++t) {
+    targets.push_back(at(lay.tracers_off) +
+                      static_cast<std::size_t>(t) * lay.ncells * lay.nlev);
+  }
+
   std::uint32_t last = 0;
   for (;;) {
     std::uint32_t s = c->cmd_seq.load(std::memory_order_acquire);
@@ -241,10 +174,9 @@ int workerMain(const RunSpec& spec, Index rank) {
         model.run(c->nsteps);
         break;
       case kCmdGather:
-        model.writeOwnedState(at(lay.delp_off), at(lay.theta_off), at(lay.w_off),
-                              at(lay.phi_off), at(lay.u_off), at(lay.tracers_off));
+        model.local().writeOwned(targets.data());
         reinterpret_cast<std::uint64_t*>(base + lay.hashes_off)[rank] =
-            model.ownedHash();
+            model.local().ownedHash();
         if (rank == 0) {
           const parallel::CommStats st = model.commStats();
           c->messages = st.messages;
@@ -272,6 +204,22 @@ int workerMain(const RunSpec& spec, Index rank) {
 
 } // namespace
 
+namespace {
+
+/// One numeric worker operand: the whole token inside [lo, hi], or a
+/// message naming the operand and the token.
+template <typename T>
+bool operand(const char* name, const char* token, T lo, T hi, T& out) {
+  if (const std::optional<T> v = grist::parseNumber<T>(token, lo, hi)) {
+    out = *v;
+    return true;
+  }
+  std::fprintf(stderr, "%s: invalid %s '%s'\n", kWorkerFlag, name, token);
+  return false;
+}
+
+} // namespace
+
 std::optional<int> maybeRunWorker(int argc, char** argv) {
   if (argc < 2 || std::strcmp(argv[1], kWorkerFlag) != 0) return std::nullopt;
   if (argc != 11) {
@@ -281,14 +229,27 @@ std::optional<int> maybeRunWorker(int argc, char** argv) {
   }
   RunSpec spec;
   spec.segment = argv[2];
-  spec.nranks = static_cast<Index>(std::atoi(argv[3]));
-  const Index rank = static_cast<Index>(std::atoi(argv[4]));
-  spec.grid_level = std::atoi(argv[5]);
-  spec.nlev = std::atoi(argv[6]);
-  spec.dt = std::strtod(argv[7], nullptr);
-  spec.ntracers = std::atoi(argv[8]);
-  spec.ns = std::strcmp(argv[9], "mix") == 0 ? precision::NsMode::kSingle
-                                             : precision::NsMode::kDouble;
+  Index rank = 0;
+  constexpr Index kMaxIndex = std::numeric_limits<Index>::max();
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  if (!operand<Index>("nranks", argv[3], 1, kMaxIndex, spec.nranks) ||
+      !operand<Index>("rank", argv[4], 0, spec.nranks - 1, rank) ||
+      !operand("grid_level", argv[5], 0, kMaxInt, spec.grid_level) ||
+      !operand("nlev", argv[6], 2, kMaxInt, spec.nlev) ||
+      !operand("dt", argv[7], std::numeric_limits<double>::min(),
+               std::numeric_limits<double>::max(), spec.dt) ||
+      !operand("ntracers", argv[8], 0, kMaxInt, spec.ntracers)) {
+    return 2;
+  }
+  if (std::strcmp(argv[9], "dp") == 0) {
+    spec.ns = precision::NsMode::kDouble;
+  } else if (std::strcmp(argv[9], "mix") == 0) {
+    spec.ns = precision::NsMode::kSingle;
+  } else {
+    std::fprintf(stderr, "%s: invalid ns '%s' (want dp or mix)\n", kWorkerFlag,
+                 argv[9]);
+    return 2;
+  }
   if (std::strcmp(argv[10], "-") != 0) spec.restart = argv[10];
   try {
     return workerMain(spec, rank);

@@ -1,8 +1,11 @@
 #include "grist/core/parallel_model.hpp"
 
+#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
+
+#include "grist/common/hash.hpp"
 
 namespace grist::core {
 
@@ -36,13 +39,6 @@ TrskWeights localTrskWeights(const TrskWeights& global, const LocalDomain& dom) 
   return local;
 }
 
-State scatterLocalState(const State& global, const LocalDomain& dom, int nlev,
-                        int ntracers) {
-  State local(dom.mesh, nlev, ntracers);
-  scatterIntoLocalState(global, dom, local);
-  return local;
-}
-
 void scatterIntoLocalState(const State& global, const LocalDomain& dom,
                            State& local) {
   const int nlev = local.nlev;
@@ -67,9 +63,97 @@ void scatterIntoLocalState(const State& global, const LocalDomain& dom,
   }
 }
 
-void ParallelModel::StageExchange::operator()() const noexcept {
-  model->comm_.exchange(model->lists_);
+namespace {
+
+dycore::Bounds rankBounds(const LocalDomain& dom) {
+  dycore::Bounds b;
+  b.cells_prog = dom.ncells_owned;
+  b.cells_diag = dom.ncells_inner1;
+  b.edges_prog = dom.nedges_owned;
+  b.vertices_diag = dom.nvtx_complete;
+  return b;
 }
+
+/// RankDycore::writeOwned's destination for a global State: its five
+/// prognostics' and each tracer's storage, in writeOwned's numbering.
+std::vector<double*> ownedTargets(State& global) {
+  std::vector<double*> t{global.delp.data(), global.theta.data(),
+                         global.w.data(), global.phi.data(), global.u.data()};
+  for (auto& tr : global.tracers) t.push_back(tr.data());
+  return t;
+}
+
+} // namespace
+
+// ---------------------------------------------------------------------------
+// RankDycore
+
+RankDycore::RankDycore(const LocalDomain& dom, const TrskWeights& trsk,
+                       const dycore::DycoreConfig& config,
+                       const State& global_initial, parallel::Communicator& comm,
+                       Index rank)
+    : dom_(dom),
+      local_trsk_(localTrskWeights(trsk, dom)),
+      dycore_(dom.mesh, local_trsk_, config, rankBounds(dom)),
+      state_(dom.mesh, config.nlev,
+             static_cast<int>(global_initial.tracers.size())) {
+  // Boundary/interior bands from the decomposition's exchange patterns
+  // drive the overlapped step.
+  dycore::Bands bands;
+  bands.boundary_cells = dom.boundary_cells;
+  bands.interior_cells = dom.interior_cells;
+  bands.boundary_edges = dom.boundary_edges;
+  bands.interior_edges = dom.interior_edges;
+  dycore_.setBands(std::move(bands));
+  scatterIntoLocalState(global_initial, dom, state_);
+  // The list references stable field storage inside state_.
+  list_.addCellField(state_.delp);
+  list_.addCellField(state_.theta);
+  list_.addCellField(state_.w);
+  list_.addCellField(state_.phi);
+  list_.addEdgeField(state_.u);
+  hooks_.post = [&comm, rank]() { comm.post(rank); };
+  hooks_.wait = [&comm, rank]() { comm.wait(rank); };
+}
+
+template <typename Fn>
+void RankDycore::forEachOwnedRow(Fn&& fn) const {
+  const int nlev = state_.nlev;
+  for (Index lc = 0; lc < dom_.ncells_owned; ++lc) {
+    const Index g = dom_.cell_global[lc];
+    fn(0, g, &state_.delp(lc, 0), nlev);
+    fn(1, g, &state_.theta(lc, 0), nlev);
+    fn(2, g, &state_.w(lc, 0), nlev + 1);
+    fn(3, g, &state_.phi(lc, 0), nlev + 1);
+  }
+  for (Index le = 0; le < dom_.nedges_owned; ++le) {
+    fn(4, dom_.edge_global[le], &state_.u(le, 0), nlev);
+  }
+  for (std::size_t t = 0; t < state_.tracers.size(); ++t) {
+    for (Index lc = 0; lc < dom_.ncells_owned; ++lc) {
+      fn(5 + static_cast<int>(t), dom_.cell_global[lc],
+         &state_.tracers[t](lc, 0), nlev);
+    }
+  }
+}
+
+void RankDycore::writeOwned(double* const* global) const {
+  forEachOwnedRow([global](int var, Index g, const double* row, int n) {
+    std::memcpy(global[var] + static_cast<std::size_t>(g) * n, row,
+                static_cast<std::size_t>(n) * sizeof(double));
+  });
+}
+
+std::uint64_t RankDycore::ownedHash() const {
+  std::uint64_t h = 14695981039346656037ull;
+  forEachOwnedRow([&h](int, Index, const double* row, int n) {
+    h = common::fnv1a(row, static_cast<std::size_t>(n) * sizeof(double), h);
+  });
+  return h;
+}
+
+// ---------------------------------------------------------------------------
+// ParallelModel
 
 ParallelModel::ParallelModel(const grid::HexMesh& mesh, const TrskWeights& trsk,
                              dycore::DycoreConfig config, Index nranks,
@@ -79,61 +163,23 @@ ParallelModel::ParallelModel(const grid::HexMesh& mesh, const TrskWeights& trsk,
       decomp_(parallel::decompose(mesh, nranks, /*halo_depth=*/2)),
       comm_(decomp_),
       start_barrier_(static_cast<std::ptrdiff_t>(nranks) + 1),
-      done_barrier_(static_cast<std::ptrdiff_t>(nranks) + 1),
-      stage_barrier_(static_cast<std::ptrdiff_t>(nranks), StageExchange{this}) {
-  const int ntracers = static_cast<int>(global_initial.tracers.size());
-  // Dycores hold references into local_trsk_; reserve so push_back never
-  // reallocates under them.
-  local_trsk_.reserve(decomp_.nranks);
-  dycores_.reserve(decomp_.nranks);
-  states_.reserve(decomp_.nranks);
+      done_barrier_(static_cast<std::ptrdiff_t>(nranks) + 1) {
+  ranks_.reserve(decomp_.nranks);
+  std::vector<parallel::ExchangeList*> lists;
+  lists.reserve(decomp_.nranks);
   for (Index r = 0; r < decomp_.nranks; ++r) {
-    const LocalDomain& dom = decomp_.domains[r];
-    local_trsk_.push_back(localTrskWeights(trsk, dom));
-    dycore::Bounds bounds;
-    bounds.cells_prog = dom.ncells_owned;
-    bounds.cells_diag = dom.ncells_inner1;
-    bounds.edges_prog = dom.nedges_owned;
-    bounds.vertices_diag = dom.nvtx_complete;
-    dycores_.push_back(std::make_unique<dycore::Dycore>(dom.mesh, local_trsk_[r],
-                                                        config_, bounds));
-    // Boundary/interior bands from the decomposition's exchange patterns
-    // drive the overlapped schedule.
-    dycore::Bands bands;
-    bands.boundary_cells = dom.boundary_cells;
-    bands.interior_cells = dom.interior_cells;
-    bands.boundary_edges = dom.boundary_edges;
-    bands.interior_edges = dom.interior_edges;
-    dycores_.back()->setBands(std::move(bands));
-    states_.push_back(scatterLocalState(global_initial, dom, config_.nlev, ntracers));
-  }
-  // Exchange lists reference stable field storage inside states_.
-  lists_.resize(decomp_.nranks);
-  for (Index r = 0; r < decomp_.nranks; ++r) {
-    State& s = states_[r];
-    lists_[r].addCellField(s.delp);
-    lists_[r].addCellField(s.theta);
-    lists_[r].addCellField(s.w);
-    lists_[r].addCellField(s.phi);
-    lists_[r].addEdgeField(s.u);
+    ranks_.push_back(std::make_unique<RankDycore>(
+        decomp_.domains[r], trsk, config_, global_initial, comm_, r));
+    lists.push_back(&ranks_.back()->exchangeList());
   }
   // Plan the packed buffers once; the step loop never reallocates them.
-  comm_.plan(lists_);
-  // Per-rank exchange callbacks, built once (no std::function construction
-  // in the warm step path).
-  lockstep_fns_.reserve(decomp_.nranks);
-  overlap_hooks_.reserve(decomp_.nranks);
-  for (Index r = 0; r < decomp_.nranks; ++r) {
-    lockstep_fns_.push_back(
-        [this](State&) { stage_barrier_.arrive_and_wait(); });
-    dycore::Dycore::OverlapHooks hooks;
-    hooks.post = [this, r]() { comm_.post(r); };
-    hooks.wait = [this, r]() { comm_.wait(r); };
-    overlap_hooks_.push_back(std::move(hooks));
-  }
-  // Initial halo fill (scatterState already fills halos, but this exercises
-  // the exchange path and guards against stale construction).
-  comm_.exchange(lists_);
+  comm_.plan(lists);
+  // Initial halo fill, one post/wait round driven from this thread: every
+  // rank posts before any waits, so no wait can block on an unposted
+  // message. (The scatter already fills halos; the round guards against
+  // stale construction and keeps CommStats equal to a process fleet's.)
+  for (Index r = 0; r < decomp_.nranks; ++r) comm_.post(r);
+  for (Index r = 0; r < decomp_.nranks; ++r) comm_.wait(r);
   // Persistent pool: one worker per rank, parked at start_barrier_.
   workers_.reserve(decomp_.nranks);
   for (Index r = 0; r < decomp_.nranks; ++r) {
@@ -151,35 +197,13 @@ void ParallelModel::workerLoop(Index rank) {
   for (;;) {
     start_barrier_.arrive_and_wait();
     if (stopping_) return;
-    if (schedule_ == Schedule::kOverlap) {
-      dycores_[rank]->step(states_[rank], overlap_hooks_[rank]);
-    } else {
-      dycores_[rank]->step(states_[rank], lockstep_fns_[rank]);
-    }
+    ranks_[rank]->step();
     done_barrier_.arrive_and_wait();
   }
 }
 
 void ParallelModel::step() {
-  if (schedule_ == Schedule::kSpawnUnpacked) {
-    // Seed schedule, kept as the ablation baseline: spawn a thread per rank
-    // every step and run the element-wise exchange at full-stop barriers.
-    const Index n = decomp_.nranks;
-    std::barrier barrier(static_cast<std::ptrdiff_t>(n), [this]() noexcept {
-      comm_.exchangeUnpacked(lists_);
-    });
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (Index r = 0; r < n; ++r) {
-      threads.emplace_back([this, r, &barrier]() {
-        dycores_[r]->step(states_[r],
-                          [&barrier](State&) { barrier.arrive_and_wait(); });
-      });
-    }
-    for (auto& t : threads) t.join();
-    return;
-  }
-  start_barrier_.arrive_and_wait();  // workers run one step under schedule_
+  start_barrier_.arrive_and_wait();  // workers run one step
   done_barrier_.arrive_and_wait();
 }
 
@@ -188,7 +212,7 @@ void ParallelModel::run(int nsteps) {
 }
 
 void ParallelModel::restoreGlobalState(const State& global) {
-  const int ntracers = static_cast<int>(states_[0].tracers.size());
+  const int ntracers = static_cast<int>(ranks_[0]->state().tracers.size());
   if (global.nlev != config_.nlev ||
       static_cast<int>(global.tracers.size()) != ntracers ||
       global.delp.entities() != mesh_.ncells ||
@@ -198,36 +222,14 @@ void ParallelModel::restoreGlobalState(const State& global) {
   // Scatter fills halos from the same global data the owners get, so the
   // ranks are exchange-consistent without an extra round (and CommStats
   // stay comparable between restored and unbroken runs).
-  for (Index r = 0; r < decomp_.nranks; ++r) {
-    scatterIntoLocalState(global, decomp_.domains[r], states_[r]);
-  }
+  for (auto& rank : ranks_) rank->restore(global);
 }
 
 State ParallelModel::gatherState() const {
-  const int ntracers = static_cast<int>(states_[0].tracers.size());
+  const int ntracers = static_cast<int>(ranks_[0]->state().tracers.size());
   State global(mesh_, config_.nlev, ntracers);
-  for (Index r = 0; r < decomp_.nranks; ++r) {
-    const LocalDomain& dom = decomp_.domains[r];
-    const State& local = states_[r];
-    for (Index lc = 0; lc < dom.ncells_owned; ++lc) {
-      const Index g = dom.cell_global[lc];
-      for (int k = 0; k < config_.nlev; ++k) {
-        global.delp(g, k) = local.delp(lc, k);
-        global.theta(g, k) = local.theta(lc, k);
-        for (int t = 0; t < ntracers; ++t) {
-          global.tracers[t](g, k) = local.tracers[t](lc, k);
-        }
-      }
-      for (int k = 0; k <= config_.nlev; ++k) {
-        global.w(g, k) = local.w(lc, k);
-        global.phi(g, k) = local.phi(lc, k);
-      }
-    }
-    for (Index le = 0; le < dom.nedges_owned; ++le) {
-      const Index g = dom.edge_global[le];
-      for (int k = 0; k < config_.nlev; ++k) global.u(g, k) = local.u(le, k);
-    }
-  }
+  const std::vector<double*> targets = ownedTargets(global);
+  for (const auto& rank : ranks_) rank->writeOwned(targets.data());
   return global;
 }
 

@@ -26,13 +26,6 @@ struct DycoreConfig {
   /// Rayleigh damping time scale for w near the model top, seconds
   /// (0 disables).
   double w_damp_tau = 0.0;
-
-  /// Route the tendency sweeps through the SIMD backend's dispatch table
-  /// (grist/backend/simd.hpp) when the runtime allows it; GRIST_SIMD=0
-  /// still disables routing globally. Every tier is bitwise-identical to
-  /// the HostBackend instantiation, so this only changes speed. false pins
-  /// the pure Host path (the benchmarks' baseline side).
-  bool use_simd = true;
 };
 
 /// Compute loop bounds: a global run computes on every entity; a

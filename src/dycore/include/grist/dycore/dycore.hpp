@@ -35,11 +35,6 @@ class Dycore {
   Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
          DycoreConfig config, Bounds bounds, int members = 1);
 
-  /// Called after every internal stage update so decomposed runs can
-  /// refresh halos of the five prognostic fields; single-domain runs pass
-  /// nothing.
-  using ExchangeFn = std::function<void(State&)>;
-
   /// Split-exchange hooks for communication-computation overlap. Each of
   /// the four exchange rounds of a step (3 RK stages + vertical solve)
   /// becomes: update boundary band -> post() -> update interior band ->
@@ -51,13 +46,14 @@ class Dycore {
   };
 
   /// Advance one dynamics step of config().dt seconds (three RK stages +
-  /// one vertical implicit solve); requires members() == 1. `exchange`,
-  /// when provided, is invoked after each stage and after the vertical
-  /// solve.
-  void step(State& state, const ExchangeFn& exchange = {});
+  /// one vertical implicit solve) on a single domain; requires
+  /// members() == 1.
+  void step(State& state);
 
-  /// Overlapped step (members() == 1): requires setBands(); bitwise
-  /// identical to the lockstep step (band order only permutes independent
+  /// A decomposed rank's step (members() == 1): requires setBands(). The
+  /// halos of the five prognostic fields are refreshed through `hooks`
+  /// after every stage and after the vertical solve; bitwise identical to
+  /// the single-domain step (band order only permutes independent
   /// per-entity loops).
   void step(State& state, const OverlapHooks& hooks);
 
@@ -96,8 +92,7 @@ class Dycore {
 
  private:
   template <typename NS>
-  void stepImpl(State* const* states, const ExchangeFn& exchange,
-                const OverlapHooks* hooks);
+  void stepImpl(State* const* states, const OverlapHooks* hooks);
 
   template <typename NS>
   void computeTendencies(const State& state);

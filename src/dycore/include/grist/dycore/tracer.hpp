@@ -19,9 +19,6 @@ struct TracerTransportArgs {
   const double* mean_flux = nullptr;  ///< edges x nlev, time-mean delp*u*le
   const double* delp_old = nullptr;   ///< cells x nlev, at tracer-step start
   const double* delp_new = nullptr;   ///< cells x nlev, after the dyn steps
-  /// Route through the SIMD dispatch table (bitwise-identical, see
-  /// DycoreConfig::use_simd); false pins the HostBackend instantiation.
-  bool use_simd = true;
 };
 
 /// Advance tracer mixing ratio q (cells x nlev) in place. The flux-limited

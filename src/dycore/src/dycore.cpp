@@ -21,15 +21,6 @@ Bounds fullBounds(const grid::HexMesh& mesh) {
   return Bounds{mesh.ncells, mesh.ncells, mesh.nedges, mesh.nvertices};
 }
 
-// The step's own sweeps -- EOS, RK3 save/update, flux accumulation and the
-// implicit solve -- exist only in the dispatch table. With routing off
-// (use_simd = false or GRIST_SIMD=0) they run the portable scalar tier;
-// every tier is bitwise identical, so the route only changes speed.
-const simd::KernelTable& stepTable(const DycoreConfig& config) {
-  return config.use_simd && simd::enabled() ? simd::table()
-                                            : simd::table(simd::Tier::kScalar);
-}
-
 } // namespace
 
 Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
@@ -154,17 +145,12 @@ void Dycore::setBands(Bands bands) {
   has_bands_ = true;
 }
 
-void Dycore::step(State& state, const ExchangeFn& exchange) {
+void Dycore::step(State& state) {
   if (nmembers_ != 1) {
     throw std::logic_error("Dycore::step(State&): members() != 1");
   }
-  const ScopedTimer timer("dycore");
   State* const states[1] = {&state};
-  if (config_.ns == precision::NsMode::kDouble) {
-    stepImpl<double>(states, exchange, nullptr);
-  } else {
-    stepImpl<float>(states, exchange, nullptr);
-  }
+  step(states);
 }
 
 void Dycore::step(State& state, const OverlapHooks& hooks) {
@@ -180,18 +166,18 @@ void Dycore::step(State& state, const OverlapHooks& hooks) {
   const ScopedTimer timer("dycore");
   State* const states[1] = {&state};
   if (config_.ns == precision::NsMode::kDouble) {
-    stepImpl<double>(states, {}, &hooks);
+    stepImpl<double>(states, &hooks);
   } else {
-    stepImpl<float>(states, {}, &hooks);
+    stepImpl<float>(states, &hooks);
   }
 }
 
 void Dycore::step(State* const* states) {
   const ScopedTimer timer("dycore");
   if (config_.ns == precision::NsMode::kDouble) {
-    stepImpl<double>(states, {}, nullptr);
+    stepImpl<double>(states, nullptr);
   } else {
-    stepImpl<float>(states, {}, nullptr);
+    stepImpl<float>(states, nullptr);
   }
 }
 
@@ -204,82 +190,47 @@ void Dycore::step(State* const* states) {
 template <typename NS>
 void Dycore::computeTendencies(const State& state) {
   const int nlev = config_.nlev;
-  namespace k = kernels;
   constexpr int si = simd::kNsIndex<NS>;
+  const simd::KernelTable& tb = simd::table();
 
   // Thermodynamic diagnostics on the diagnostic cell band: alpha and p
   // only. compute_rrr's Exner and pi_mid outputs are never read by the
   // step (the coupler runs its own computeRrr), so they are not computed.
-  stepTable(config_).rrr_alpha_p[si](nullptr, bounds_.cells_diag, nlev,
-                                     state.delp.data(), state.theta.data(),
-                                     state.phi.data(), alpha_.data(),
-                                     p_.data());
-
-  // Runtime Host-vs-Simd routing of the stencil sweeps: every SIMD tier is
-  // bitwise-identical to the Host instantiation (tests/backend/
-  // test_simd.cpp), so the choice is purely about speed -- config_.use_simd
-  // pins the Host path for the benchmark baseline, GRIST_SIMD=0 disables
-  // routing process-wide, and the table itself picks the best tier cpuid
-  // allows.
-  if (config_.use_simd && simd::enabled()) {
-    const simd::KernelTable& tb = simd::table();
-    tb.fused_edge_fluxes[si](mesh_, mesh_.nedges, nlev, state.delp.data(),
-                             state.u.data(), flux_.data(), uflux_.data());
-    tb.fused_cell_diagnostics[si](mesh_, bounds_.cells_diag, nlev,
-                                  flux_.data(), uflux_.data(), state.u.data(),
-                                  div_flux_.data(), div_u_.data(), ke_.data());
-    tb.fused_vertex_diagnostics[si](mesh_, bounds_.vertices_diag, nlev,
-                                    state.u.data(), state.delp.data(),
-                                    constants::kOmega, vor_.data(), qv_.data());
-    tb.fused_scalar_tendencies[si](
-        mesh_, bounds_.cells_prog, nlev, flux_.data(), state.theta.data(),
-        state.delp.data(), div_flux_.data(), config_.diff_coef / config_.dt,
-        delp_tend_.data(), thetam_tend_.data());
-    tb.fused_momentum_tendency[si](
-        mesh_, trsk_, bounds_.edges_prog, nlev, ke_.data(), qv_.data(),
-        flux_.data(), state.phi.data(), alpha_.data(), p_.data(),
-        div_u_.data(), vor_.data(), config_.div_damp / config_.dt,
-        config_.diff_coef / config_.dt, u_tend_.data());
-    return;
-  }
+  tb.rrr_alpha_p[si](nullptr, bounds_.cells_diag, nlev, state.delp.data(),
+                     state.theta.data(), state.phi.data(), alpha_.data(),
+                     p_.data());
 
   // Fused edge sweep: mass flux + plain velocity flux from one pass over
   // ALL local edges (both cells of a local edge are always local).
-  k::fusedEdgeFluxes<NS>(mesh_, mesh_.nedges, nlev, state.delp.data(),
-                         state.u.data(), flux_.data(), uflux_.data());
-
+  tb.fused_edge_fluxes[si](mesh_, mesh_.nedges, nlev, state.delp.data(),
+                           state.u.data(), flux_.data(), uflux_.data());
   // Fused cell-neighbor sweep: div(flux), div(uflux), kinetic energy.
-  k::fusedCellDiagnostics<NS>(mesh_, bounds_.cells_diag, nlev, flux_.data(),
-                              uflux_.data(), state.u.data(), div_flux_.data(),
-                              div_u_.data(), ke_.data());
-
+  tb.fused_cell_diagnostics[si](mesh_, bounds_.cells_diag, nlev, flux_.data(),
+                                uflux_.data(), state.u.data(),
+                                div_flux_.data(), div_u_.data(), ke_.data());
   // Fused vertex sweep: vorticity + mass-weighted potential vorticity.
-  k::fusedVertexDiagnostics<NS>(mesh_, bounds_.vertices_diag, nlev,
-                                state.u.data(), state.delp.data(),
-                                constants::kOmega, vor_.data(), qv_.data());
-
+  tb.fused_vertex_diagnostics[si](mesh_, bounds_.vertices_diag, nlev,
+                                  state.u.data(), state.delp.data(),
+                                  constants::kOmega, vor_.data(), qv_.data());
   // Fused cell-tendency sweep: delp_tend = -div(flux) and the mass-weighted
   // theta tendency (advection + delp * nu * del2 diffusion).
-  k::fusedScalarTendencies<NS>(mesh_, bounds_.cells_prog, nlev, flux_.data(),
-                               state.theta.data(), state.delp.data(),
-                               div_flux_.data(), config_.diff_coef / config_.dt,
-                               delp_tend_.data(), thetam_tend_.data());
-
+  tb.fused_scalar_tendencies[si](
+      mesh_, bounds_.cells_prog, nlev, flux_.data(), state.theta.data(),
+      state.delp.data(), div_flux_.data(), config_.diff_coef / config_.dt,
+      delp_tend_.data(), thetam_tend_.data());
   // Fused edge-tendency sweep: -grad(ke) + Coriolis + pressure gradient
   // (hard-double inside) + del2 damping; u_tend_ written exactly once.
-  k::fusedMomentumTendency<NS>(mesh_, trsk_, bounds_.edges_prog, nlev,
-                               ke_.data(), qv_.data(), flux_.data(),
-                               state.phi.data(), alpha_.data(), p_.data(),
-                               div_u_.data(), vor_.data(),
-                               config_.div_damp / config_.dt,
-                               config_.diff_coef / config_.dt, u_tend_.data());
+  tb.fused_momentum_tendency[si](
+      mesh_, trsk_, bounds_.edges_prog, nlev, ke_.data(), qv_.data(),
+      flux_.data(), state.phi.data(), alpha_.data(), p_.data(), div_u_.data(),
+      vor_.data(), config_.div_damp / config_.dt,
+      config_.diff_coef / config_.dt, u_tend_.data());
 }
 
 template <typename NS>
-void Dycore::stepImpl(State* const* states, const ExchangeFn& exchange,
-                      const OverlapHooks* hooks) {
+void Dycore::stepImpl(State* const* states, const OverlapHooks* hooks) {
   const int nlev = config_.nlev;
-  const simd::KernelTable& tb = stepTable(config_);
+  const simd::KernelTable& tb = simd::table();
   const auto size = [](const std::vector<Index>& v) {
     return static_cast<Index>(v.size());
   };
@@ -325,7 +276,6 @@ void Dycore::stepImpl(State* const* states, const ExchangeFn& exchange,
         hooks->wait();
       } else {
         update(nullptr, bounds_.cells_prog, nullptr, bounds_.edges_prog, dts);
-        if (exchange) exchange(state);
       }
     }
     // The mass flux driving tracer transport (double precision).
@@ -365,7 +315,6 @@ void Dycore::stepImpl(State* const* states, const ExchangeFn& exchange,
     hooks->wait();
   } else {
     solve(nullptr, bounds_.cells_prog);
-    if (exchange) exchange(*states[0]);
   }
   ++acc_steps_;
 }
@@ -446,9 +395,7 @@ void vertImplicitSolver(Index ncells, int nlev, double dt, double ptop,
 } // namespace kernels
 
 // Explicit instantiations of the step for both precisions.
-template void Dycore::stepImpl<double>(State* const*, const ExchangeFn&,
-                                       const OverlapHooks*);
-template void Dycore::stepImpl<float>(State* const*, const ExchangeFn&,
-                                      const OverlapHooks*);
+template void Dycore::stepImpl<double>(State* const*, const OverlapHooks*);
+template void Dycore::stepImpl<float>(State* const*, const OverlapHooks*);
 
 } // namespace grist::dycore

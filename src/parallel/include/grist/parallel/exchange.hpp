@@ -16,17 +16,15 @@
 // process boundary adds no copy: the sender packs straight into the shared
 // slot and the receiver's unpack IS the one copy.
 //
-// The exchange is available in two forms:
-//   exchange(lists)  - collective: pack every pattern, then unpack every
-//                      pattern (single orchestrating thread, pack/unpack
-//                      parallelized across patterns); in-process only;
-//   post(r)/wait(r)  - split halves for communication-computation overlap:
-//                      rank r's thread (or process) packs and publishes its
-//                      outgoing messages in post() as soon as its boundary
-//                      band is computed, then blocks in wait() only when it
-//                      actually consumes halos. Senders and receivers
-//                      synchronize through per-pattern sequence numbers, so
-//                      no global barrier is involved.
+// One protocol moves every halo, in-process or across processes: plan()
+// (or planLocal() for a rank process) binds the queued lists once, then
+// every exchange round is post(r) followed by wait(r) on each rank r. Rank
+// r's thread (or process) packs and publishes its outgoing messages in
+// post() as soon as its boundary band is computed, then blocks in wait()
+// only when it actually consumes halos. Senders and receivers synchronize
+// through per-pattern sequence numbers, so no global barrier is involved;
+// a single thread may also drive a round by posting every rank before
+// waiting on any (ParallelModel's construction-time halo fill does).
 // Message sizes per pattern are fixed by the variable shapes, which plan()
 // validates and caches once; per-exchange CommStats updates are O(1).
 #pragma once
@@ -85,30 +83,18 @@ class Communicator {
 
   /// Communicator over an explicit transport. For a distributed transport
   /// (one OS process per rank) `local_rank` names the rank THIS process
-  /// plays: planLocal()/post()/wait() operate on that rank only and the
-  /// collective exchange forms are unavailable.
+  /// plays: planLocal()/post()/wait() operate on that rank only.
   Communicator(const Decomposition& decomp, std::shared_ptr<Transport> transport,
                Index local_rank = kAllRanks);
 
   static constexpr Index kAllRanks = -1;
 
-  /// One collective exchange call: every variable in every rank's list is
-  /// updated in that rank's halo. `lists` must have one entry per rank, and
-  /// every rank's list must contain the same variable shapes (as in MPI,
-  /// the call is collective and symmetric). Plans automatically on first
-  /// use or when the queued shapes change. In-process transports only.
-  void exchange(std::vector<ExchangeList>& lists);
-
-  /// Seed-style element-wise exchange (no packing): kept as the ablation
-  /// reference path for bench_ablation_exchange.
-  void exchangeUnpacked(std::vector<ExchangeList>& lists);
-
-  /// Bind `lists` for the split post()/wait() protocol: validates that all
-  /// ranks queue identically-shaped variable lists (throws, naming the
-  /// mismatched rank/var, otherwise), sizes the per-pattern message buffers
-  /// and precomputes every byte count. `lists` must outlive subsequent
-  /// post()/wait()/exchange() calls. Re-planning with unchanged shapes
-  /// reuses the buffers (no allocation).
+  /// Bind `lists` (one per rank) for the post()/wait() protocol: validates
+  /// that all ranks queue identically-shaped variable lists (throws, naming
+  /// the mismatched rank/var, otherwise), sizes the per-pattern message
+  /// buffers and precomputes every byte count. `lists` must outlive
+  /// subsequent post()/wait() calls. In-process transports only.
+  void plan(const std::vector<ExchangeList*>& lists);
   void plan(std::vector<ExchangeList>& lists);
 
   /// Distributed form of plan(): bind THIS process's rank list only. Every
@@ -136,12 +122,12 @@ class Communicator {
 
   /// Emulated interconnect latency (seconds) per exchange round. The
   /// host transports deliver near-instantly, which no real interconnect
-  /// does, so overlap-on and overlap-off schedules tie on any shared-memory
+  /// does, so the cost of exchange latency never shows on a shared-memory
   /// host. With a wire latency set, a posted message only becomes
   /// consumable tau after post(): wait() sleeps out the remainder of tau
-  /// (usually none -- interior compute already covered it), while the
-  /// collective exchange() stalls one full tau window per round, exactly
-  /// like a rank blocking in MPI_Waitall right after MPI_Isend. Data is
+  /// (usually none -- interior compute already covered it); a round with
+  /// no work between post() and wait() stalls the full tau, exactly like
+  /// a rank blocking in MPI_Waitall right after MPI_Isend. Data is
   /// unaffected; tau = 0 (the default) restores instant delivery. The
   /// delivery deadline travels with the message, so it prices the wire
   /// identically whether the receiver is a thread or another process.
@@ -151,20 +137,18 @@ class Communicator {
   double wireLatency() const;
 
  private:
-  void ensurePlan(std::vector<ExchangeList>& lists);
-  void validateShapes(const std::vector<ExchangeList>& lists) const;
+  void validateShapes(const std::vector<ExchangeList*>& lists) const;
   void crossValidateShapes(const ExchangeList& list);
   void finishPlan(const ExchangeList& ref);
   bool planMatches(const ExchangeList& ref) const;
   void packMessage(std::size_t p);
   void unpackMessage(std::size_t p);
-  const ExchangeList& listFor(Index rank) const;
 
   const Decomposition* decomp_;
   std::shared_ptr<Transport> transport_;
   Index local_rank_ = kAllRanks;
-  std::vector<ExchangeList>* lists_ = nullptr;  // collective mode
-  ExchangeList* local_list_ = nullptr;          // local (distributed) mode
+  /// Bound list per rank (local mode binds only the local rank's).
+  std::vector<ExchangeList*> lists_;
 
   /// Pattern indices by endpoint rank (copied from the decomposition, or
   /// rebuilt locally for hand-assembled decompositions in tests).
@@ -179,8 +163,6 @@ class Communicator {
   bool planned_ = false;
   std::vector<std::int64_t> rank_out_bytes_;   // per rank, per round
   std::vector<std::int64_t> rank_out_msgs_;
-  std::int64_t round_bytes_ = 0;               // totals per round
-  std::int64_t round_msgs_ = 0;
 
   // Overlap protocol round counters (per rank; each rank's counter is only
   // touched from that rank's thread/process).

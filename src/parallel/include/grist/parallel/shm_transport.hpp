@@ -64,7 +64,6 @@ class ShmTransport final : public Transport {
                std::int64_t deliver_at_ns) override;
   std::int64_t waitPosted(std::size_t p, std::uint64_t seq) override;
   void consume(std::size_t p, std::uint64_t seq) override;
-  void advanceRound(std::size_t p) override;
 
   void addTraffic(std::int64_t messages, std::int64_t bytes,
                   std::int64_t exchanges) override;

@@ -70,8 +70,7 @@ class Transport {
   virtual const char* name() const = 0;
 
   /// True when each rank runs in its own OS process: the Communicator must
-  /// then be bound to a single local rank (planLocal) and the collective
-  /// exchange forms are unavailable.
+  /// then be bound to a single local rank (planLocal).
   virtual bool distributed() const = 0;
 
   /// Size (doubles) of every pattern's single-slot message buffer. Called
@@ -90,12 +89,6 @@ class Transport {
                        std::int64_t deliver_at_ns) = 0;
   virtual std::int64_t waitPosted(std::size_t p, std::uint64_t seq) = 0;
   virtual void consume(std::size_t p, std::uint64_t seq) = 0;
-
-  /// Collective-exchange form of the sequence bump: the caller moved the
-  /// data itself (it has every rank's arrays in one address space), so only
-  /// advance posted/consumed to keep split and collective rounds
-  /// interleavable. Meaningless for a distributed transport.
-  virtual void advanceRound(std::size_t p) = 0;
 
   // O(1)-per-round traffic counters (run-wide totals on every transport).
   virtual void addTraffic(std::int64_t messages, std::int64_t bytes,
@@ -127,7 +120,6 @@ class InProcessTransport final : public Transport {
                std::int64_t deliver_at_ns) override;
   std::int64_t waitPosted(std::size_t p, std::uint64_t seq) override;
   void consume(std::size_t p, std::uint64_t seq) override;
-  void advanceRound(std::size_t p) override;
 
   void addTraffic(std::int64_t messages, std::int64_t bytes,
                   std::int64_t exchanges) override;

@@ -48,6 +48,7 @@ Communicator::Communicator(const Decomposition& decomp,
     throw std::invalid_argument("Communicator: local rank out of range");
   }
   round_.assign(static_cast<std::size_t>(decomp.nranks), 0);
+  lists_.assign(static_cast<std::size_t>(decomp.nranks), nullptr);
   // Per-rank pattern index lists: prefer the ones decompose() precomputed,
   // fall back to a local scan for hand-built decompositions (tests).
   if (static_cast<Index>(decomp.patterns_from.size()) == decomp.nranks &&
@@ -65,10 +66,10 @@ Communicator::Communicator(const Decomposition& decomp,
   }
 }
 
-void Communicator::validateShapes(const std::vector<ExchangeList>& lists) const {
-  const ExchangeList& ref = lists[0];
+void Communicator::validateShapes(const std::vector<ExchangeList*>& lists) const {
+  const ExchangeList& ref = *lists[0];
   for (std::size_t r = 1; r < lists.size(); ++r) {
-    const ExchangeList& l = lists[r];
+    const ExchangeList& l = *lists[r];
     if (l.cellVars().size() != ref.cellVars().size()) {
       throw std::invalid_argument(
           "Communicator: rank " + std::to_string(r) + " queues " +
@@ -174,17 +175,12 @@ void Communicator::finishPlan(const ExchangeList& ref) {
   const auto& patterns = decomp_->patterns;
   pattern_doubles_.resize(patterns.size());
   msg_bytes_.resize(patterns.size());
-  round_bytes_ = 0;
   for (std::size_t p = 0; p < patterns.size(); ++p) {
     const std::int64_t doubles = patterns[p].nsend_cells * cell_doubles +
                                  patterns[p].nsend_edges * edge_doubles;
     pattern_doubles_[p] = doubles;
     msg_bytes_[p] = doubles * static_cast<std::int64_t>(sizeof(double));
-    round_bytes_ += msg_bytes_[p];
   }
-  // One message per neighbor-pair pattern per round (the paper's batching
-  // invariant), independent of how many variables are queued.
-  round_msgs_ = static_cast<std::int64_t>(patterns.size());
 
   // Size the transport's single-slot buffers (collective rendezvous for a
   // distributed transport) and cache the slot pointers for the hot path.
@@ -200,6 +196,8 @@ void Communicator::finishPlan(const ExchangeList& ref) {
     for (const Index p : from_[static_cast<std::size_t>(r)]) {
       rank_out_bytes_[r] += msg_bytes_[p];
     }
+    // One message per neighbor-pair pattern per round (the paper's
+    // batching invariant), independent of how many variables are queued.
     rank_out_msgs_[r] =
         static_cast<std::int64_t>(from_[static_cast<std::size_t>(r)].size());
   }
@@ -219,18 +217,25 @@ bool Communicator::planMatches(const ExchangeList& ref) const {
   return match;
 }
 
-void Communicator::plan(std::vector<ExchangeList>& lists) {
+void Communicator::plan(const std::vector<ExchangeList*>& lists) {
   if (local_rank_ != kAllRanks) {
     throw std::logic_error(
-        "Communicator: plan() is collective; a local-rank communicator "
-        "must use planLocal()");
+        "Communicator: plan() binds every rank's list; a local-rank "
+        "communicator must use planLocal()");
   }
   if (static_cast<Index>(lists.size()) != decomp_->nranks) {
     throw std::invalid_argument("Communicator: one list per rank required");
   }
   validateShapes(lists);
-  lists_ = &lists;
-  finishPlan(lists[0]);
+  lists_ = lists;
+  finishPlan(*lists[0]);
+}
+
+void Communicator::plan(std::vector<ExchangeList>& lists) {
+  std::vector<ExchangeList*> ptrs;
+  ptrs.reserve(lists.size());
+  for (ExchangeList& l : lists) ptrs.push_back(&l);
+  plan(ptrs);
 }
 
 void Communicator::planLocal(ExchangeList& list) {
@@ -238,7 +243,7 @@ void Communicator::planLocal(ExchangeList& list) {
     throw std::logic_error(
         "Communicator: planLocal() requires a local-rank communicator");
   }
-  local_list_ = &list;
+  lists_[static_cast<std::size_t>(local_rank_)] = &list;
   if (planMatches(list)) return;  // rebind only; buffers stay as planned
   // Validate shapes BETWEEN processes before sizing any buffer: a mismatch
   // must die with a named rank/pid, not a segment-size conflict.
@@ -246,26 +251,9 @@ void Communicator::planLocal(ExchangeList& list) {
   finishPlan(list);
 }
 
-void Communicator::ensurePlan(std::vector<ExchangeList>& lists) {
-  if (static_cast<Index>(lists.size()) != decomp_->nranks) {
-    throw std::invalid_argument("Communicator: one list per rank required");
-  }
-  validateShapes(lists);
-  if (planMatches(lists[0])) {
-    lists_ = &lists;  // rebind data pointers; buffers stay as planned
-    return;
-  }
-  plan(lists);
-}
-
-const ExchangeList& Communicator::listFor(Index rank) const {
-  return local_rank_ != kAllRanks ? *local_list_
-                                  : (*lists_)[static_cast<std::size_t>(rank)];
-}
-
 void Communicator::packMessage(std::size_t p) {
   const ExchangePattern& pat = decomp_->patterns[p];
-  const ExchangeList& src = listFor(pat.from);
+  const ExchangeList& src = *lists_[static_cast<std::size_t>(pat.from)];
   double* w = bufs_[p];
   for (const auto& var : src.cellVars()) {
     const std::size_t row = static_cast<std::size_t>(var.ncomp) * sizeof(double);
@@ -285,7 +273,7 @@ void Communicator::packMessage(std::size_t p) {
 
 void Communicator::unpackMessage(std::size_t p) {
   const ExchangePattern& pat = decomp_->patterns[p];
-  const ExchangeList& dst = listFor(pat.to);
+  const ExchangeList& dst = *lists_[static_cast<std::size_t>(pat.to)];
   const double* r = bufs_[p];
   for (const auto& var : dst.cellVars()) {
     const std::size_t row = static_cast<std::size_t>(var.ncomp) * sizeof(double);
@@ -301,74 +289,6 @@ void Communicator::unpackMessage(std::size_t p) {
       r += var.ncomp;
     }
   }
-}
-
-void Communicator::exchange(std::vector<ExchangeList>& lists) {
-  if (local_rank_ != kAllRanks) {
-    throw std::logic_error(
-        "Communicator: the collective exchange() needs every rank's arrays "
-        "in one address space; distributed transports use post()/wait()");
-  }
-  ensurePlan(lists);
-  const std::size_t npat = decomp_->patterns.size();
-  // Collective form of the packed transport: pack every pattern, then
-  // unpack every pattern. The two phases are each parallelized across
-  // patterns; the phase boundary is the "transfer".
-#pragma omp parallel for schedule(dynamic)
-  for (std::size_t p = 0; p < npat; ++p) packMessage(p);
-  if (wire_latency_.count() > 0) {
-    // All messages are in flight concurrently, so the collective round
-    // stalls one wire-latency window before anything is consumable --
-    // there is no interior work to run under it here.
-    std::this_thread::sleep_for(wire_latency_);
-  }
-#pragma omp parallel for schedule(dynamic)
-  for (std::size_t p = 0; p < npat; ++p) unpackMessage(p);
-  // Keep the overlap protocol's sequence numbers in lockstep with the
-  // collective rounds so the two forms can interleave between steps.
-  for (std::size_t p = 0; p < npat; ++p) transport_->advanceRound(p);
-  for (auto& r : round_) ++r;
-  transport_->addTraffic(round_msgs_, round_bytes_, 1);
-}
-
-void Communicator::exchangeUnpacked(std::vector<ExchangeList>& lists) {
-  if (local_rank_ != kAllRanks) {
-    throw std::logic_error(
-        "Communicator: exchangeUnpacked() needs every rank's arrays in one "
-        "address space; distributed transports use post()/wait()");
-  }
-  ensurePlan(lists);  // shape validation + O(1) traffic totals
-  const auto& patterns = decomp_->patterns;
-  // Seed transport: element-wise copies straight from the sender's arrays
-  // into the receiver's, kept as the ablation baseline for the packed path.
-#pragma omp parallel for schedule(dynamic)
-  for (std::size_t p = 0; p < patterns.size(); ++p) {
-    const ExchangePattern& pat = patterns[p];
-    const ExchangeList& src = lists[pat.from];
-    const ExchangeList& dst = lists[pat.to];
-    for (std::size_t v = 0; v < src.cellVars().size(); ++v) {
-      const auto& sv = src.cellVars()[v];
-      const auto& dv = dst.cellVars()[v];
-      for (std::size_t i = 0; i < pat.send_cells.size(); ++i) {
-        const double* from = sv.data + static_cast<std::size_t>(pat.send_cells[i]) * sv.ncomp;
-        double* to = dv.data + static_cast<std::size_t>(pat.recv_cells[i]) * dv.ncomp;
-        for (int k = 0; k < sv.ncomp; ++k) to[k] = from[k];
-      }
-    }
-    for (std::size_t v = 0; v < src.edgeVars().size(); ++v) {
-      const auto& sv = src.edgeVars()[v];
-      const auto& dv = dst.edgeVars()[v];
-      for (std::size_t i = 0; i < pat.send_edges.size(); ++i) {
-        const double* from = sv.data + static_cast<std::size_t>(pat.send_edges[i]) * sv.ncomp;
-        double* to = dv.data + static_cast<std::size_t>(pat.recv_edges[i]) * dv.ncomp;
-        for (int k = 0; k < sv.ncomp; ++k) to[k] = from[k];
-      }
-    }
-  }
-  if (wire_latency_.count() > 0) std::this_thread::sleep_for(wire_latency_);
-  for (std::size_t p = 0; p < patterns.size(); ++p) transport_->advanceRound(p);
-  for (auto& r : round_) ++r;
-  transport_->addTraffic(round_msgs_, round_bytes_, 1);
 }
 
 void Communicator::post(Index rank) {

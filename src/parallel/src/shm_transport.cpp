@@ -116,12 +116,6 @@ void ShmTransport::consume(std::size_t p, std::uint64_t seq) {
   futexWake(&ch.consumed, INT_MAX);
 }
 
-void ShmTransport::advanceRound(std::size_t) {
-  // The collective exchange forms need every rank's arrays in one address
-  // space; the Communicator rejects them in local mode before getting here.
-  throw std::logic_error("ShmTransport: no collective rounds across processes");
-}
-
 void ShmTransport::addTraffic(std::int64_t messages, std::int64_t bytes,
                               std::int64_t exchanges) {
   hdr_->messages.fetch_add(messages, std::memory_order_relaxed);

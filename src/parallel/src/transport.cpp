@@ -7,8 +7,8 @@ void InProcessTransport::allocate(const std::vector<std::int64_t>& pattern_doubl
   for (std::size_t p = 0; p < pattern_doubles.size(); ++p) {
     if (!slots_[p]) slots_[p] = std::make_unique<Slot>();
     // resize() is a no-op for unchanged sizes, so a warm replan allocates
-    // nothing; sequence words survive replans (split and collective rounds
-    // stay interleavable across a shape change).
+    // nothing; sequence words survive replans (rounds keep counting across
+    // a shape change).
     slots_[p]->buffer.resize(static_cast<std::size_t>(pattern_doubles[p]));
   }
 }
@@ -46,17 +46,6 @@ void InProcessTransport::consume(std::size_t p, std::uint64_t seq) {
   Slot& s = *slots_[p];
   s.consumed.store(seq, std::memory_order_release);
   s.consumed.notify_all();
-}
-
-void InProcessTransport::advanceRound(std::size_t p) {
-  // Collective form: data already moved by the caller, nobody is blocked in
-  // waitPosted/waitSendSlot (the collective is a full-stop round), so the
-  // bumps need no ordering and no doorbell.
-  Slot& s = *slots_[p];
-  s.posted.store(s.posted.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-  s.consumed.store(s.consumed.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
 }
 
 void InProcessTransport::addTraffic(std::int64_t messages, std::int64_t bytes,

@@ -2,8 +2,7 @@
 // worker pool is up and the packed exchange buffers are planned,
 // ParallelModel::step() must perform no heap allocation -- which also
 // proves it creates no threads (libstdc++ allocates each std::thread's
-// state block with operator new), for both the overlapped and the lockstep
-// schedule.
+// state block with operator new).
 //
 // This binary overrides the global allocation operators to count heap
 // traffic, so it is its own test executable (see tests/CMakeLists.txt) --
@@ -14,6 +13,8 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <thread>
+#include <vector>
 
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/init.hpp"
@@ -89,27 +90,23 @@ TEST_F(PooledStepAllocationGuard, OverlapStepIsHeapFreeWhenWarm) {
   EXPECT_EQ(allocsDuring(step), 0);
 }
 
-TEST_F(PooledStepAllocationGuard, LockstepStepIsHeapFreeWhenWarm) {
-  const dycore::State initial = dycore::initBaroclinicWave(mesh_, cfg_);
-  ParallelModel model(mesh_, trsk_, cfg_, /*nranks=*/4, initial);
-  model.setSchedule(ParallelModel::Schedule::kLockstep);
-  const auto step = [&] { model.step(); };
-  step();
-  step();
-  EXPECT_EQ(allocsDuring(step), 0);
-}
-
-TEST_F(PooledStepAllocationGuard, SeedSpawnScheduleDoesAllocate) {
-  // Negative control: the seed schedule spawns threads every step, so the
-  // guard must see heap traffic -- proving the counter actually observes
-  // the step path.
-  const dycore::State initial = dycore::initBaroclinicWave(mesh_, cfg_);
-  ParallelModel model(mesh_, trsk_, cfg_, /*nranks=*/4, initial);
-  model.setSchedule(ParallelModel::Schedule::kSpawnUnpacked);
-  const auto step = [&] { model.step(); };
-  step();
-  step();
-  EXPECT_GT(allocsDuring(step), 0);
+TEST_F(PooledStepAllocationGuard, CounterSeesAllocations) {
+  // Negative control: the counter must register heap traffic made on
+  // another std::thread, as the pool's rank workers are. The thread is
+  // created (its state block allocated) before the measured window opens,
+  // so only the worker's own allocation can be counted.
+  std::atomic<bool> go{false};
+  std::thread worker([&go] {
+    while (!go.load()) std::this_thread::yield();
+    std::vector<double> v(4096, 1.0);
+    volatile double sink = v[17];
+    (void)sink;
+  });
+  EXPECT_GT(allocsDuring([&] {
+              go = true;
+              worker.join();
+            }),
+            0);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -208,7 +209,7 @@ std::optional<int> maybeRunAuxWorker(int argc, char** argv) {
 
 std::uint64_t ownedHashOf(const dycore::State& global,
                           const parallel::LocalDomain& dom, int nlev) {
-  // Must mirror RankProcessModel::ownedHash exactly (owned local rows are
+  // Must mirror RankDycore::ownedHash exactly (owned local rows are
   // bitwise the owned global rows).
   const std::size_t lev = static_cast<std::size_t>(nlev);
   std::uint64_t h = 14695981039346656037ull;
@@ -337,6 +338,45 @@ TEST(ShapeValidation, MismatchNamesTransportAndPeerPid) {
   // "Communicator[shm]" and the peer's rank AND pid.
   EXPECT_EQ(parallel::waitRanks(pids), 0);
   parallel::ShmTransport::unlinkSegments(seg);
+}
+
+// ---------------------------------------------------------------------------
+// Worker argv: every operand is parsed whole-token and range-checked. A bad
+// one exits 2 naming the operand and the token, before the worker spawns or
+// attaches anything -- so the dispatch can run in this process.
+
+TEST(WorkerArgv, BadOperandExitsTwoNamingOperandAndToken) {
+  struct Case {
+    int index;          // argv slot replaced
+    const char* token;  // the bad value
+    const char* name;   // operand the message must name
+  };
+  const Case cases[] = {
+      {3, "0", "nranks"},       {3, "2x", "nranks"},
+      {4, "2", "rank"},         {4, "-1", "rank"},
+      {5, "3x", "grid_level"},  {5, "abc", "grid_level"},
+      {6, "1", "nlev"},         {7, "0", "dt"},
+      {7, "nan", "dt"},         {7, "450s", "dt"},
+      {8, "-1", "ntracers"},    {9, "fp32", "ns"},
+      {9, "DP", "ns"},          {9, "", "ns"},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::string> args{"test_multiprocess", "--grist-shm-worker",
+                                  "grist-argv-test", "2", "0", "3", "8",
+                                  "450", "1", "dp", "-"};
+    args[static_cast<std::size_t>(c.index)] = c.token;
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    ::testing::internal::CaptureStderr();
+    const std::optional<int> rc =
+        core::mp::maybeRunWorker(static_cast<int>(argv.size()), argv.data());
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(rc.has_value()) << c.name << " '" << c.token << "'";
+    EXPECT_EQ(*rc, 2) << c.name << " '" << c.token << "'";
+    EXPECT_NE(err.find(std::string(" ") + c.name + " '" + c.token + "'"),
+              std::string::npos)
+        << err;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,16 @@ namespace {
 // A recognizable global value: f(global_id, comp).
 double marker(Index global, int comp) { return 1000.0 * global + comp; }
 
+// One exchange round of the post/wait protocol driven from this thread:
+// bind `lists`, post every rank, then wait on every rank (every message is
+// published before any wait, so no wait can block on an unposted one).
+void exchangeRound(Communicator& comm, std::vector<ExchangeList>& lists) {
+  comm.plan(lists);
+  const Index nranks = static_cast<Index>(lists.size());
+  for (Index r = 0; r < nranks; ++r) comm.post(r);
+  for (Index r = 0; r < nranks; ++r) comm.wait(r);
+}
+
 class ExchangeRanks : public ::testing::TestWithParam<Index> {
  protected:
   grid::HexMesh mesh_ = grid::buildHexMesh(3);
@@ -42,7 +52,7 @@ TEST_P(ExchangeRanks, HaloReceivesOwnerValues) {
   }
 
   Communicator comm(d_);
-  comm.exchange(lists);
+  exchangeRound(comm, lists);
 
   for (Index r = 0; r < d_.nranks; ++r) {
     const LocalDomain& dom = d_.domains[r];
@@ -63,8 +73,8 @@ TEST_P(ExchangeRanks, HaloReceivesOwnerValues) {
 
 TEST_P(ExchangeRanks, BatchingKeepsMessageCountAtNeighborPairs) {
   // The paper's point (section 3.1.3): gathering all variables into one
-  // exchange call keeps the message count at the number of neighbor pairs,
-  // independent of how many variables are queued.
+  // exchange round keeps the message count at the number of neighbor
+  // pairs, independent of how many variables are queued.
   const Index nranks = d_.nranks;
   if (nranks == 1) GTEST_SKIP() << "no communication with one rank";
 
@@ -79,7 +89,7 @@ TEST_P(ExchangeRanks, BatchingKeepsMessageCountAtNeighborPairs) {
     for (int v = 0; v < 6; ++v) lists[r].addCellField(many_fields[r * 6 + v]);
   }
   Communicator comm(d_);
-  comm.exchange(lists);
+  exchangeRound(comm, lists);
   const CommStats one_call = comm.stats();
   EXPECT_EQ(one_call.exchanges, 1);
   EXPECT_EQ(one_call.messages, static_cast<std::int64_t>(d_.patterns.size()));
@@ -89,7 +99,7 @@ TEST_P(ExchangeRanks, BatchingKeepsMessageCountAtNeighborPairs) {
   for (int v = 0; v < 6; ++v) {
     std::vector<ExchangeList> single(nranks);
     for (Index r = 0; r < nranks; ++r) single[r].addCellField(many_fields[r * 6 + v]);
-    comm.exchange(single);
+    exchangeRound(comm, single);
   }
   EXPECT_EQ(comm.stats().messages, 6 * one_call.messages);
   // Byte volume is identical either way.
@@ -106,7 +116,7 @@ TEST_P(ExchangeRanks, StatsCountBytesExactly) {
   }
   for (Index r = 0; r < d_.nranks; ++r) lists[r].addCellField(fields[r]);
   Communicator comm(d_);
-  comm.exchange(lists);
+  exchangeRound(comm, lists);
   std::int64_t expected = 0;
   for (const ExchangePattern& pat : d_.patterns) {
     expected += static_cast<std::int64_t>(pat.send_cells.size()) * nlev * 8;
@@ -121,7 +131,7 @@ TEST(Exchange, WrongListCountThrows) {
   const Decomposition d = decompose(mesh, Index{4});
   Communicator comm(d);
   std::vector<ExchangeList> lists(2);
-  EXPECT_THROW(comm.exchange(lists), std::invalid_argument);
+  EXPECT_THROW(exchangeRound(comm, lists), std::invalid_argument);
 }
 
 TEST(Exchange, MismatchedShapesThrowNamingRankAndVar) {
@@ -137,7 +147,7 @@ TEST(Exchange, MismatchedShapesThrowNamingRankAndVar) {
   lists[0].addCellVar(fields[0].data(), 3);
   lists[1].addCellVar(fields[1].data(), 5);
   try {
-    comm.exchange(lists);
+    exchangeRound(comm, lists);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -147,14 +157,14 @@ TEST(Exchange, MismatchedShapesThrowNamingRankAndVar) {
   // Differing list lengths are also named.
   std::vector<ExchangeList> uneven(2);
   uneven[0].addCellVar(fields[0].data(), 3);
-  EXPECT_THROW(comm.exchange(uneven), std::invalid_argument);
+  EXPECT_THROW(exchangeRound(comm, uneven), std::invalid_argument);
 }
 
 // Hand-built decomposition with IRREGULAR patterns: non-contiguous,
 // unsorted send/recv maps, different entity counts per rank, a rank pair
 // exchanging in one direction only, and a rank with no traffic at all.
-// Exercises the packed pack -> transfer -> unpack round trip directly,
-// including the split post()/wait() halves.
+// Exercises the packed pack -> transfer -> unpack round trip directly
+// through post()/wait().
 class IrregularPacking : public ::testing::Test {
  protected:
   static constexpr int kComp = 3;
@@ -178,8 +188,8 @@ class IrregularPacking : public ::testing::Test {
       pat.nsend_cells = static_cast<Index>(pat.send_cells.size());
       pat.nsend_edges = static_cast<Index>(pat.send_edges.size());
     }
-    // Rank 2 has no patterns (no traffic), but still participates in the
-    // collective and in every post/wait round.
+    // Rank 2 has no patterns (no traffic), but still participates in
+    // every post/wait round.
     cells_ = {Field(10, kComp), Field(8, kComp), Field(4, kComp)};
     edges_ = {Field(6, kComp), Field(7, kComp), Field(2, kComp)};
     lists_.resize(3);
@@ -237,9 +247,11 @@ class IrregularPacking : public ::testing::Test {
 };
 
 TEST_F(IrregularPacking, CollectiveExchangeRoundTrips) {
+  // One collective round -- plan, then post and wait on every rank, the
+  // single batched exchange call of a model stage.
   Communicator comm(d_);
   fill(1.0);
-  comm.exchange(lists_);
+  exchangeRound(comm, lists_);
   checkRoundTrip(1.0);
   // Exact byte accounting: (3 send cells + 2 send cells + 3 send edges)
   // rows of kComp doubles.
@@ -260,6 +272,10 @@ TEST_F(IrregularPacking, PostWaitRoundTripsAcrossRounds) {
     checkRoundTrip(salt);
   }
   EXPECT_EQ(comm.stats().exchanges, 3);  // one per post round
+  // Exact accounting: per round (3 send cells + 2 send cells + 3 send
+  // edges) rows of kComp doubles in 2 messages (one per pattern).
+  EXPECT_EQ(comm.stats().bytes, 3 * (3 + 2 + 3) * kComp * 8);
+  EXPECT_EQ(comm.stats().messages, 3 * 2);
 }
 
 TEST_F(IrregularPacking, PostBeforePlanThrows) {
@@ -269,7 +285,8 @@ TEST_F(IrregularPacking, PostBeforePlanThrows) {
 
 TEST_F(IrregularPacking, WireLatencyDelaysDeliveryButRoundTrips) {
   // Emulated interconnect latency must not change the delivered data, and
-  // the collective round must stall at least one latency window.
+  // a round with no work between post and wait must stall at least one
+  // latency window.
   Communicator comm(d_);
   const double tau = 500e-6;
   comm.setWireLatency(tau);
@@ -277,18 +294,17 @@ TEST_F(IrregularPacking, WireLatencyDelaysDeliveryButRoundTrips) {
 
   fill(3.0);
   const auto t0 = std::chrono::steady_clock::now();
-  comm.exchange(lists_);
+  exchangeRound(comm, lists_);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   checkRoundTrip(3.0);
   EXPECT_GE(elapsed, tau);
 
-  // Split form: delivery deadlines are per message; data still exact.
-  comm.plan(lists_);
+  // Delivery deadlines are per message and survive a replan; data still
+  // exact on the next round.
   fill(4.0);
-  for (Index r = 0; r < 3; ++r) comm.post(r);
-  for (Index r = 0; r < 3; ++r) comm.wait(r);
+  exchangeRound(comm, lists_);
   checkRoundTrip(4.0);
 }
 
