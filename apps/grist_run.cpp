@@ -10,21 +10,26 @@
 //
 // Extra namelist keys beyond the factory's (see core/factory.hpp):
 //   steps (48)            dynamics steps to run (overridden by argv[2])
-//   restart_in            restart file to resume from (--restart overrides)
-//   restart_out           restart file to write at the end
+//   restart_in            snapshot to resume from (--restart overrides)
+//   restart_out           snapshot to write at the end of the run
 //   report_interval (12)  steps between progress lines
 //
-// Checkpoint/restart (io/snapshot.hpp, core/checkpoint.hpp):
+// Checkpoint/restart (io/snapshot.hpp, core/checkpoint.hpp) means the same
+// in every run mode but --ensemble, which refuses all of it (exit 2):
 //   --checkpoint-every K  write an atomic snapshot every K dynamics steps
 //   --checkpoint-dir D    into D/ckpt-<step>.grist (keep-last-2 rotation)
-//   --restart PATH        resume from a snapshot (v2) or a legacy GRISTSW1
-//                         restart file. Checkpoints store the GLOBAL state,
-//                         so a checkpoint written at N ranks restores at
-//                         any M ranks (repartition-on-restart), across
-//                         both transports.
+//   --restart PATH        resume from a snapshot. Multi-rank checkpoints
+//                         store the GLOBAL state, so one written at N ranks
+//                         restores at any M ranks (repartition-on-restart),
+//                         across both transports. A solo (full Model)
+//                         checkpoint resumes only a solo run, and a
+//                         multi-rank one only a multi-rank run: their
+//                         CONFIG cadences differ.
 //
 // With --ranks N > 1 the run becomes the multi-rank dynamics step (the
-// decomposition gate configuration: dynamics only, no physics/IO):
+// decomposition gate configuration: dynamics only, no physics/IO), with
+// the namelist's dycore settings (nlev, dt_dyn, scheme's NS mode and the
+// damping keys, parsed as the solo run parses them):
 //   --transport threads   the in-process persistent worker pool
 //   --transport shm       one OS process per rank over the POSIX
 //                         shared-memory transport; this binary fork+execs
@@ -34,11 +39,11 @@
 //   --pin                 sched_setaffinity rank r -> core r % ncores (shm)
 //   --wire-latency S      emulate S seconds of interconnect delivery delay
 //
-// Batched ensembles (core/ensemble_runner.hpp):
-//   --ensemble M          step M members as one fused workload. Shares the
-//                         mesh/TRSK/ML weights across members and batches
-//                         the ML physics GEMMs cross-member; each member
-//                         stays bitwise identical to the same seed run solo.
+// Ensembles (core/ensemble_runner.hpp):
+//   --ensemble M          step M members through one Model: one M-member
+//                         dycore, per-member physics suites, shared
+//                         mesh/TRSK/ML weights; each member stays bitwise
+//                         identical to the same seed run solo.
 //   --perturb-seed S      deterministic theta perturbation seed (default 0 =
 //                         identical members); needs --ensemble. The report
 //                         lines add the area-weighted surface-pressure
@@ -64,7 +69,6 @@
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/diagnostics.hpp"
 #include "grist/dycore/init.hpp"
-#include "grist/io/restart.hpp"
 #include "grist/io/snapshot.hpp"
 #include "grist/partition/partitioner.hpp"
 
@@ -72,9 +76,10 @@ namespace {
 
 /// Validated checkpoint/restart options shared by all run modes.
 struct CkptOpts {
-  int every = 0;          ///< 0 = no periodic checkpoints
+  int every = 0;            ///< 0 = no periodic checkpoints
   std::string dir;
-  std::string restart;    ///< snapshot/legacy file to resume from
+  std::string restart;      ///< snapshot to resume from (--restart/restart_in)
+  std::string restart_out;  ///< snapshot to write at the end (restart_out)
 };
 
 /// A numeric command-line value: the whole token, inside [lo, hi], or exit
@@ -98,27 +103,39 @@ bool fileExists(const std::string& path) {
 }
 
 /// The multi-rank dynamics run (both transports share the reporting).
-int runMultiRank(const grist::Config& config, int steps, grist::Index nranks,
-                 const std::string& transport, bool pin, double wire_latency,
-                 const CkptOpts& ckpt) {
+int runMultiRank(const grist::Config& config,
+                 const grist::dycore::DycoreConfig& cfg, int steps,
+                 grist::Index nranks, const std::string& transport, bool pin,
+                 double wire_latency, const CkptOpts& ckpt) {
   using namespace grist;
   const int glevel = config.getInt("grid_level", 4);
-  dycore::DycoreConfig cfg;
-  cfg.nlev = config.getInt("nlev", 20);
-  cfg.dt = config.getDouble("dt_dyn", 300.0);
-  const std::string scheme = config.getString("scheme", "DP-PHY");
-  cfg.ns = scheme.rfind("MIX", 0) == 0 ? precision::NsMode::kSingle
-                                       : precision::NsMode::kDouble;
-  const int ntracers = 1;  // decomposition gate configuration
+  const int ntracers = cfg.ntracers;  // 1: the decomposition gate configuration
 
   std::printf("multi-rank dynamics: grid G%d, nlev %d, %d ranks, transport %s%s\n",
               glevel, cfg.nlev, static_cast<int>(nranks), transport.c_str(),
               pin ? " (pinned)" : "");
+  const grid::HexMesh mesh = grid::buildHexMesh(glevel);
   long step_base = 0;  // global step the run resumes at
+  std::optional<dycore::State> restored;
+  if (!ckpt.restart.empty()) {
+    // Validated here, before anything is spawned, so a foreign checkpoint
+    // exits 2 naming the mismatch on both transports (each shm worker
+    // re-reads and re-validates the file itself).
+    try {
+      restored = core::loadDynRestart(ckpt.restart, mesh, cfg, ntracers,
+                                      &step_base);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "grist_run: %s\n", e.what());
+      return 2;
+    }
+    std::printf("resuming from %s at step %ld\n", ckpt.restart.c_str(),
+                step_base);
+  }
   Timer timer;
   parallel::CommStats stats;
   // Chunked stepping shared by both transports: run to the next checkpoint
-  // boundary, snapshot the gathered global state, repeat.
+  // boundary, snapshot the gathered global state, repeat; restart_out is
+  // one more snapshot of the final state.
   const auto drive = [&](auto&& run_steps, auto&& capture) {
     long done = 0;
     while (done < steps) {
@@ -135,26 +152,19 @@ int runMultiRank(const grist::Config& config, int steps, grist::Index nranks,
                     path.c_str());
       }
     }
+    if (!ckpt.restart_out.empty()) {
+      capture(step_base + steps).write(ckpt.restart_out);
+      std::printf("restart written to %s\n", ckpt.restart_out.c_str());
+    }
   };
   if (transport == "shm") {
     core::mp::RunSpec spec;
     spec.grid_level = glevel;
-    spec.nlev = cfg.nlev;
-    spec.dt = cfg.dt;
-    spec.ns = cfg.ns;
-    spec.ntracers = ntracers;
+    spec.dyn = cfg;
     spec.nranks = nranks;
     spec.pin = pin;
     spec.wire_latency = wire_latency;
     spec.restart = ckpt.restart;
-    if (!ckpt.restart.empty()) {
-      // Validate in the parent for a friendly error before spawning the
-      // fleet (each worker re-reads + re-validates the file itself).
-      const grid::HexMesh mesh = grid::buildHexMesh(glevel);
-      core::loadDynRestart(ckpt.restart, mesh, cfg, ntracers, &step_base);
-      std::printf("resuming from %s at step %ld\n", ckpt.restart.c_str(),
-                  step_base);
-    }
     core::mp::MpSession session(spec);
     const std::uint64_t part_fp = partition::Partitioner::fingerprint(
         partition::Partitioner::partition(session.mesh(), nranks));
@@ -164,19 +174,11 @@ int runMultiRank(const grist::Config& config, int steps, grist::Index nranks,
                                        step, nranks, part_fp);
           });
     stats = session.commStats();
-  } else if (transport == "threads") {
-    const grid::HexMesh mesh = grid::buildHexMesh(glevel);
+  } else {
     const grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
-    dycore::State initial =
-        ckpt.restart.empty()
-            ? dycore::initBaroclinicWave(mesh, cfg, ntracers)
-            : core::loadDynRestart(ckpt.restart, mesh, cfg, ntracers,
-                                   &step_base);
-    if (!ckpt.restart.empty()) {
-      std::printf("resuming from %s at step %ld\n", ckpt.restart.c_str(),
-                  step_base);
-    }
-    core::ParallelModel model(mesh, trsk, cfg, nranks, initial);
+    core::ParallelModel model(
+        mesh, trsk, cfg, nranks,
+        restored ? *restored : dycore::initBaroclinicWave(mesh, cfg, ntracers));
     model.setWireLatency(wire_latency);
     const std::uint64_t part_fp =
         partition::Partitioner::fingerprint(model.decomposition().cell_part);
@@ -186,10 +188,6 @@ int runMultiRank(const grist::Config& config, int steps, grist::Index nranks,
                                        nranks, part_fp);
           });
     stats = model.commStats();
-  } else {
-    std::fprintf(stderr, "grist_run: unknown transport '%s' (threads|shm)\n",
-                 transport.c_str());
-    return 2;
   }
   const double wall = timer.elapsed();
   const double sdays = steps * cfg.dt / 86400.0;
@@ -324,11 +322,6 @@ int main(int argc, char** argv) {
                  "grist_run: --checkpoint-dir needs --checkpoint-every\n");
     return 2;
   }
-  if (!ckpt.restart.empty() && !fileExists(ckpt.restart)) {
-    std::fprintf(stderr, "grist_run: restart file not found: %s\n",
-                 ckpt.restart.c_str());
-    return 2;
-  }
   if (seed_given && ensemble == 0) {
     std::fprintf(stderr, "grist_run: --perturb-seed needs --ensemble\n");
     return 2;
@@ -339,18 +332,27 @@ int main(int argc, char** argv) {
                  "--transport shm)\n");
     return 2;
   }
-  if (ensemble > 0 &&
-      (ckpt.every > 0 || !ckpt.dir.empty() || !ckpt.restart.empty())) {
-    std::fprintf(stderr,
-                 "grist_run: --ensemble does not combine with "
-                 "checkpoint/restart flags\n");
-    return 2;
-  }
   Config config;
   try {
     config = Config::fromFile(pos[0]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "grist_run: %s\n", e.what());
+    return 2;
+  }
+  // The namelist's restart keys mean the same in every run mode; --restart
+  // takes precedence over restart_in.
+  if (ckpt.restart.empty()) ckpt.restart = config.getString("restart_in", "");
+  ckpt.restart_out = config.getString("restart_out", "");
+  if (ensemble > 0 && (ckpt.every > 0 || !ckpt.dir.empty() ||
+                       !ckpt.restart.empty() || !ckpt.restart_out.empty())) {
+    std::fprintf(stderr,
+                 "grist_run: --ensemble does not combine with "
+                 "checkpoint/restart flags or restart_in/restart_out\n");
+    return 2;
+  }
+  if (!ckpt.restart.empty() && !fileExists(ckpt.restart)) {
+    std::fprintf(stderr, "grist_run: restart file not found: %s\n",
+                 ckpt.restart.c_str());
     return 2;
   }
 
@@ -368,9 +370,16 @@ int main(int argc, char** argv) {
   }
 
   if (ranks > 1 || transport == "shm") {
+    dycore::DycoreConfig cfg;
     try {
-      return runMultiRank(config, steps, ranks, transport,
-                          pin, wire_latency, ckpt);
+      cfg = core::parseDycoreConfig(config);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "grist_run: %s\n", e.what());
+      return 2;
+    }
+    try {
+      return runMultiRank(config, cfg, steps, ranks, transport, pin,
+                          wire_latency, ckpt);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "grist_run: %s\n", e.what());
       return 1;
@@ -387,19 +396,15 @@ int main(int argc, char** argv) {
   core::Model& model = *bundle->model;
   const grid::HexMesh& mesh = bundle->mesh;
 
-  // --restart takes precedence over the namelist's restart_in; both accept
-  // snapshot (v2) and legacy GRISTSW1 files through the same reader.
-  const std::string restart_in =
-      !ckpt.restart.empty() ? ckpt.restart : config.getString("restart_in", "");
-  if (!restart_in.empty()) {
+  if (!ckpt.restart.empty()) {
     try {
-      model.restore(io::Snapshot::read(restart_in));
+      model.restore(io::Snapshot::read(ckpt.restart));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "grist_run: %s\n", e.what());
       return 2;
     }
     std::printf("resumed from %s at sim day %.3f (step %ld)\n",
-                restart_in.c_str(), model.simDays(), model.dynSteps());
+                ckpt.restart.c_str(), model.simDays(), model.dynSteps());
   }
 
   const int report = std::max(1, config.getInt("report_interval", 12));
@@ -428,10 +433,9 @@ int main(int argc, char** argv) {
   std::printf("done: %.3f simulated days in %.1f s wall (%.1f SDPD on this host)\n",
               model.simDays(), wall, model.simDays() / (wall / 86400.0));
 
-  const std::string restart_out = config.getString("restart_out", "");
-  if (!restart_out.empty()) {
-    io::writeRestart(restart_out, model.state(), model.tskin(), model.simSeconds());
-    std::printf("restart written to %s\n", restart_out.c_str());
+  if (!ckpt.restart_out.empty()) {
+    model.snapshot().write(ckpt.restart_out);
+    std::printf("restart written to %s\n", ckpt.restart_out.c_str());
   }
   return 0;
 }

@@ -161,8 +161,7 @@ void benchStepShm(benchmark::State& state, bool pin, double wire_latency) {
   StepFixture& f = stepFixture();
   core::mp::RunSpec spec;
   spec.grid_level = 4;
-  spec.nlev = f.cfg.nlev;
-  spec.dt = f.cfg.dt;
+  spec.dyn = f.cfg;
   spec.nranks = f.nranks;
   spec.pin = pin;
   spec.wire_latency = wire_latency;

@@ -173,9 +173,11 @@ else
   # shm), at the writer's rank count AND at a different one (the N->M
   # repartition-on-restart gates), in both NS precisions -- plus the
   # snapshot-format edge cases (CRC flips, truncation, version mismatch,
-  # legacy read-compat) and the restore-then-step alloc guard. The shm leg
-  # is doubly labeled RESTART;MULTIPROCESS and carries the MULTIPROCESS
-  # timeout: a lost rank worker surfaces as a ctest timeout, never a wedge.
+  # missing sections), the restore-then-step alloc guard and grist_run's
+  # end-to-end restart_out -> restart_in resume (scripts/test_grist_run.py,
+  # solo and both transports). The shm leg is doubly labeled
+  # RESTART;MULTIPROCESS and carries the MULTIPROCESS timeout: a lost rank
+  # worker surfaces as a ctest timeout, never a wedge.
   echo "== elastic-restart pass: RESTART suites (threads + shm, N->M resize) =="
   ctest --test-dir build -L RESTART --output-on-failure
   if [[ "${GRIST_RESTART_BENCH:-0}" == "1" ]]; then

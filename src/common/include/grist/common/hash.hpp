@@ -1,5 +1,6 @@
-// FNV-1a: the repo-wide content fingerprint (mp_runner's per-rank state
-// hashes, ML weight provenance in checkpoints, partition fingerprints).
+// 64-bit FNV-1a: the repo-wide content fingerprint (per-rank owned-state
+// hashes, the mesh connectivity hash, ML weight provenance in checkpoints,
+// partition fingerprints).
 // Not cryptographic -- a cheap, deterministic, endian-stable-within-a-host
 // identity check.
 #pragma once
@@ -9,7 +10,7 @@
 
 namespace grist::common {
 
-inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 inline std::uint64_t fnv1a(const void* data, std::size_t bytes,

@@ -27,6 +27,12 @@
 
 namespace grist::core {
 
+/// The dycore part of a namelist: nlev, dt_dyn, w_damp_tau, div_damp,
+/// diff_coef and the NS mode of `scheme`. Every run mode (solo, ensemble,
+/// multi-rank) reads its dycore through this one parse. Throws
+/// std::invalid_argument on an unknown scheme label.
+dycore::DycoreConfig parseDycoreConfig(const Config& config);
+
 /// Owns everything a Model references; keep it alive as long as the model.
 struct ModelBundle {
   grid::HexMesh mesh;

@@ -84,26 +84,18 @@ class Model {
   std::vector<double> meanPrecipRate() const;
 
   const std::vector<double>& tskin(int m = 0) const { return member(m).tskin; }
-  /// Restore member 0's land/clock state from a restart file (see
-  /// io/restart.hpp).
-  void setTskin(std::vector<double> tskin);
-  void setSimSeconds(double seconds) { sim_seconds_ = seconds; }
-  /// Re-synchronize internal accumulators after the state was replaced
-  /// from a restart (resets the mass-flux accumulation window). Restarts
-  /// are written at tracer-step boundaries so this is exact.
-  void resyncAfterRestart();
 
   /// Capture everything a bitwise resume needs: STATE + LAND + CLOCK +
   /// DIAG (accumulator windows, so mid-tracer-window checkpoints are exact)
   /// + CONFIG, and MLWT weight provenance under the ML scheme. A checkpoint
   /// holds one member: throws std::logic_error when members() > 1.
   io::Snapshot snapshot() const;
-  /// Restore from a snapshot (including legacy GRISTSW1 conversions).
-  /// Validates CONFIG (nlev/ntracers/dt/ns/cadences) and MLWT fingerprints
-  /// when present, throwing std::runtime_error naming the mismatch. With a
-  /// DIAG section the resume is bitwise anywhere in the cadence; without
-  /// one (legacy files) it falls back to resyncAfterRestart() semantics.
-  /// Throws std::logic_error when members() > 1.
+  /// Restore from a snapshot() of a compatible run: requires STATE, LAND,
+  /// CLOCK, DIAG and CONFIG (and MLWT under the ML scheme), checks CONFIG
+  /// through core::checkConfig and the MLWT fingerprints, and throws
+  /// std::runtime_error naming the missing section or the mismatch. The
+  /// resume is bitwise anywhere in the cadence. Throws std::logic_error
+  /// when members() > 1.
   void restore(const io::Snapshot& snap);
 
   long dynSteps() const { return dyn_steps_; }
@@ -130,6 +122,9 @@ class Model {
   Member& member(int m) { return members_[static_cast<std::size_t>(m)]; }
   /// Throws std::logic_error naming the member count unless members() == 1.
   void requireSolo(const char* who) const;
+  /// The CONFIG section this run writes and expects on restore:
+  /// dynConfigSection plus the two cadences.
+  io::ConfigSection configSection() const;
   void tracerStep();
   void physicsStep();
 

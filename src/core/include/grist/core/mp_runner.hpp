@@ -44,10 +44,8 @@ namespace grist::core::mp {
 /// the decomposition gate tests (G3, 8 levels, dt 450).
 struct RunSpec {
   int grid_level = 3;
-  int nlev = 8;
-  double dt = 450.0;
-  int ntracers = 1;
-  precision::NsMode ns = precision::NsMode::kDouble;
+  /// The dycore every rank worker runs; every field is forwarded.
+  dycore::DycoreConfig dyn{.nlev = 8, .dt = 450.0};
   Index nranks = 2;
   bool pin = false;        ///< sched_setaffinity rank r -> core r % ncores
   double wire_latency = 0; ///< seconds, forwarded per step command
@@ -58,10 +56,6 @@ struct RunSpec {
   /// irrelevant (repartition-on-restart). Empty = cold start.
   std::string restart;
 };
-
-/// FNV-1a, used for the per-rank owned-state hashes in the result segment.
-std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t h = 14695981039346656037ull);
 
 /// One rank of the multi-rank step, running in this process over an
 /// explicit transport (normally ShmTransport; the in-process transport with

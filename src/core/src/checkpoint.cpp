@@ -24,56 +24,44 @@ io::ConfigSection dynConfigSection(const dycore::DycoreConfig& cfg,
   return cs;
 }
 
-void checkMeshNumbering(const io::ConfigSection& cs, const grid::HexMesh& mesh,
-                        const char* who) {
-  const std::uint64_t run = grid::numberingFingerprint(mesh);
-  if (cs.mesh_fingerprint == run) return;
+void requireSection(bool present, io::SectionId id, const char* who) {
+  if (present) return;
+  throw std::runtime_error(std::string(who) + ": snapshot has no " +
+                           io::sectionName(id) + " section");
+}
+
+void checkConfig(const io::Snapshot& snap, const io::ConfigSection& run,
+                 const char* who) {
+  requireSection(snap.config.has_value(), io::SectionId::kConfig, who);
+  const io::ConfigSection& ckpt = *snap.config;
+  const auto mismatch = [who](const char* field, const std::string& have,
+                              const std::string& want, const char* why) {
+    throw std::runtime_error(std::string(who) + ": CONFIG mismatch: " + field +
+                             " " + have + " (checkpoint) vs " + want +
+                             " (run)" + why);
+  };
+  const auto check = [&](const char* field, double have, double want) {
+    if (have != want) {
+      mismatch(field, std::to_string(have), std::to_string(want), "");
+    }
+  };
   const auto hex = [](std::uint64_t v) {
     char buf[19];
     std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
     return std::string(buf);
   };
-  throw std::runtime_error(std::string(who) +
-                           ": CONFIG mismatch: mesh_fingerprint " +
-                           hex(cs.mesh_fingerprint) + " (checkpoint) vs " +
-                           hex(run) +
-                           " (run); the checkpoint was written under a "
-                           "different mesh numbering");
-}
-
-void validateDynSnapshot(const io::Snapshot& snap,
-                         const dycore::DycoreConfig& cfg,
-                         const grid::HexMesh& mesh, int ntracers) {
-  if (!snap.state) {
-    throw std::runtime_error("restart: snapshot has no STATE section");
+  if (ckpt.grid_level >= 0) check("grid_level", ckpt.grid_level, run.grid_level);
+  if (ckpt.mesh_fingerprint != run.mesh_fingerprint) {
+    mismatch("mesh_fingerprint", hex(ckpt.mesh_fingerprint),
+             hex(run.mesh_fingerprint),
+             "; the checkpoint was written under a different mesh numbering");
   }
-  const auto mismatch = [](const char* field, double have, double want) {
-    throw std::runtime_error("restart: CONFIG mismatch: " +
-                             std::string(field) + " " + std::to_string(have) +
-                             " (checkpoint) vs " + std::to_string(want) +
-                             " (run)");
-  };
-  if (snap.config) {
-    const io::ConfigSection& cs = *snap.config;
-    if (cs.grid_level >= 0 && cs.grid_level != mesh.level) {
-      mismatch("grid_level", cs.grid_level, mesh.level);
-    }
-    checkMeshNumbering(cs, mesh, "restart");
-    if (cs.nlev != cfg.nlev) mismatch("nlev", cs.nlev, cfg.nlev);
-    if (cs.ntracers != ntracers) mismatch("ntracers", cs.ntracers, ntracers);
-    if (cs.dt != cfg.dt) mismatch("dt", cs.dt, cfg.dt);
-    const std::uint8_t ns = cfg.ns == precision::NsMode::kSingle ? 1 : 0;
-    if (cs.ns_single != ns) mismatch("ns_single", cs.ns_single, ns);
-  }
-  const io::StateSection& s = *snap.state;
-  if (s.ncells != mesh.ncells) {
-    mismatch("ncells", static_cast<double>(s.ncells), mesh.ncells);
-  }
-  if (s.nedges != mesh.nedges) {
-    mismatch("nedges", static_cast<double>(s.nedges), mesh.nedges);
-  }
-  if (s.nlev != cfg.nlev) mismatch("nlev", s.nlev, cfg.nlev);
-  if (s.ntracers != ntracers) mismatch("ntracers", s.ntracers, ntracers);
+  check("nlev", ckpt.nlev, run.nlev);
+  check("ntracers", ckpt.ntracers, run.ntracers);
+  check("dt", ckpt.dt, run.dt);
+  check("ns_single", ckpt.ns_single, run.ns_single);
+  check("trac_interval", ckpt.trac_interval, run.trac_interval);
+  check("phy_interval", ckpt.phy_interval, run.phy_interval);
 }
 
 io::Snapshot captureDynRun(const dycore::State& global,
@@ -97,12 +85,10 @@ dycore::State loadDynRestart(const std::string& path,
                              const dycore::DycoreConfig& cfg, int ntracers,
                              long* steps_done) {
   const io::Snapshot snap = io::Snapshot::read(path);
-  validateDynSnapshot(snap, cfg, mesh, ntracers);
-  if (steps_done) {
-    *steps_done = snap.clock && snap.clock->dyn_steps >= 0
-                      ? static_cast<long>(snap.clock->dyn_steps)
-                      : 0;
-  }
+  requireSection(snap.state.has_value(), io::SectionId::kState, "restart");
+  requireSection(snap.clock.has_value(), io::SectionId::kClock, "restart");
+  checkConfig(snap, dynConfigSection(cfg, mesh, ntracers, 1, 0), "restart");
+  if (steps_done) *steps_done = static_cast<long>(snap.clock->dyn_steps);
   return snap.state->toState(mesh);
 }
 

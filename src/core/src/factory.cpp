@@ -8,42 +8,40 @@ namespace grist::core {
 
 namespace {
 
+// The Table 3 labels (plus the Held-Suarez pair): NS mode and physics.
+struct SchemeEntry {
+  const char* label;
+  precision::NsMode ns;
+  PhysicsScheme physics;
+};
+constexpr SchemeEntry kSchemes[] = {
+    {"DP-PHY", precision::NsMode::kDouble, PhysicsScheme::kConventional},
+    {"DP-ML", precision::NsMode::kDouble, PhysicsScheme::kMl},
+    {"MIX-PHY", precision::NsMode::kSingle, PhysicsScheme::kConventional},
+    {"MIX-ML", precision::NsMode::kSingle, PhysicsScheme::kMl},
+    {"DP-HS", precision::NsMode::kDouble, PhysicsScheme::kHeldSuarez},
+    {"HS", precision::NsMode::kDouble, PhysicsScheme::kHeldSuarez},
+    {"MIX-HS", precision::NsMode::kSingle, PhysicsScheme::kHeldSuarez},
+};
+
+const SchemeEntry& schemeEntry(const Config& config) {
+  const std::string scheme = config.getString("scheme", "DP-PHY");
+  for (const SchemeEntry& e : kSchemes) {
+    if (scheme == e.label) return e;
+  }
+  throw std::invalid_argument("namelist: unknown scheme '" + scheme +
+                              "' (expected a Table 3 label or DP-HS/MIX-HS)");
+}
+
 // Shared namelist parsing for the solo and ensemble factories. Cadence
 // defaults are taken from ModelConfig itself (8/15) so the namelist layer
 // cannot drift from the programmatic defaults again.
 ModelConfig parseModelConfig(const Config& config) {
   ModelConfig cfg;
-  cfg.dyn.nlev = config.getInt("nlev", 20);
-  cfg.dyn.dt = config.getDouble("dt_dyn", 300.0);
-  cfg.dyn.w_damp_tau = config.getDouble("w_damp_tau", 2.0 * cfg.dyn.dt);
-  cfg.dyn.div_damp = config.getDouble("div_damp", 0.06);
-  cfg.dyn.diff_coef = config.getDouble("diff_coef", 0.02);
+  cfg.dyn = parseDycoreConfig(config);
   cfg.trac_interval = config.getInt("trac_interval", cfg.trac_interval);
   cfg.phy_interval = config.getInt("phy_interval", cfg.phy_interval);
-
-  const std::string scheme = config.getString("scheme", "DP-PHY");
-  if (scheme == "DP-PHY") {
-    cfg.dyn.ns = precision::NsMode::kDouble;
-    cfg.scheme = PhysicsScheme::kConventional;
-  } else if (scheme == "DP-ML") {
-    cfg.dyn.ns = precision::NsMode::kDouble;
-    cfg.scheme = PhysicsScheme::kMl;
-  } else if (scheme == "MIX-PHY") {
-    cfg.dyn.ns = precision::NsMode::kSingle;
-    cfg.scheme = PhysicsScheme::kConventional;
-  } else if (scheme == "MIX-ML") {
-    cfg.dyn.ns = precision::NsMode::kSingle;
-    cfg.scheme = PhysicsScheme::kMl;
-  } else if (scheme == "DP-HS" || scheme == "HS") {
-    cfg.dyn.ns = precision::NsMode::kDouble;
-    cfg.scheme = PhysicsScheme::kHeldSuarez;
-  } else if (scheme == "MIX-HS") {
-    cfg.dyn.ns = precision::NsMode::kSingle;
-    cfg.scheme = PhysicsScheme::kHeldSuarez;
-  } else {
-    throw std::invalid_argument("makeModelFromConfig: unknown scheme '" + scheme +
-                                "' (expected a Table 3 label or DP-HS/MIX-HS)");
-  }
+  cfg.scheme = schemeEntry(config).physics;
 
   if (cfg.scheme == PhysicsScheme::kMl) {
     const std::string q1q2_path = config.getString("q1q2_weights", "");
@@ -89,6 +87,17 @@ dycore::State buildInitialState(const Config& config, const grid::HexMesh& mesh,
 }
 
 } // namespace
+
+dycore::DycoreConfig parseDycoreConfig(const Config& config) {
+  dycore::DycoreConfig dyn;
+  dyn.nlev = config.getInt("nlev", 20);
+  dyn.dt = config.getDouble("dt_dyn", 300.0);
+  dyn.w_damp_tau = config.getDouble("w_damp_tau", 2.0 * dyn.dt);
+  dyn.div_damp = config.getDouble("div_damp", 0.06);
+  dyn.diff_coef = config.getDouble("diff_coef", 0.02);
+  dyn.ns = schemeEntry(config).ns;
+  return dyn;
+}
 
 std::unique_ptr<ModelBundle> makeModelFromConfig(const Config& config) {
   auto bundle = std::make_unique<ModelBundle>();

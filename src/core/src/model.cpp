@@ -87,19 +87,6 @@ Model::Model(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   dycore_.resetAccumulatedFlux();
 }
 
-void Model::resyncAfterRestart() {
-  dycore_.resetAccumulatedFlux();
-  for (Member& m : members_) m.delp_at_tracer_start = m.state.delp;
-  dyn_steps_ = 0;
-}
-
-void Model::setTskin(std::vector<double> tskin) {
-  if (static_cast<Index>(tskin.size()) != mesh_.ncells) {
-    throw std::invalid_argument("Model::setTskin: size mismatch");
-  }
-  members_.front().tskin = std::move(tskin);
-}
-
 void Model::requireSolo(const char* who) const {
   if (members() != 1) {
     throw std::logic_error(std::string(who) + ": " + std::to_string(members()) +
@@ -136,11 +123,7 @@ io::Snapshot Model::snapshot() const {
   diag.precip_accum = solo.precip_accum;
   snap.diag = diag;
 
-  io::ConfigSection cs = dynConfigSection(
-      config_.dyn, mesh_, static_cast<int>(solo.state.tracers.size()), 1, 0);
-  cs.trac_interval = config_.trac_interval;
-  cs.phy_interval = config_.phy_interval;
-  snap.config = cs;
+  snap.config = configSection();
 
   if (config_.scheme == PhysicsScheme::kMl) {
     io::MlWeightsSection ml;
@@ -155,38 +138,27 @@ io::Snapshot Model::snapshot() const {
   return snap;
 }
 
+io::ConfigSection Model::configSection() const {
+  io::ConfigSection cs = dynConfigSection(
+      config_.dyn, mesh_, static_cast<int>(members_.front().state.tracers.size()),
+      1, 0);
+  cs.trac_interval = config_.trac_interval;
+  cs.phy_interval = config_.phy_interval;
+  return cs;
+}
+
 void Model::restore(const io::Snapshot& snap) {
   requireSolo("Model::restore");
   Member& solo = members_.front();
-  if (!snap.state) {
-    throw std::runtime_error("Model::restore: snapshot has no STATE section");
-  }
-  const auto mismatch = [](const char* field, double have, double want) {
-    throw std::runtime_error("Model::restore: CONFIG mismatch: " +
-                             std::string(field) + " " + std::to_string(have) +
-                             " (checkpoint) vs " + std::to_string(want) +
-                             " (run)");
-  };
-  if (snap.config) {
-    const io::ConfigSection& cs = *snap.config;
-    checkMeshNumbering(cs, mesh_, "Model::restore");
-    if (cs.nlev != config_.dyn.nlev) mismatch("nlev", cs.nlev, config_.dyn.nlev);
-    if (cs.ntracers != static_cast<std::int32_t>(solo.state.tracers.size())) {
-      mismatch("ntracers", cs.ntracers,
-               static_cast<double>(solo.state.tracers.size()));
-    }
-    if (cs.dt != config_.dyn.dt) mismatch("dt", cs.dt, config_.dyn.dt);
-    const std::uint8_t ns =
-        config_.dyn.ns == precision::NsMode::kSingle ? 1 : 0;
-    if (cs.ns_single != ns) mismatch("ns_single", cs.ns_single, ns);
-    if (cs.trac_interval != config_.trac_interval) {
-      mismatch("trac_interval", cs.trac_interval, config_.trac_interval);
-    }
-    if (cs.phy_interval != config_.phy_interval) {
-      mismatch("phy_interval", cs.phy_interval, config_.phy_interval);
-    }
-  }
-  if (snap.ml && config_.scheme == PhysicsScheme::kMl) {
+  constexpr const char* kWho = "Model::restore";
+  requireSection(snap.state.has_value(), io::SectionId::kState, kWho);
+  requireSection(snap.land.has_value(), io::SectionId::kLand, kWho);
+  requireSection(snap.clock.has_value(), io::SectionId::kClock, kWho);
+  requireSection(snap.diag.has_value(), io::SectionId::kDiag, kWho);
+  const bool ml = config_.scheme == PhysicsScheme::kMl;
+  if (ml) requireSection(snap.ml.has_value(), io::SectionId::kMlWeights, kWho);
+  checkConfig(snap, configSection(), kWho);
+  if (ml) {
     if (snap.ml->q1q2_fingerprint != config_.q1q2->weightFingerprint()) {
       throw std::runtime_error(
           "Model::restore: MLWT mismatch: q1q2 weight fingerprint differs "
@@ -198,33 +170,25 @@ void Model::restore(const io::Snapshot& snap) {
           "from the checkpointed net");
     }
   }
+  const io::DiagSection& d = *snap.diag;
+  if (static_cast<Index>(snap.land->size()) != mesh_.ncells) {
+    throw std::runtime_error("Model::restore: LAND shape mismatch");
+  }
+  if (d.ncells != mesh_.ncells || d.nedges != mesh_.nedges ||
+      d.nlev != config_.dyn.nlev) {
+    throw std::runtime_error("Model::restore: DIAG shape mismatch");
+  }
 
   snap.state->restoreTo(solo.state);
-  if (snap.land) setTskin(*snap.land);
-  if (snap.clock) {
-    sim_seconds_ = snap.clock->sim_seconds;
-    // Legacy files do not record the step count (-1): start a fresh cadence.
-    dyn_steps_ = snap.clock->dyn_steps >= 0 ? snap.clock->dyn_steps : 0;
-  }
-  if (snap.diag) {
-    const io::DiagSection& d = *snap.diag;
-    if (d.ncells != mesh_.ncells || d.nedges != mesh_.nedges ||
-        d.nlev != config_.dyn.nlev) {
-      throw std::runtime_error("Model::restore: DIAG shape mismatch");
-    }
-    parallel::Field flux(mesh_.nedges, config_.dyn.nlev);
-    std::memcpy(flux.data(), d.acc_flux.data(),
-                d.acc_flux.size() * sizeof(double));
-    dycore_.restoreAccumulatedFlux(flux, d.acc_steps);
-    std::memcpy(solo.delp_at_tracer_start.data(), d.delp_at_tracer_start.data(),
-                d.delp_at_tracer_start.size() * sizeof(double));
-    solo.precip_accum = d.precip_accum;
-  } else {
-    // No accumulator windows (legacy / dynamics-only snapshot): reset the
-    // flux window, exact only at tracer-step boundaries.
-    dycore_.resetAccumulatedFlux();
-    solo.delp_at_tracer_start = solo.state.delp;
-  }
+  solo.tskin = *snap.land;
+  sim_seconds_ = snap.clock->sim_seconds;
+  dyn_steps_ = snap.clock->dyn_steps;
+  parallel::Field flux(mesh_.nedges, config_.dyn.nlev);
+  std::memcpy(flux.data(), d.acc_flux.data(), d.acc_flux.size() * sizeof(double));
+  dycore_.restoreAccumulatedFlux(flux, d.acc_steps);
+  std::memcpy(solo.delp_at_tracer_start.data(), d.delp_at_tracer_start.data(),
+              d.delp_at_tracer_start.size() * sizeof(double));
+  solo.precip_accum = d.precip_accum;
 }
 
 void Model::step() {

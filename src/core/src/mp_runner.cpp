@@ -12,7 +12,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "grist/common/hash.hpp"
 #include "grist/common/parse.hpp"
 #include "grist/core/checkpoint.hpp"
 #include "grist/dycore/init.hpp"
@@ -57,10 +56,6 @@ const char* nsName(precision::NsMode ns) {
 }
 
 } // namespace
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t h) {
-  return common::fnv1a(data, bytes, h);
-}
 
 ResultLayout ResultLayout::compute(Index nranks, Index ncells, Index nedges,
                                    int nlev, int ntracers) {
@@ -124,17 +119,13 @@ namespace {
 int workerMain(const RunSpec& spec, Index rank) {
   const grid::HexMesh mesh = grid::buildHexMesh(spec.grid_level);
   const grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
-  dycore::DycoreConfig cfg;
-  cfg.nlev = spec.nlev;
-  cfg.dt = spec.dt;
-  cfg.ntracers = spec.ntracers;
-  cfg.ns = spec.ns;
+  const dycore::DycoreConfig& cfg = spec.dyn;
   // Every worker builds the same global initial state (cold: the analytic
   // init; restart: the validated snapshot) and scatters its own rank slice.
   const dycore::State initial =
       spec.restart.empty()
-          ? dycore::initBaroclinicWave(mesh, cfg, spec.ntracers)
-          : loadDynRestart(spec.restart, mesh, cfg, spec.ntracers, nullptr);
+          ? dycore::initBaroclinicWave(mesh, cfg, cfg.ntracers)
+          : loadDynRestart(spec.restart, mesh, cfg, cfg.ntracers, nullptr);
   auto transport = std::make_shared<parallel::ShmTransport>(spec.segment,
                                                             spec.nranks, rank);
   RankProcessModel model(mesh, trsk, cfg, spec.nranks, rank, initial, transport);
@@ -222,35 +213,44 @@ bool operand(const char* name, const char* token, T lo, T hi, T& out) {
 
 std::optional<int> maybeRunWorker(int argc, char** argv) {
   if (argc < 2 || std::strcmp(argv[1], kWorkerFlag) != 0) return std::nullopt;
-  if (argc != 11) {
-    std::fprintf(stderr, "%s: expected 9 operands, got %d\n", kWorkerFlag,
+  if (argc != 16) {
+    std::fprintf(stderr, "%s: expected 14 operands, got %d\n", kWorkerFlag,
                  argc - 2);
     return 2;
   }
   RunSpec spec;
   spec.segment = argv[2];
   Index rank = 0;
+  dycore::DycoreConfig& dyn = spec.dyn;
   constexpr Index kMaxIndex = std::numeric_limits<Index>::max();
   constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr double kMinPositive = std::numeric_limits<double>::min();
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
   if (!operand<Index>("nranks", argv[3], 1, kMaxIndex, spec.nranks) ||
       !operand<Index>("rank", argv[4], 0, spec.nranks - 1, rank) ||
       !operand("grid_level", argv[5], 0, kMaxInt, spec.grid_level) ||
-      !operand("nlev", argv[6], 2, kMaxInt, spec.nlev) ||
-      !operand("dt", argv[7], std::numeric_limits<double>::min(),
-               std::numeric_limits<double>::max(), spec.dt) ||
-      !operand("ntracers", argv[8], 0, kMaxInt, spec.ntracers)) {
+      !operand("nlev", argv[6], 2, kMaxInt, dyn.nlev) ||
+      !operand("dt", argv[7], kMinPositive, kMaxDouble, dyn.dt) ||
+      !operand("ntracers", argv[8], 0, kMaxInt, dyn.ntracers)) {
     return 2;
   }
   if (std::strcmp(argv[9], "dp") == 0) {
-    spec.ns = precision::NsMode::kDouble;
+    dyn.ns = precision::NsMode::kDouble;
   } else if (std::strcmp(argv[9], "mix") == 0) {
-    spec.ns = precision::NsMode::kSingle;
+    dyn.ns = precision::NsMode::kSingle;
   } else {
     std::fprintf(stderr, "%s: invalid ns '%s' (want dp or mix)\n", kWorkerFlag,
                  argv[9]);
     return 2;
   }
-  if (std::strcmp(argv[10], "-") != 0) spec.restart = argv[10];
+  if (!operand("div_damp", argv[10], 0.0, kMaxDouble, dyn.div_damp) ||
+      !operand("diff_coef", argv[11], 0.0, kMaxDouble, dyn.diff_coef) ||
+      !operand("w_damp_tau", argv[12], 0.0, kMaxDouble, dyn.w_damp_tau) ||
+      !operand("ptop", argv[13], kMinPositive, kMaxDouble, dyn.ptop) ||
+      !operand("p_surface", argv[14], dyn.ptop, kMaxDouble, dyn.p_surface)) {
+    return 2;
+  }
+  if (std::strcmp(argv[15], "-") != 0) spec.restart = argv[15];
   try {
     return workerMain(spec, rank);
   } catch (const std::exception& e) {
@@ -270,7 +270,7 @@ MpSession::MpSession(RunSpec spec)
   }
   if (spec_.segment.empty()) spec_.segment = parallel::makeSegmentName();
   layout_ = ResultLayout::compute(spec_.nranks, mesh_.ncells, mesh_.nedges,
-                                  spec_.nlev, spec_.ntracers);
+                                  spec_.dyn.nlev, spec_.dyn.ntracers);
   // The control/result segment is parent-created and zero-filled; workers
   // attach by the derived "-ctl" name. The TRANSPORT segment is created by
   // rank 0 inside planLocal (it knows the message sizes); the parent only
@@ -279,8 +279,13 @@ MpSession::MpSession(RunSpec spec)
   ctl_.markReady();
   hashes_.assign(static_cast<std::size_t>(spec_.nranks), 0);
 
-  char dt[40];
-  std::snprintf(dt, sizeof(dt), "%.17g", spec_.dt);
+  // Doubles travel as %.17g, which round-trips every value exactly.
+  const auto exact = [](double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf);
+  };
+  const dycore::DycoreConfig& dyn = spec_.dyn;
   pids_ = parallel::spawnRanks(spec_.nranks, spec_.pin, [&](Index r) {
     return std::vector<std::string>{
         "grist-shm-worker",
@@ -289,10 +294,15 @@ MpSession::MpSession(RunSpec spec)
         std::to_string(spec_.nranks),
         std::to_string(r),
         std::to_string(spec_.grid_level),
-        std::to_string(spec_.nlev),
-        dt,
-        std::to_string(spec_.ntracers),
-        nsName(spec_.ns),
+        std::to_string(dyn.nlev),
+        exact(dyn.dt),
+        std::to_string(dyn.ntracers),
+        nsName(dyn.ns),
+        exact(dyn.div_damp),
+        exact(dyn.diff_coef),
+        exact(dyn.w_damp_tau),
+        exact(dyn.ptop),
+        exact(dyn.p_surface),
         spec_.restart.empty() ? "-" : spec_.restart};
   });
   exit_codes_.assign(pids_.size(), -1);
@@ -404,14 +414,14 @@ dycore::State MpSession::gather() {
   };
   const std::size_t nc = static_cast<std::size_t>(mesh_.ncells);
   const std::size_t ne = static_cast<std::size_t>(mesh_.nedges);
-  const std::size_t lev = static_cast<std::size_t>(spec_.nlev);
-  dycore::State g(mesh_, spec_.nlev, spec_.ntracers);
+  const std::size_t lev = static_cast<std::size_t>(spec_.dyn.nlev);
+  dycore::State g(mesh_, spec_.dyn.nlev, spec_.dyn.ntracers);
   std::memcpy(g.delp.data(), at(layout_.delp_off), nc * lev * sizeof(double));
   std::memcpy(g.theta.data(), at(layout_.theta_off), nc * lev * sizeof(double));
   std::memcpy(g.w.data(), at(layout_.w_off), nc * (lev + 1) * sizeof(double));
   std::memcpy(g.phi.data(), at(layout_.phi_off), nc * (lev + 1) * sizeof(double));
   std::memcpy(g.u.data(), at(layout_.u_off), ne * lev * sizeof(double));
-  for (int t = 0; t < spec_.ntracers; ++t) {
+  for (int t = 0; t < spec_.dyn.ntracers; ++t) {
     std::memcpy(g.tracers[static_cast<std::size_t>(t)].data(),
                 at(layout_.tracers_off) + static_cast<std::size_t>(t) * nc * lev,
                 nc * lev * sizeof(double));

@@ -145,7 +145,7 @@ void RankDycore::writeOwned(double* const* global) const {
 }
 
 std::uint64_t RankDycore::ownedHash() const {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = common::kFnvOffsetBasis;
   forEachOwnedRow([&h](int, Index, const double* row, int n) {
     h = common::fnv1a(row, static_cast<std::size_t>(n) * sizeof(double), h);
   });

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "grist/backend/simd.hpp"
-#include "grist/common/timer.hpp"
 #include "grist/common/workspace.hpp"
 #include "grist/dycore/kernels.hpp"
 
@@ -163,7 +162,6 @@ void Dycore::step(State& state, const OverlapHooks& hooks) {
   if (!hooks.post || !hooks.wait) {
     throw std::invalid_argument("Dycore::step(overlap): both hooks required");
   }
-  const ScopedTimer timer("dycore");
   State* const states[1] = {&state};
   if (config_.ns == precision::NsMode::kDouble) {
     stepImpl<double>(states, &hooks);
@@ -173,7 +171,6 @@ void Dycore::step(State& state, const OverlapHooks& hooks) {
 }
 
 void Dycore::step(State* const* states) {
-  const ScopedTimer timer("dycore");
   if (config_.ns == precision::NsMode::kDouble) {
     stepImpl<double>(states, nullptr);
   } else {

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "grist/common/hash.hpp"
 #include "grist/grid/reorder.hpp"
 
 namespace grist::grid {
@@ -234,13 +235,9 @@ HexMesh buildHexMesh(int level, double radius) {
 }
 
 std::uint64_t connectivityHash(const HexMesh& mesh) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+  std::uint64_t h = common::kFnvOffsetBasis;
   const auto mix = [&h](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;  // FNV-1a prime
-    }
+    h = common::fnv1a(data, bytes, h);
   };
   mix(mesh.cell_offset.data(), mesh.cell_offset.size() * sizeof(Index));
   mix(mesh.cell_cells.data(), mesh.cell_cells.size() * sizeof(Index));

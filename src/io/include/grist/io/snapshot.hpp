@@ -8,7 +8,8 @@
 //   section table: nsections x { id, offset, bytes, crc32 }
 //   section payloads
 //
-// Sections (each optional, each independently CRC32-checksummed):
+// Sections (each optional in the file, each independently CRC32-checksummed;
+// the restorers in core/ say which ones they require):
 //   STATE   the full prognostic state in GLOBAL CANONICAL ordering
 //           ([global entity][level], level fastest -- rank-independent, so
 //           a checkpoint written at N ranks restores at M ranks by plain
@@ -30,10 +31,10 @@
 // additionally rotates `ckpt-*.grist` files in a directory, keeping the
 // newest K (default 2).
 //
-// Readers reject wrong magic, truncated headers/tables/payloads, format-
-// version mismatches and checksum failures with errors naming the offending
-// section. Files written by the seed-era writeRestart() (magic "GRISTSW1",
-// io/restart.hpp) are read compatibly into STATE + LAND + CLOCK sections.
+// Readers reject wrong magic (including the retired seed-era version-1
+// restart files, which carried no CONFIG), truncated headers/tables/
+// payloads, format-version mismatches and checksum failures with errors
+// naming the offending section. This is the only on-disk state format.
 #pragma once
 
 #include <cstdint>
@@ -117,7 +118,7 @@ struct MlWeightsSection {
 /// Run-configuration fingerprint. The starred fields must match on restore
 /// (they decide bitwise continuation); the rest is provenance.
 struct ConfigSection {
-  std::int32_t grid_level = -1;      ///< provenance (-1 = unknown)
+  std::int32_t grid_level = -1;      ///< * when recorded (-1 = unknown)
   std::int32_t writer_nranks = 1;    ///< provenance: partition at write time
   std::int32_t nlev = 0;             ///< *
   std::int32_t ntracers = 0;         ///< *
@@ -136,7 +137,6 @@ struct ConfigSection {
 /// Header + section table of a snapshot file, without payloads.
 struct SnapshotInfo {
   std::uint32_t format_version = 0;
-  bool legacy = false;  ///< true when the file is a seed-era GRISTSW1 restart
   struct Entry {
     SectionId id;
     std::uint64_t offset = 0;
@@ -151,8 +151,11 @@ struct SnapshotInfo {
 class Snapshot {
  public:
   static constexpr std::uint64_t kMagic = 0x4752495354535732ull;   // "GRISTSW2"
-  /// 3: CONFIG carries the mesh-numbering fingerprint.
-  static constexpr std::uint32_t kFormatVersion = 3;
+  /// 3: CONFIG carries the mesh-numbering fingerprint. 4: MLWT weight
+  /// fingerprints are standard FNV-1a (the offset basis was one digit short
+  /// before), so a v3 ML checkpoint is refused by version rather than by a
+  /// misleading "weight fingerprint differs".
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   std::optional<StateSection> state;
   std::optional<std::vector<double>> land;  ///< tskin, ncells
@@ -165,13 +168,12 @@ class Snapshot {
   /// Throws std::runtime_error on any I/O failure (the .tmp is removed).
   void write(const std::string& path) const;
 
-  /// Read and validate a snapshot (v3) or a legacy GRISTSW1 restart file
-  /// (converted into STATE + LAND + CLOCK). Throws std::runtime_error on
-  /// missing file, wrong magic, version mismatch, truncation or checksum
-  /// failure, naming the offending section.
+  /// Read and validate a snapshot of version kFormatVersion. Throws
+  /// std::runtime_error on missing file, wrong magic, version mismatch,
+  /// truncation or checksum failure, naming the offending section.
   static Snapshot read(const std::string& path);
 
-  /// Header + section table only (also legacy-aware). Same error contract.
+  /// Header + section table only. Same error contract.
   static SnapshotInfo peek(const std::string& path);
 };
 

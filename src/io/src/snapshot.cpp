@@ -12,8 +12,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "grist/io/restart.hpp"
-
 namespace grist::io {
 
 namespace {
@@ -320,40 +318,6 @@ std::vector<char> sectionPayload(const std::vector<char>& file,
   return buf;
 }
 
-/// Legacy GRISTSW1 (io/restart.hpp writeRestart) -> STATE + LAND + CLOCK.
-Snapshot readLegacy(const std::string& path) {
-  dycore::State state;
-  std::vector<double> tskin;
-  // readRestartHeader gives the shapes; build a mesh-free state of exactly
-  // those shapes so readRestart's validation passes.
-  const RestartHeader h = readRestartHeader(path);
-  state.nlev = h.nlev;
-  state.delp = parallel::Field(h.ncells, h.nlev);
-  state.theta = parallel::Field(h.ncells, h.nlev);
-  state.w = parallel::Field(h.ncells, h.nlev + 1);
-  state.phi = parallel::Field(h.ncells, h.nlev + 1);
-  state.u = parallel::Field(h.nedges, h.nlev);
-  state.tracers.assign(static_cast<std::size_t>(h.ntracers),
-                       parallel::Field(h.ncells, h.nlev));
-  readRestart(path, state, tskin);
-  Snapshot snap;
-  snap.state = StateSection::capture(state);
-  snap.land = std::move(tskin);
-  ClockSection clock;
-  clock.sim_seconds = h.sim_seconds;
-  clock.dyn_steps = -1;  // unknown in the legacy format
-  snap.clock = clock;
-  return snap;
-}
-
-bool isLegacyMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  return in && magic == kLegacyRestartMagic;
-}
-
 } // namespace
 
 std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed) {
@@ -515,19 +479,10 @@ void Snapshot::write(const std::string& path) const {
 }
 
 SnapshotInfo Snapshot::peek(const std::string& path) {
-  if (isLegacyMagic(path)) {
-    const RestartHeader h = readRestartHeader(path);
-    (void)h;
-    SnapshotInfo info;
-    info.format_version = 1;
-    info.legacy = true;
-    return info;
-  }
   return parseTable(slurp(path), path);
 }
 
 Snapshot Snapshot::read(const std::string& path) {
-  if (isLegacyMagic(path)) return readLegacy(path);
   const std::vector<char> file = slurp(path);
   const SnapshotInfo info = parseTable(file, path);
   Snapshot snap;

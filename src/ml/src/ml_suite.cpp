@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "grist/common/math.hpp"
-#include "grist/common/timer.hpp"
 #include "grist/common/workspace.hpp"
 #include "grist/precision/norms.hpp"
 
@@ -146,7 +145,6 @@ void MlPhysicsSuite::runQuantGate(const physics::PhysicsInput& in) {
 
 void MlPhysicsSuite::run(const physics::PhysicsInput& in, double dt,
                          physics::PhysicsOutput& out) {
-  const ScopedTimer timer("physics.ml");
   out.zero();
   const int nlev = in.nlev;
   using common::Workspace;

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "grist/common/math.hpp"
-#include "grist/common/timer.hpp"
 
 namespace grist::physics {
 
@@ -20,7 +19,6 @@ ConventionalSuite::ConventionalSuite(Index ncolumns, int nlev,
       rad_out_(ncolumns, nlev) {}
 
 void ConventionalSuite::run(const PhysicsInput& in, double dt, PhysicsOutput& out) {
-  const ScopedTimer timer("physics.conventional");
   if (in.nlev > 128) throw std::invalid_argument("ConventionalSuite: nlev > 128");
   out.zero();
 
@@ -29,7 +27,6 @@ void ConventionalSuite::run(const PhysicsInput& in, double dt, PhysicsOutput& ou
     steps_since_radiation_ = 0;
     // Radiation accumulates its heating into dtdt; gsw/glw are overwritten.
     rad_out_.dtdt.fill(0.0);
-    const ScopedTimer rt("physics.radiation");
     radiation_.run(in, rad_out_);
   }
 #pragma omp parallel for schedule(static)

@@ -15,28 +15,5 @@ TEST(Timer, ElapsedIsMonotonic) {
   EXPECT_LT(t.elapsed(), 1.0);
 }
 
-TEST(TimingRegistry, AccumulatesPerSection) {
-  auto& reg = TimingRegistry::instance();
-  reg.clear();
-  reg.add("dynamics", 1.5);
-  reg.add("dynamics", 0.5);
-  reg.add("physics", 2.0);
-  EXPECT_DOUBLE_EQ(reg.total("dynamics"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.total("physics"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.total("absent"), 0.0);
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.size(), 2u);
-  reg.clear();
-  EXPECT_TRUE(reg.snapshot().empty());
-}
-
-TEST(TimingRegistry, ScopedTimerRecords) {
-  auto& reg = TimingRegistry::instance();
-  reg.clear();
-  { ScopedTimer scoped("scoped_section"); }
-  EXPECT_GE(reg.total("scoped_section"), 0.0);
-  EXPECT_EQ(reg.snapshot().count("scoped_section"), 1u);
-}
-
 } // namespace
 } // namespace grist

@@ -62,6 +62,29 @@ TEST(Factory, BadInputsThrow) {
                std::invalid_argument);  // ML without weight files
 }
 
+TEST(Factory, DycoreConfigReadsDampingAndRefusesUnknownScheme) {
+  // The one namelist -> DycoreConfig parse every run mode shares.
+  const dycore::DycoreConfig defaults =
+      parseDycoreConfig(Config::fromString("dt_dyn = 240\nscheme = MIX-PHY"));
+  EXPECT_EQ(defaults.nlev, 20);
+  EXPECT_EQ(defaults.dt, 240.0);
+  EXPECT_EQ(defaults.ns, precision::NsMode::kSingle);
+  EXPECT_EQ(defaults.div_damp, 0.06);
+  EXPECT_EQ(defaults.diff_coef, 0.02);
+  EXPECT_EQ(defaults.w_damp_tau, 480.0);
+  const dycore::DycoreConfig set = parseDycoreConfig(Config::fromString(
+      "nlev = 6\ndiv_damp = 0.1\ndiff_coef = 0.03\nw_damp_tau = 0"));
+  EXPECT_EQ(set.nlev, 6);
+  EXPECT_EQ(set.ns, precision::NsMode::kDouble);
+  EXPECT_EQ(set.div_damp, 0.1);
+  EXPECT_EQ(set.diff_coef, 0.03);
+  EXPECT_EQ(set.w_damp_tau, 0.0);
+  EXPECT_THROW(parseDycoreConfig(Config::fromString("scheme = bogus")),
+               std::invalid_argument);
+  EXPECT_THROW(parseDycoreConfig(Config::fromString("scheme = MIXED")),
+               std::invalid_argument);
+}
+
 TEST(Factory, ConfigControlsTimestepHierarchy) {
   const Config cfg = Config::fromString(
       "grid_level = 1\nnlev = 6\ndt_dyn = 120\ntrac_interval = 2\nphy_interval = 6");

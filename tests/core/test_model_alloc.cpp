@@ -90,8 +90,7 @@ void expectWarmMlCycleHeapFree(precision::NsMode ns) {
   ASSERT_EQ(mc.phy_interval, 15);
 
   Model model(mesh, trsk, mc, dycore::initBaroclinicWave(mesh, mc.dyn, 3));
-  // Warm-up cycle: arenas, OpenMP teams and the timing registry's section
-  // entries materialize here.
+  // Warm-up cycle: arenas and OpenMP teams materialize here.
   model.run(cycle);
   // The next cycle crosses the same tracer/physics boundaries.
   EXPECT_EQ(allocsDuring([&] { model.run(cycle); }), 0)

@@ -83,8 +83,8 @@ TEST_F(PooledStepAllocationGuard, OverlapStepIsHeapFreeWhenWarm) {
   const dycore::State initial = dycore::initBaroclinicWave(mesh_, cfg_);
   ParallelModel model(mesh_, trsk_, cfg_, /*nranks=*/4, initial);
   const auto step = [&] { model.step(); };
-  // Warm-up: per-thread Workspace arenas, OpenMP teams, and the timing
-  // registry's section entry all materialize on the first steps.
+  // Warm-up: per-thread Workspace arenas and OpenMP teams materialize on
+  // the first steps.
   step();
   step();
   EXPECT_EQ(allocsDuring(step), 0);

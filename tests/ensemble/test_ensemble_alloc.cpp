@@ -125,8 +125,7 @@ class EnsembleAllocationGuard : public ::testing::Test {
     ec.perturb_seed = 42;
     EnsembleRunner runner(*mesh_, *trsk_, ec, initial);
     // Warm-up over one full cadence cycle: arenas, OpenMP teams, quant
-    // snapshots + gate, and the timing registry's section entries all
-    // materialize here.
+    // snapshots + gate all materialize here.
     const int cycle = cadenceCycle(mc);
     runner.run(cycle);
     // The next cycle hits the same tracer/physics/radiation boundaries and

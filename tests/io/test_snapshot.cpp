@@ -1,7 +1,8 @@
 // The sectioned snapshot format (io/snapshot.hpp): round trips, the
-// hardened-reader edge cases (wrong magic, truncation, version mismatch,
-// checksum flips -- each error naming the offending section), legacy
-// GRISTSW1 read-compat, atomic writes and keep-last-K rotation.
+// hardened-reader edge cases (missing file, wrong magic including the
+// retired seed-era restart format, truncation, version mismatch, checksum
+// flips -- each error naming the offending section), atomic writes and
+// keep-last-K rotation.
 #include "grist/io/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "grist/dycore/init.hpp"
-#include "grist/io/restart.hpp"
 
 namespace grist::io {
 namespace {
@@ -129,7 +129,6 @@ TEST_F(SnapshotTest, FullRoundTripIsExact) {
 
   const SnapshotInfo info = Snapshot::peek(path_);
   EXPECT_EQ(info.format_version, Snapshot::kFormatVersion);
-  EXPECT_FALSE(info.legacy);
   EXPECT_EQ(info.sections.size(), 6u);
   EXPECT_TRUE(info.has(SectionId::kState));
   EXPECT_TRUE(info.has(SectionId::kConfig));
@@ -151,16 +150,36 @@ TEST_F(SnapshotTest, Crc32MatchesKnownVectors) {
 }
 
 TEST_F(SnapshotTest, WrongMagicIsRejected) {
-  {
-    std::ofstream out(path_, std::ios::binary);
-    const char garbage[64] = "definitely not a snapshot file";
-    out.write(garbage, sizeof garbage);
+  // Garbage, and a header of the retired seed-era restart format (its
+  // magic, four int64 shapes, sim seconds): that format carried no CONFIG,
+  // so it is refused like any other foreign file.
+  std::vector<char> garbage(64, '\0');
+  std::memcpy(garbage.data(), "definitely not a snapshot file", 30);
+  std::vector<char> seed_era(48, '\0');
+  const std::uint64_t seed_era_magic = Snapshot::kMagic - 1;  // "...SW1"
+  std::memcpy(seed_era.data(), &seed_era_magic, sizeof seed_era_magic);
+  for (const std::vector<char>& bytes : {garbage, seed_era}) {
+    dumpFile(path_, bytes);
+    for (const bool peek : {false, true}) {
+      try {
+        if (peek) {
+          Snapshot::peek(path_);
+        } else {
+          Snapshot::read(path_);
+        }
+        FAIL() << "expected bad-magic rejection";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+            << e.what();
+      }
+    }
   }
   try {
-    Snapshot::read(path_);
-    FAIL() << "expected bad-magic rejection";
+    Snapshot::read(dir_ + "/no-such-file.grist");
+    FAIL() << "expected missing-file rejection";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -251,29 +270,6 @@ TEST_F(SnapshotTest, ShapeMismatchNamesDimension) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("ntracers"), std::string::npos);
   }
-}
-
-TEST_F(SnapshotTest, LegacyRestartReadsCompatibly) {
-  // A seed-era writeRestart file loads as STATE + LAND + CLOCK.
-  const dycore::State state = dycore::initBaroclinicWave(mesh_, cfg_, 3);
-  const std::vector<double> tskin(static_cast<std::size_t>(mesh_.ncells), 291.5);
-  writeRestart(path_, state, tskin, 43200.0);
-
-  const SnapshotInfo info = Snapshot::peek(path_);
-  EXPECT_TRUE(info.legacy);
-  EXPECT_EQ(info.format_version, 1u);
-
-  const Snapshot snap = Snapshot::read(path_);
-  ASSERT_TRUE(snap.state && snap.land && snap.clock);
-  EXPECT_FALSE(snap.diag || snap.ml || snap.config);
-  EXPECT_EQ(snap.state->ncells, mesh_.ncells);
-  EXPECT_EQ(snap.state->ntracers, 3);
-  EXPECT_EQ(snap.state->delp,
-            std::vector<double>(state.delp.data(),
-                                state.delp.data() + state.delp.size()));
-  EXPECT_EQ(*snap.land, tskin);
-  EXPECT_DOUBLE_EQ(snap.clock->sim_seconds, 43200.0);
-  EXPECT_EQ(snap.clock->dyn_steps, -1);  // legacy: step count unknown
 }
 
 TEST_F(SnapshotTest, WriteIsAtomicAndLeavesNoTmp) {

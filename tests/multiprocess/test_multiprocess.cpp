@@ -27,6 +27,7 @@
 #include <tuple>
 #include <vector>
 
+#include "grist/common/hash.hpp"
 #include "grist/core/mp_runner.hpp"
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/init.hpp"
@@ -212,20 +213,20 @@ std::uint64_t ownedHashOf(const dycore::State& global,
   // Must mirror RankDycore::ownedHash exactly (owned local rows are
   // bitwise the owned global rows).
   const std::size_t lev = static_cast<std::size_t>(nlev);
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = common::kFnvOffsetBasis;
   for (Index lc = 0; lc < dom.ncells_owned; ++lc) {
     const Index g = dom.cell_global[lc];
-    h = core::mp::fnv1a(&global.delp(g, 0), lev * sizeof(double), h);
-    h = core::mp::fnv1a(&global.theta(g, 0), lev * sizeof(double), h);
-    h = core::mp::fnv1a(&global.w(g, 0), (lev + 1) * sizeof(double), h);
-    h = core::mp::fnv1a(&global.phi(g, 0), (lev + 1) * sizeof(double), h);
+    h = common::fnv1a(&global.delp(g, 0), lev * sizeof(double), h);
+    h = common::fnv1a(&global.theta(g, 0), lev * sizeof(double), h);
+    h = common::fnv1a(&global.w(g, 0), (lev + 1) * sizeof(double), h);
+    h = common::fnv1a(&global.phi(g, 0), (lev + 1) * sizeof(double), h);
   }
   for (Index le = 0; le < dom.nedges_owned; ++le) {
-    h = core::mp::fnv1a(&global.u(dom.edge_global[le], 0), lev * sizeof(double), h);
+    h = common::fnv1a(&global.u(dom.edge_global[le], 0), lev * sizeof(double), h);
   }
   for (const auto& tr : global.tracers) {
     for (Index lc = 0; lc < dom.ncells_owned; ++lc) {
-      h = core::mp::fnv1a(&tr(dom.cell_global[lc], 0), lev * sizeof(double), h);
+      h = common::fnv1a(&tr(dom.cell_global[lc], 0), lev * sizeof(double), h);
     }
   }
   return h;
@@ -253,7 +254,7 @@ TEST_P(CrossProcess, BitwiseIdenticalToThreadedPool) {
 
   RunSpec spec;
   spec.nranks = nranks;
-  spec.ns = ns;
+  spec.dyn.ns = ns;
   MpSession session(spec);
 
   const int nsteps = 4;
@@ -359,11 +360,15 @@ TEST(WorkerArgv, BadOperandExitsTwoNamingOperandAndToken) {
       {7, "nan", "dt"},         {7, "450s", "dt"},
       {8, "-1", "ntracers"},    {9, "fp32", "ns"},
       {9, "DP", "ns"},          {9, "", "ns"},
+      {10, "-0.1", "div_damp"}, {10, "0.06x", "div_damp"},
+      {11, "inf", "diff_coef"}, {12, "nan", "w_damp_tau"},
+      {13, "0", "ptop"},        {14, "100", "p_surface"},
   };
   for (const Case& c : cases) {
     std::vector<std::string> args{"test_multiprocess", "--grist-shm-worker",
                                   "grist-argv-test", "2", "0", "3", "8",
-                                  "450", "1", "dp", "-"};
+                                  "450", "1", "dp", "0.06", "0.02", "900",
+                                  "225", "100000", "-"};
     args[static_cast<std::size_t>(c.index)] = c.token;
     std::vector<char*> argv;
     for (std::string& a : args) argv.push_back(a.data());

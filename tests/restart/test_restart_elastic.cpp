@@ -2,13 +2,15 @@
 // ordering, so a resume must be bitwise identical to the unbroken run for
 // ANY rank count -- same count, fewer ranks, more ranks -- in both NS
 // precision modes. Also covers the Model-level snapshot (mid-tracer-window
-// resume through the DIAG section) and the CONFIG-mismatch rejections.
+// resume through the DIAG section), the CONFIG-mismatch rejections and the
+// refusal of snapshots that lack a section the restore path requires.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <tuple>
 
@@ -17,7 +19,6 @@
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/init.hpp"
 #include "grist/grid/reorder.hpp"
-#include "grist/io/restart.hpp"
 #include "grist/io/snapshot.hpp"
 #include "grist/partition/partitioner.hpp"
 
@@ -178,6 +179,24 @@ TEST_F(ElasticBase, RestoreRejectsForeignRunShape) {
   }
 }
 
+TEST_F(ElasticBase, LoadRefusesSnapshotWithoutConfig) {
+  ParallelModel model(mesh_, trsk_, cfg_, 2,
+                      dycore::initBaroclinicWave(mesh_, cfg_));
+  io::Snapshot snap = captureDynRun(model.gatherState(), cfg_, mesh_, 4, 2,
+                                    partFp(2));
+  snap.config.reset();
+  snap.write(path_);
+  try {
+    loadDynRestart(path_, mesh_, cfg_, 1, nullptr);
+    FAIL() << "expected missing-CONFIG rejection";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("restart: snapshot has no CONFIG section"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST_F(ElasticBase, RestoreRejectsRelabeledMesh) {
   // Same level, same entity counts, different numbering: STATE is stored by
   // global index, so the fingerprint is the only thing that can tell.
@@ -237,7 +256,7 @@ class ModelSnapshot : public ::testing::Test {
 TEST_F(ModelSnapshot, MidTracerWindowResumeIsBitwise) {
   // Step 6 is NOT a tracer boundary (trac_interval 4): the DIAG section
   // carries the half-accumulated mass-flux window, so the resume is exact
-  // where the legacy restart path could only resync.
+  // there too.
   Model straight(mesh_, trsk_, cfg_, coldStart());
   straight.run(12);
 
@@ -285,21 +304,50 @@ TEST_F(ModelSnapshot, PhysicsCoupledResumeIsNearExact) {
   EXPECT_LT(udiff, 1e-2 * umax);
 }
 
-TEST_F(ModelSnapshot, LegacyRestartFileResumes) {
-  // A seed-era writeRestart file feeds the same restore() entry point.
+TEST_F(ModelSnapshot, RestoreRefusesMissingSections) {
+  const auto expectRefused = [](Model& model, const io::Snapshot& snap,
+                                const char* section) {
+    try {
+      model.restore(snap);
+      FAIL() << "expected rejection of a snapshot without " << section;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("Model::restore: snapshot has no ") +
+                          section + " section"),
+                std::string::npos)
+          << what;
+    }
+  };
   Model first(mesh_, trsk_, cfg_, coldStart());
-  first.run(4);  // tracer boundary: legacy restarts are only exact there
-  io::writeRestart(path_, first.state(), first.tskin(), first.simSeconds());
-
+  first.run(2);
+  const io::Snapshot full = first.snapshot();
   Model second(mesh_, trsk_, cfg_, coldStart());
-  second.restore(io::Snapshot::read(path_));
-  EXPECT_DOUBLE_EQ(second.simSeconds(), first.simSeconds());
-  EXPECT_EQ(second.dynSteps(), 0);  // legacy: step count unknown, reset
+  io::Snapshot no_diag = full;
+  no_diag.diag.reset();
+  expectRefused(second, no_diag, "DIAG");
+  io::Snapshot no_config = full;
+  no_config.config.reset();
+  expectRefused(second, no_config, "CONFIG");
+  EXPECT_NO_THROW(second.restore(full));
 
-  Model straight(mesh_, trsk_, cfg_, coldStart());
-  straight.run(8);
-  second.run(4);
-  expectStatesBitwise(second.state(), straight.state());
+  // Under the ML scheme the weight provenance is required too.
+  ModelConfig ml_cfg = cfg_;
+  ml_cfg.scheme = PhysicsScheme::kMl;
+  ml::Q1Q2NetConfig qcfg;
+  qcfg.nlev = cfg_.dyn.nlev;
+  qcfg.channels = 8;
+  qcfg.res_units = 1;
+  ml::RadMlpConfig rcfg;
+  rcfg.nlev = cfg_.dyn.nlev;
+  rcfg.hidden = 16;
+  ml_cfg.q1q2 = std::make_shared<ml::Q1Q2Net>(qcfg);
+  ml_cfg.rad_mlp = std::make_shared<ml::RadMlp>(rcfg);
+  Model ml_first(mesh_, trsk_, ml_cfg, coldStart());
+  io::Snapshot no_mlwt = ml_first.snapshot();
+  ASSERT_TRUE(no_mlwt.ml);
+  no_mlwt.ml.reset();
+  Model ml_second(mesh_, trsk_, ml_cfg, coldStart());
+  expectRefused(ml_second, no_mlwt, "MLWT");
 }
 
 TEST_F(ModelSnapshot, ConfigMismatchNamesOffendingField) {

@@ -73,7 +73,7 @@ class ShmRestartBase : public ::testing::Test {
     {
       RunSpec spec;
       spec.nranks = write_ranks;
-      spec.ns = ns;
+      spec.dyn.ns = ns;
       MpSession writer(spec);
       writer.run(pre);
       const auto part = partition::Partitioner::partition(mesh_, write_ranks);
@@ -83,7 +83,7 @@ class ShmRestartBase : public ::testing::Test {
     }  // writer fleet fully torn down before the resumed fleet spawns
     RunSpec spec;
     spec.nranks = read_ranks;
-    spec.ns = ns;
+    spec.dyn.ns = ns;
     spec.restart = path_;
     MpSession reader(spec);
     reader.run(post);
