@@ -26,10 +26,11 @@
 //                         multi-rank one only a multi-rank run: their
 //                         CONFIG cadences differ.
 //
-// With --ranks N > 1 the run becomes the multi-rank dynamics step (the
-// decomposition gate configuration: dynamics only, no physics/IO), with
-// the namelist's dycore settings (nlev, dt_dyn, scheme's NS mode and the
-// damping keys, parsed as the solo run parses them):
+// With --ranks N > 1 the run becomes the multi-rank dynamics step
+// (dynamics only, no physics/IO) with the namelist's dycore settings and
+// `case` (3 tracers), read as the solo run reads them; a multi-rank
+// checkpoint from when these runs carried 1 tracer fails the CONFIG
+// ntracers check:
 //   --transport threads   the in-process persistent worker pool
 //   --transport shm       one OS process per rank over the POSIX
 //                         shared-memory transport; this binary fork+execs
@@ -68,7 +69,6 @@
 #include "grist/core/mp_runner.hpp"
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/diagnostics.hpp"
-#include "grist/dycore/init.hpp"
 #include "grist/io/snapshot.hpp"
 #include "grist/partition/partitioner.hpp"
 
@@ -109,27 +109,28 @@ int runMultiRank(const grist::Config& config,
                  double wire_latency, const CkptOpts& ckpt) {
   using namespace grist;
   const int glevel = config.getInt("grid_level", 4);
-  const int ntracers = cfg.ntracers;  // 1: the decomposition gate configuration
 
   std::printf("multi-rank dynamics: grid G%d, nlev %d, %d ranks, transport %s%s\n",
               glevel, cfg.nlev, static_cast<int>(nranks), transport.c_str(),
               pin ? " (pinned)" : "");
   const grid::HexMesh mesh = grid::buildHexMesh(glevel);
   long step_base = 0;  // global step the run resumes at
-  std::optional<dycore::State> restored;
-  if (!ckpt.restart.empty()) {
-    // Validated here, before anything is spawned, so a foreign checkpoint
-    // exits 2 naming the mismatch on both transports (each shm worker
-    // re-reads and re-validates the file itself).
-    try {
-      restored = core::loadDynRestart(ckpt.restart, mesh, cfg, ntracers,
-                                      &step_base);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "grist_run: %s\n", e.what());
-      return 2;
+  // The one initial state of both transports, built before anything is
+  // spawned: the namelist's case, or on a resume the snapshot checked
+  // against it. An unknown case or a foreign checkpoint exits 2.
+  dycore::State initial;
+  try {
+    initial = core::buildInitialState(config, mesh, cfg);
+    if (!ckpt.restart.empty()) {
+      initial = core::loadDynRestart(ckpt.restart, mesh, cfg,
+                                     static_cast<int>(initial.tracers.size()),
+                                     &step_base);
+      std::printf("resuming from %s at step %ld\n", ckpt.restart.c_str(),
+                  step_base);
     }
-    std::printf("resuming from %s at step %ld\n", ckpt.restart.c_str(),
-                step_base);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "grist_run: %s\n", e.what());
+    return 2;
   }
   Timer timer;
   parallel::CommStats stats;
@@ -164,21 +165,18 @@ int runMultiRank(const grist::Config& config,
     spec.nranks = nranks;
     spec.pin = pin;
     spec.wire_latency = wire_latency;
-    spec.restart = ckpt.restart;
-    core::mp::MpSession session(spec);
+    core::mp::MpSession session(spec, initial);
     const std::uint64_t part_fp = partition::Partitioner::fingerprint(
-        partition::Partitioner::partition(session.mesh(), nranks));
+        partition::Partitioner::partition(mesh, nranks));
     drive([&](int n) { session.run(n); },
           [&](long step) {
-            return core::captureDynRun(session.gather(), cfg, session.mesh(),
-                                       step, nranks, part_fp);
+            return core::captureDynRun(session.gather(), cfg, mesh, step,
+                                       nranks, part_fp);
           });
     stats = session.commStats();
   } else {
     const grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
-    core::ParallelModel model(
-        mesh, trsk, cfg, nranks,
-        restored ? *restored : dycore::initBaroclinicWave(mesh, cfg, ntracers));
+    core::ParallelModel model(mesh, trsk, cfg, nranks, initial);
     model.setWireLatency(wire_latency);
     const std::uint64_t part_fp =
         partition::Partitioner::fingerprint(model.decomposition().cell_part);

@@ -165,7 +165,7 @@ void benchStepShm(benchmark::State& state, bool pin, double wire_latency) {
   spec.nranks = f.nranks;
   spec.pin = pin;
   spec.wire_latency = wire_latency;
-  core::mp::MpSession session(spec);
+  core::mp::MpSession session(spec, dycore::initBaroclinicWave(f.mesh, f.cfg));
   session.run(1);  // warm-up: fleet up, plans live, slots recycled
   for (auto _ : state) {
     session.run(1);

@@ -86,8 +86,9 @@ void BM_SnapshotRead(benchmark::State& state) {
 BENCHMARK(BM_SnapshotRead)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 
 void BM_RestartLoad(benchmark::State& state) {
-  // The full resume path a rank worker runs: read + validate CONFIG/shape
-  // + rebuild a mesh-shaped State (what MpSession workers do per process).
+  // The full resume path of a multi-rank run: read + validate CONFIG/shape
+  // + rebuild a mesh-shaped State, once, in the parent (grist_run --ranks
+  // N hands the result to either transport).
   Fixture& f = fixtureFor(static_cast<int>(state.range(0)));
   {
     const dycore::State warm =

@@ -59,7 +59,9 @@ fi
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
-ctest --test-dir build --output-on-failure -j"$(nproc)"
+# One OpenMP thread per test: default teams at -j"$(nproc)" oversubscribe
+# the cores; the per-tier and ENSEMBLE passes below keep default OpenMP.
+OMP_NUM_THREADS=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 if [[ "${GRIST_SKIP_SIMD:-0}" == "1" ]]; then
   echo "== skipping per-tier SIMD pass (GRIST_SKIP_SIMD=1) =="

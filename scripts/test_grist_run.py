@@ -5,10 +5,11 @@
 
 A run broken by `restart_out` -> `restart_in` must end in a snapshot
 byte-identical to the unbroken run's, solo and at 2 ranks on both
-transports; the two transports run the namelist's dycore and agree byte
-for byte; `--ensemble` with a restart key, a resume under another dt and
-an unknown scheme are refused with exit 2. The namelist is G2 with physics off (`phy_interval` above the run
-length): the physics suites' caches are not checkpointed.
+transports; the two transports run the namelist's dycore and `case` and
+agree byte for byte; `--ensemble` with a restart key, a resume under
+another dt, an unknown scheme and an unknown case are refused with exit 2.
+The namelist is G2 with physics off (`phy_interval` above the run length):
+the physics suites' caches are not checkpointed.
 """
 import os
 import subprocess
@@ -100,6 +101,26 @@ class GristRunTest(unittest.TestCase):
             out[name] = self.read(name + ".grist")
         self.assertEqual(out["threads"], out["shm"])
         self.assertNotEqual(out["threads"], out["undamped"])
+
+    def test_multi_rank_runs_the_namelist_case(self):
+        # Both transports start from the namelist's case (the state the
+        # solo run builds), so a typhoon agrees byte for byte across them
+        # and differs from the baroclinic wave.
+        out = {}
+        for name, transport, case in (("threads", "threads", "typhoon"),
+                                      ("shm", "shm", "typhoon"),
+                                      ("baroclinic", "threads", "baroclinic")):
+            target = self.path(name + ".grist")
+            self.run_ok(N, f"case = {case}\nrestart_out = {target}\n",
+                        ("--ranks", "2", "--transport", transport))
+            out[name] = self.read(name + ".grist")
+        self.assertEqual(out["threads"], out["shm"])
+        self.assertNotEqual(out["threads"], out["baroclinic"])
+
+    def test_multi_rank_refuses_unknown_case(self):
+        p = self.run_grist(1, "case = tornado\n", ("--ranks", "2"))
+        self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
+        self.assertIn("tornado", p.stderr)
 
     def test_ensemble_refuses_restart_keys(self):
         for key in ("restart_out", "restart_in"):

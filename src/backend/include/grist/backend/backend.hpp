@@ -9,7 +9,7 @@
 // HostBackend (here) is the production target: views are raw pointers and
 // every Context method is an empty inline -- under -O3 the instantiated body
 // compiles to exactly the loads/stores/FLOPs the hand-written kernel had
-// (guarded by the legacy-vs-backend pairs in bench_host_kernels).
+// (guarded by the bit-exactness tests test_fused_kernels and test_simd).
 //
 // SimBackend (sim.hpp) is the SW26010P cost-model target: views carry the
 // pool allocator's virtual base addresses and every read/write/divide is

@@ -33,6 +33,11 @@ namespace grist::core {
 /// std::invalid_argument on an unknown scheme label.
 dycore::DycoreConfig parseDycoreConfig(const Config& config);
 
+/// The namelist's `case` on `mesh`, with 3 tracers: every run mode's
+/// initial state. Throws std::invalid_argument naming an unknown case.
+dycore::State buildInitialState(const Config& config, const grid::HexMesh& mesh,
+                                const dycore::DycoreConfig& dyn);
+
 /// Owns everything a Model references; keep it alive as long as the model.
 struct ModelBundle {
   grid::HexMesh mesh;

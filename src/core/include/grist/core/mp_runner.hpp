@@ -1,14 +1,14 @@
 // One-OS-process-per-rank runs over the shm transport.
 //
 // The in-process ParallelModel keeps every rank's arrays in one heap; this
-// runner gives each rank its own process instead. Nothing but halos crosses
-// the process boundary: every rank worker REBUILDS mesh, TRSK weights,
-// decomposition and initial state deterministically from the RunSpec
-// parameters (the builders are pure functions of them), so the only
-// communication is the post/wait halo exchange through the shared-memory
-// transport -- which is why a cross-process run is bitwise identical to the
-// threaded pool: same local domains, same kernels, same exchanged bytes,
-// only the address spaces differ.
+// runner gives each rank its own process instead. The parent hands the
+// fleet the global initial state once, through the control segment; each
+// rank worker rebuilds mesh, TRSK weights and decomposition from the
+// RunSpec (the builders are pure functions of it) and scatters its slice.
+// After that only halos cross the process boundary, through the shm
+// transport's post/wait exchange -- so a cross-process run is bitwise
+// identical to the threaded pool: same initial bytes, local domains,
+// kernels and exchanged bytes; only the address spaces differ.
 //
 // Three pieces:
 //   RankProcessModel   one rank of the multi-rank step in THIS process:
@@ -40,21 +40,16 @@
 
 namespace grist::core::mp {
 
-/// Parameters every rank worker rebuilds the run from. Default values match
-/// the decomposition gate tests (G3, 8 levels, dt 450).
+/// What every rank worker rebuilds mesh, decomposition and dycore from (the
+/// initial state is MpSession's). Defaults: the gate tests' G3, nlev 8, dt 450.
 struct RunSpec {
   int grid_level = 3;
-  /// The dycore every rank worker runs; every field is forwarded.
+  /// The dycore every rank worker runs; every field but ntracers is forwarded.
   dycore::DycoreConfig dyn{.nlev = 8, .dt = 450.0};
   Index nranks = 2;
   bool pin = false;        ///< sched_setaffinity rank r -> core r % ncores
   double wire_latency = 0; ///< seconds, forwarded per step command
   std::string segment;     ///< transport segment name; generated if empty
-  /// Snapshot file (io/snapshot.hpp) to restore the initial state from
-  /// instead of initBaroclinicWave. Every worker reads + validates it and
-  /// scatters its own rank slice -- the checkpoint's writer rank count is
-  /// irrelevant (repartition-on-restart). Empty = cold start.
-  std::string restart;
 };
 
 /// One rank of the multi-rank step, running in this process over an
@@ -90,11 +85,12 @@ class RankProcessModel {
 /// Offsets into the shared control/result segment, computed identically by
 /// the parent and every worker from the run parameters.
 struct ResultLayout {
-  Index nranks = 0, ncells = 0, nedges = 0;
-  int nlev = 0, ntracers = 0;
+  int ntracers = 0;
   std::size_t hashes_off = 0;
-  std::size_t delp_off = 0, theta_off = 0, w_off = 0, phi_off = 0, u_off = 0;
-  std::size_t tracers_off = 0;
+  /// The global-state area: one 64-byte-aligned block per field, numbered
+  /// as RankDycore::writeOwned numbers them. It carries the initial state
+  /// to the workers and their owned rows back to gather().
+  std::vector<std::size_t> field_off;
   std::size_t total = 0;
 
   static ResultLayout compute(Index nranks, Index ncells, Index nedges,
@@ -103,11 +99,12 @@ struct ResultLayout {
 
 class MpSession {
  public:
-  /// Builds the (parent-side) mesh, creates the control/result segment and
-  /// spawns one pinned/unpinned worker process per rank. The workers build
-  /// their models and rendezvous on the transport's startup barrier; the
-  /// first command's ack confirms the whole fleet came up.
-  explicit MpSession(RunSpec spec);
+  /// Creates the control/result segment, copies `initial` (the global
+  /// state, with any tracer count) into it and spawns one worker process
+  /// per rank; the first command's ack confirms the whole fleet came up.
+  /// Throws std::invalid_argument naming the dimension, before anything is
+  /// created, if `initial`'s nlev, cell or edge count disagrees with spec.
+  MpSession(RunSpec spec, const dycore::State& initial);
   ~MpSession();
 
   MpSession(const MpSession&) = delete;
@@ -126,8 +123,6 @@ class MpSession {
   parallel::CommStats commStats();
   std::uint64_t rankHash(Index rank) const { return hashes_.at(static_cast<std::size_t>(rank)); }
 
-  Index nranks() const { return spec_.nranks; }
-  const grid::HexMesh& mesh() const { return mesh_; }
   const std::string& segmentName() const { return spec_.segment; }
 
  private:

@@ -67,25 +67,6 @@ ModelConfig parseModelConfig(const Config& config) {
   return cfg;
 }
 
-dycore::State buildInitialState(const Config& config, const grid::HexMesh& mesh,
-                                const ModelConfig& cfg) {
-  const std::string case_name = config.getString("case", "baroclinic");
-  if (case_name == "rest") {
-    return dycore::initRestState(mesh, cfg.dyn, 300.0, 3);
-  }
-  if (case_name == "baroclinic") {
-    return dycore::initBaroclinicWave(mesh, cfg.dyn, 3);
-  }
-  if (case_name == "typhoon") {
-    return dycore::initTyphoon(mesh, cfg.dyn, {}, 3);
-  }
-  if (case_name == "bubble") {
-    return dycore::initWarmBubble(mesh, cfg.dyn, 2.0, 50.0e3, 3);
-  }
-  throw std::invalid_argument("makeModelFromConfig: unknown case '" + case_name +
-                              "'");
-}
-
 } // namespace
 
 dycore::DycoreConfig parseDycoreConfig(const Config& config) {
@@ -99,6 +80,25 @@ dycore::DycoreConfig parseDycoreConfig(const Config& config) {
   return dyn;
 }
 
+dycore::State buildInitialState(const Config& config, const grid::HexMesh& mesh,
+                                const dycore::DycoreConfig& dyn) {
+  const std::string case_name = config.getString("case", "baroclinic");
+  if (case_name == "rest") {
+    return dycore::initRestState(mesh, dyn, 300.0, 3);
+  }
+  if (case_name == "baroclinic") {
+    return dycore::initBaroclinicWave(mesh, dyn, 3);
+  }
+  if (case_name == "typhoon") {
+    return dycore::initTyphoon(mesh, dyn, {}, 3);
+  }
+  if (case_name == "bubble") {
+    return dycore::initWarmBubble(mesh, dyn, 2.0, 50.0e3, 3);
+  }
+  throw std::invalid_argument("namelist: unknown case '" + case_name +
+                              "' (expected rest, baroclinic, typhoon or bubble)");
+}
+
 std::unique_ptr<ModelBundle> makeModelFromConfig(const Config& config) {
   auto bundle = std::make_unique<ModelBundle>();
   const int level = config.getInt("grid_level", 4);
@@ -106,7 +106,7 @@ std::unique_ptr<ModelBundle> makeModelFromConfig(const Config& config) {
   bundle->trsk = grid::buildTrskWeights(bundle->mesh);
 
   ModelConfig cfg = parseModelConfig(config);
-  dycore::State initial = buildInitialState(config, bundle->mesh, cfg);
+  dycore::State initial = buildInitialState(config, bundle->mesh, cfg.dyn);
   bundle->model =
       std::make_unique<Model>(bundle->mesh, bundle->trsk, cfg, std::move(initial));
   return bundle;
@@ -124,7 +124,8 @@ std::unique_ptr<EnsembleBundle> makeEnsembleFromConfig(
   ecfg.members = members;
   ecfg.perturb_seed = perturb_seed;
   ecfg.perturb_amplitude = config.getDouble("perturb_amplitude", 1e-3);
-  dycore::State initial = buildInitialState(config, bundle->mesh, ecfg.model);
+  dycore::State initial =
+      buildInitialState(config, bundle->mesh, ecfg.model.dyn);
   bundle->runner = std::make_unique<EnsembleRunner>(bundle->mesh, bundle->trsk,
                                                     std::move(ecfg), initial);
   return bundle;

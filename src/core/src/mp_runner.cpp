@@ -11,10 +11,9 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "grist/common/parse.hpp"
-#include "grist/core/checkpoint.hpp"
-#include "grist/dycore/init.hpp"
 #include "grist/parallel/mp_launch.hpp"
 #include "grist/parallel/shm_transport.hpp"
 
@@ -55,34 +54,51 @@ const char* nsName(precision::NsMode ns) {
   return ns == precision::NsMode::kSingle ? "mix" : "dp";
 }
 
+/// The global-state area of the payload at `base`: writeOwned's targets.
+std::vector<double*> stateArea(const ResultLayout& l, void* base) {
+  std::vector<double*> area;
+  for (const std::size_t off : l.field_off) {
+    area.push_back(reinterpret_cast<double*>(static_cast<std::uint8_t*>(base) + off));
+  }
+  return area;
+}
+
+/// The one copy between a global State and a global-state area
+/// (stateArea): a const State is copied into the area, a mutable one is
+/// filled from it. The State's shape sizes every copy.
+template <typename StateT>
+void copyState(StateT& s, const std::vector<double*>& area) {
+  std::vector<decltype(&s.delp)> fields{&s.delp, &s.theta, &s.w, &s.phi, &s.u};
+  for (auto& tracer : s.tracers) fields.push_back(&tracer);
+  for (std::size_t v = 0; v < fields.size(); ++v) {
+    const std::size_t bytes = fields[v]->size() * sizeof(double);
+    if constexpr (std::is_const_v<StateT>) {
+      std::memcpy(area[v], fields[v]->data(), bytes);
+    } else {
+      std::memcpy(fields[v]->data(), area[v], bytes);
+    }
+  }
+}
+
 } // namespace
 
 ResultLayout ResultLayout::compute(Index nranks, Index ncells, Index nedges,
                                    int nlev, int ntracers) {
   ResultLayout l;
-  l.nranks = nranks;
-  l.ncells = ncells;
-  l.nedges = nedges;
-  l.nlev = nlev;
   l.ntracers = ntracers;
   const std::size_t nc = static_cast<std::size_t>(ncells);
-  const std::size_t ne = static_cast<std::size_t>(nedges);
   const std::size_t lev = static_cast<std::size_t>(nlev);
+  std::vector<std::size_t> values{nc * lev, nc * lev, nc * (lev + 1),
+                                  nc * (lev + 1),
+                                  static_cast<std::size_t>(nedges) * lev};
+  values.insert(values.end(), static_cast<std::size_t>(ntracers), nc * lev);
   std::size_t off = alignUp(sizeof(CtlBlock));
   l.hashes_off = off;
   off = alignUp(off + static_cast<std::size_t>(nranks) * sizeof(std::uint64_t));
-  l.delp_off = off;
-  off = alignUp(off + nc * lev * sizeof(double));
-  l.theta_off = off;
-  off = alignUp(off + nc * lev * sizeof(double));
-  l.w_off = off;
-  off = alignUp(off + nc * (lev + 1) * sizeof(double));
-  l.phi_off = off;
-  off = alignUp(off + nc * (lev + 1) * sizeof(double));
-  l.u_off = off;
-  off = alignUp(off + ne * lev * sizeof(double));
-  l.tracers_off = off;
-  off = alignUp(off + static_cast<std::size_t>(ntracers) * nc * lev * sizeof(double));
+  for (const std::size_t n : values) {
+    l.field_off.push_back(off);
+    off = alignUp(off + n * sizeof(double));
+  }
   l.total = off;
   return l;
 }
@@ -116,37 +132,26 @@ void RankProcessModel::run(int nsteps) {
 
 namespace {
 
-int workerMain(const RunSpec& spec, Index rank) {
+int workerMain(const RunSpec& spec, Index rank, int ntracers) {
   const grid::HexMesh mesh = grid::buildHexMesh(spec.grid_level);
   const grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
   const dycore::DycoreConfig& cfg = spec.dyn;
-  // Every worker builds the same global initial state (cold: the analytic
-  // init; restart: the validated snapshot) and scatters its own rank slice.
-  const dycore::State initial =
-      spec.restart.empty()
-          ? dycore::initBaroclinicWave(mesh, cfg, cfg.ntracers)
-          : loadDynRestart(spec.restart, mesh, cfg, cfg.ntracers, nullptr);
-  auto transport = std::make_shared<parallel::ShmTransport>(spec.segment,
-                                                            spec.nranks, rank);
-  RankProcessModel model(mesh, trsk, cfg, spec.nranks, rank, initial, transport);
-
-  const ResultLayout lay =
-      ResultLayout::compute(spec.nranks, mesh.ncells, mesh.nedges, cfg.nlev,
-                            static_cast<int>(initial.tracers.size()));
+  const ResultLayout lay = ResultLayout::compute(
+      spec.nranks, mesh.ncells, mesh.nedges, cfg.nlev, ntracers);
   parallel::ShmRegion ctl =
       parallel::ShmRegion::attach(spec.segment + "-ctl", lay.total);
   auto* base = static_cast<std::uint8_t*>(ctl.payload());
   auto* c = reinterpret_cast<CtlBlock*>(base);
-  const auto at = [&](std::size_t off) {
-    return reinterpret_cast<double*>(base + off);
-  };
+  const std::vector<double*> area = stateArea(lay, base);
 
-  std::vector<double*> targets{at(lay.delp_off), at(lay.theta_off),
-                               at(lay.w_off), at(lay.phi_off), at(lay.u_off)};
-  for (int t = 0; t < lay.ntracers; ++t) {
-    targets.push_back(at(lay.tracers_off) +
-                      static_cast<std::size_t>(t) * lay.ncells * lay.nlev);
-  }
+  // Read the parent's global initial state and scatter this rank's slice;
+  // the constructor's halo round is collective, so every peer has read the
+  // area before any gather writes to it.
+  dycore::State initial(mesh, cfg.nlev, ntracers);
+  copyState(initial, area);
+  auto transport = std::make_shared<parallel::ShmTransport>(spec.segment,
+                                                            spec.nranks, rank);
+  RankProcessModel model(mesh, trsk, cfg, spec.nranks, rank, initial, transport);
 
   std::uint32_t last = 0;
   for (;;) {
@@ -165,7 +170,7 @@ int workerMain(const RunSpec& spec, Index rank) {
         model.run(c->nsteps);
         break;
       case kCmdGather:
-        model.local().writeOwned(targets.data());
+        model.local().writeOwned(area.data());
         reinterpret_cast<std::uint64_t*>(base + lay.hashes_off)[rank] =
             model.local().ownedHash();
         if (rank == 0) {
@@ -213,14 +218,15 @@ bool operand(const char* name, const char* token, T lo, T hi, T& out) {
 
 std::optional<int> maybeRunWorker(int argc, char** argv) {
   if (argc < 2 || std::strcmp(argv[1], kWorkerFlag) != 0) return std::nullopt;
-  if (argc != 16) {
-    std::fprintf(stderr, "%s: expected 14 operands, got %d\n", kWorkerFlag,
+  if (argc != 15) {
+    std::fprintf(stderr, "%s: expected 13 operands, got %d\n", kWorkerFlag,
                  argc - 2);
     return 2;
   }
   RunSpec spec;
   spec.segment = argv[2];
   Index rank = 0;
+  int ntracers = 0;
   dycore::DycoreConfig& dyn = spec.dyn;
   constexpr Index kMaxIndex = std::numeric_limits<Index>::max();
   constexpr int kMaxInt = std::numeric_limits<int>::max();
@@ -231,7 +237,7 @@ std::optional<int> maybeRunWorker(int argc, char** argv) {
       !operand("grid_level", argv[5], 0, kMaxInt, spec.grid_level) ||
       !operand("nlev", argv[6], 2, kMaxInt, dyn.nlev) ||
       !operand("dt", argv[7], kMinPositive, kMaxDouble, dyn.dt) ||
-      !operand("ntracers", argv[8], 0, kMaxInt, dyn.ntracers)) {
+      !operand("ntracers", argv[8], 0, kMaxInt, ntracers)) {
     return 2;
   }
   if (std::strcmp(argv[9], "dp") == 0) {
@@ -250,9 +256,8 @@ std::optional<int> maybeRunWorker(int argc, char** argv) {
       !operand("p_surface", argv[14], dyn.ptop, kMaxDouble, dyn.p_surface)) {
     return 2;
   }
-  if (std::strcmp(argv[15], "-") != 0) spec.restart = argv[15];
   try {
-    return workerMain(spec, rank);
+    return workerMain(spec, rank, ntracers);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[grist shm worker rank %d] %s\n",
                  static_cast<int>(rank), e.what());
@@ -263,19 +268,29 @@ std::optional<int> maybeRunWorker(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 // Parent side
 
-MpSession::MpSession(RunSpec spec)
+MpSession::MpSession(RunSpec spec, const dycore::State& initial)
     : spec_(std::move(spec)), mesh_(grid::buildHexMesh(spec_.grid_level)) {
   if (spec_.nranks <= 0) {
     throw std::invalid_argument("MpSession: need at least one rank");
   }
+  const char* bad = initial.nlev != spec_.dyn.nlev             ? "nlev"
+                    : initial.delp.entities() != mesh_.ncells ? "cell count"
+                    : initial.u.entities() != mesh_.nedges    ? "edge count"
+                                                              : nullptr;
+  if (bad) {
+    throw std::invalid_argument(std::string("MpSession: initial state ") +
+                                bad + " disagrees with the spec");
+  }
   if (spec_.segment.empty()) spec_.segment = parallel::makeSegmentName();
+  const int ntracers = static_cast<int>(initial.tracers.size());
   layout_ = ResultLayout::compute(spec_.nranks, mesh_.ncells, mesh_.nedges,
-                                  spec_.dyn.nlev, spec_.dyn.ntracers);
-  // The control/result segment is parent-created and zero-filled; workers
-  // attach by the derived "-ctl" name. The TRANSPORT segment is created by
-  // rank 0 inside planLocal (it knows the message sizes); the parent only
-  // unlinks it at teardown.
+                                  spec_.dyn.nlev, ntracers);
+  // The control/result segment is parent-created; it carries the initial
+  // state to the workers, which attach by the derived "-ctl" name once it
+  // is ready. The TRANSPORT segment is created by rank 0 inside planLocal
+  // (it knows the message sizes); the parent only unlinks it at teardown.
   ctl_ = parallel::ShmRegion::create(spec_.segment + "-ctl", layout_.total);
+  copyState(initial, stateArea(layout_, ctl_.payload()));
   ctl_.markReady();
   hashes_.assign(static_cast<std::size_t>(spec_.nranks), 0);
 
@@ -296,14 +311,13 @@ MpSession::MpSession(RunSpec spec)
         std::to_string(spec_.grid_level),
         std::to_string(dyn.nlev),
         exact(dyn.dt),
-        std::to_string(dyn.ntracers),
+        std::to_string(ntracers),
         nsName(dyn.ns),
         exact(dyn.div_damp),
         exact(dyn.diff_coef),
         exact(dyn.w_damp_tau),
         exact(dyn.ptop),
-        exact(dyn.p_surface),
-        spec_.restart.empty() ? "-" : spec_.restart};
+        exact(dyn.p_surface)};
   });
   exit_codes_.assign(pids_.size(), -1);
 }
@@ -408,24 +422,8 @@ void MpSession::refreshResults() {
 dycore::State MpSession::gather() {
   command(kCmdGather, 0);
   refreshResults();
-  const auto* base = static_cast<const std::uint8_t*>(ctl_.payload());
-  const auto at = [&](std::size_t off) {
-    return reinterpret_cast<const double*>(base + off);
-  };
-  const std::size_t nc = static_cast<std::size_t>(mesh_.ncells);
-  const std::size_t ne = static_cast<std::size_t>(mesh_.nedges);
-  const std::size_t lev = static_cast<std::size_t>(spec_.dyn.nlev);
-  dycore::State g(mesh_, spec_.dyn.nlev, spec_.dyn.ntracers);
-  std::memcpy(g.delp.data(), at(layout_.delp_off), nc * lev * sizeof(double));
-  std::memcpy(g.theta.data(), at(layout_.theta_off), nc * lev * sizeof(double));
-  std::memcpy(g.w.data(), at(layout_.w_off), nc * (lev + 1) * sizeof(double));
-  std::memcpy(g.phi.data(), at(layout_.phi_off), nc * (lev + 1) * sizeof(double));
-  std::memcpy(g.u.data(), at(layout_.u_off), ne * lev * sizeof(double));
-  for (int t = 0; t < spec_.dyn.ntracers; ++t) {
-    std::memcpy(g.tracers[static_cast<std::size_t>(t)].data(),
-                at(layout_.tracers_off) + static_cast<std::size_t>(t) * nc * lev,
-                nc * lev * sizeof(double));
-  }
+  dycore::State g(mesh_, spec_.dyn.nlev, layout_.ntracers);
+  copyState(g, stateArea(layout_, ctl_.payload()));
   return g;
 }
 

@@ -11,8 +11,8 @@
 // src/swgomp. The functions here are the production (HostBackend)
 // instantiations: OpenMP sweep drivers that bind raw-pointer views and a
 // no-op accounting context, so under -O3 each body compiles to exactly the
-// pre-refactor loads/stores/FLOPs (guarded by the legacy-vs-backend pairs in
-// bench_host_kernels and the bit-exactness tests).
+// pre-refactor loads/stores/FLOPs (guarded by the bit-exactness tests
+// test_fused_kernels and test_simd).
 //
 // Mixed precision (paper section 3.4): kernels are templated on NS. Fields
 // are stored in double; precision-INSENSITIVE arithmetic is performed after

@@ -13,21 +13,31 @@
 //   --exit-worker/--sleep-worker  launcher teardown fixtures
 //
 // The headline gate: a one-process-per-rank run over shared memory is
-// BITWISE identical to the in-process threaded pool -- every rank rebuilds
-// the same local domains and kernels from the same parameters, and the
-// exchanged halos are exact copies whichever address space they cross.
+// BITWISE identical to the in-process threaded pool -- every rank reads the
+// same initial state from the parent, rebuilds the same local domains and
+// kernels from the same parameters, and the exchanged halos are exact
+// copies whichever address space they cross.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "grist/common/hash.hpp"
+#include "grist/core/ensemble_runner.hpp"
 #include "grist/core/mp_runner.hpp"
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/init.hpp"
@@ -208,6 +218,30 @@ std::optional<int> maybeRunAuxWorker(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 // The bitwise gate: shm fleet vs threaded pool, ranks x precisions.
 
+void expectStatesBitwise(const dycore::State& a, const dycore::State& b,
+                         const grid::HexMesh& mesh, int nlev) {
+  ASSERT_EQ(b.tracers.size(), a.tracers.size());
+  for (Index c = 0; c < mesh.ncells; ++c) {
+    for (int k = 0; k < nlev; ++k) {
+      ASSERT_EQ(b.delp(c, k), a.delp(c, k)) << "cell " << c;
+      ASSERT_EQ(b.theta(c, k), a.theta(c, k)) << "cell " << c;
+      for (std::size_t t = 0; t < a.tracers.size(); ++t) {
+        ASSERT_EQ(b.tracers[t](c, k), a.tracers[t](c, k))
+            << "tracer " << t << " cell " << c;
+      }
+    }
+    for (int k = 0; k <= nlev; ++k) {
+      ASSERT_EQ(b.w(c, k), a.w(c, k));
+      ASSERT_EQ(b.phi(c, k), a.phi(c, k));
+    }
+  }
+  for (Index e = 0; e < mesh.nedges; ++e) {
+    for (int k = 0; k < nlev; ++k) {
+      ASSERT_EQ(b.u(e, k), a.u(e, k)) << "edge " << e;
+    }
+  }
+}
+
 std::uint64_t ownedHashOf(const dycore::State& global,
                           const parallel::LocalDomain& dom, int nlev) {
   // Must mirror RankDycore::ownedHash exactly (owned local rows are
@@ -255,30 +289,14 @@ TEST_P(CrossProcess, BitwiseIdenticalToThreadedPool) {
   RunSpec spec;
   spec.nranks = nranks;
   spec.dyn.ns = ns;
-  MpSession session(spec);
+  MpSession session(spec, initial);
 
   const int nsteps = 4;
   threaded.run(nsteps);
   session.run(nsteps);
   const dycore::State a = threaded.gatherState();
   const dycore::State b = session.gather();
-
-  for (Index c = 0; c < mesh_.ncells; ++c) {
-    for (int k = 0; k < cfg_.nlev; ++k) {
-      ASSERT_EQ(b.delp(c, k), a.delp(c, k)) << "cell " << c;
-      ASSERT_EQ(b.theta(c, k), a.theta(c, k)) << "cell " << c;
-      ASSERT_EQ(b.tracers[0](c, k), a.tracers[0](c, k)) << "cell " << c;
-    }
-    for (int k = 0; k <= cfg_.nlev; ++k) {
-      ASSERT_EQ(b.w(c, k), a.w(c, k));
-      ASSERT_EQ(b.phi(c, k), a.phi(c, k));
-    }
-  }
-  for (Index e = 0; e < mesh_.nedges; ++e) {
-    for (int k = 0; k < cfg_.nlev; ++k) {
-      ASSERT_EQ(b.u(e, k), a.u(e, k)) << "edge " << e;
-    }
-  }
+  expectStatesBitwise(a, b, mesh_, cfg_.nlev);
 
   // Per-rank hashes crossed the process boundary through the result
   // segment; they must equal hashes recomputed from the threaded state.
@@ -298,6 +316,30 @@ TEST_P(CrossProcess, BitwiseIdenticalToThreadedPool) {
   EXPECT_EQ(ms.exchanges, ts.exchanges);
   // 1 construction fill + 4 exchange rounds per step, on both transports.
   EXPECT_EQ(ms.exchanges, 1 + 4 * nsteps);
+}
+
+TEST_P(CrossProcess, ArbitraryInitialStateCrossesBitwise) {
+  // A perturbed 3-tracer typhoon: no worker could rebuild it from the run
+  // parameters, so only the parent's hand-off through the control segment
+  // can start the fleet from it. Gathered before any step it must be the
+  // initial state bit for bit (every tracer included), and after steps
+  // the threaded pool's state.
+  const auto [nranks, ns] = GetParam();
+  cfg_.ns = ns;
+  dycore::State initial = dycore::initTyphoon(mesh_, cfg_, {}, 3);
+  core::EnsembleRunner::perturbState(initial, /*seed=*/0x9e3779b9u, 1e-3);
+  ParallelModel threaded(mesh_, trsk_, cfg_, nranks, initial);
+
+  RunSpec spec;
+  spec.nranks = nranks;
+  spec.dyn.ns = ns;
+  MpSession session(spec, initial);
+  expectStatesBitwise(initial, session.gather(), mesh_, cfg_.nlev);
+
+  threaded.run(3);
+  session.run(3);
+  expectStatesBitwise(threaded.gatherState(), session.gather(), mesh_,
+                      cfg_.nlev);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -368,7 +410,7 @@ TEST(WorkerArgv, BadOperandExitsTwoNamingOperandAndToken) {
     std::vector<std::string> args{"test_multiprocess", "--grist-shm-worker",
                                   "grist-argv-test", "2", "0", "3", "8",
                                   "450", "1", "dp", "0.06", "0.02", "900",
-                                  "225", "100000", "-"};
+                                  "225", "100000"};
     args[static_cast<std::size_t>(c.index)] = c.token;
     std::vector<char*> argv;
     for (std::string& a : args) argv.push_back(a.data());
@@ -406,6 +448,102 @@ TEST(ShmRegionHygiene, SegmentOwnedByLivePidIsRejected) {
   // Same name, creator (this process) alive: a concurrent run, not stale.
   EXPECT_THROW(parallel::ShmRegion::create(name, 128), std::runtime_error);
   parallel::ShmRegion::unlink(name);
+}
+
+// ---------------------------------------------------------------------------
+// MpSession start-up and failure: a misshapen initial state is refused
+// before anything exists, and a rank killed mid-run fails the session
+// without leaking a segment.
+
+/// Pids of this process's live children, from /proc/<pid>/stat.
+std::vector<pid_t> childPids() {
+  std::vector<pid_t> out;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
+    const std::string name = entry.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream stat(entry.path() / "stat");
+    std::string line;
+    if (!std::getline(stat, line)) continue;  // exited meanwhile
+    const std::size_t paren = line.rfind(')');  // comm may hold spaces
+    if (paren == std::string::npos) continue;
+    std::istringstream rest(line.substr(paren + 1));
+    char state = 0;
+    long ppid = 0;
+    if (rest >> state >> ppid && ppid == ::getpid()) {
+      out.push_back(static_cast<pid_t>(std::stol(name)));
+    }
+  }
+  return out;
+}
+
+/// Names under /dev/shm that belong to the run named `segment`.
+std::vector<std::string> segmentFiles(const std::string& segment) {
+  const std::string prefix = segment.substr(segment.find_first_not_of('/'));
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator("/dev/shm")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+TEST(MpSessionStart, RefusesMisshapenInitialStateBeforeSpawning) {
+  const grid::HexMesh mesh = grid::buildHexMesh(3);  // RunSpec default
+  const grid::HexMesh coarse = grid::buildHexMesh(2);
+  dycore::State bad_edges(mesh, 8, 1);
+  bad_edges.u = parallel::Field(mesh.nedges + 1, 8);
+  const struct {
+    dycore::State state;
+    const char* dim;
+  } cases[] = {{dycore::State(mesh, 9, 1), "nlev"},
+               {dycore::State(coarse, 8, 1), "cell count"},
+               {bad_edges, "edge count"}};
+  for (const auto& c : cases) {
+    RunSpec spec;
+    spec.segment = parallel::makeSegmentName();
+    try {
+      MpSession session(spec, c.state);
+      ADD_FAILURE() << c.dim << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.dim), std::string::npos)
+          << e.what();
+    }
+    // Nothing was spawned or created.
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << c.dim;
+    EXPECT_EQ(errno, ECHILD) << c.dim;
+    EXPECT_TRUE(segmentFiles(spec.segment).empty()) << c.dim;
+  }
+}
+
+TEST(MpSessionFailure, KilledRankFailsRunNamingRankAndExitCode) {
+  const grid::HexMesh mesh = grid::buildHexMesh(3);
+  RunSpec spec;
+  MpSession session(spec, dycore::initBaroclinicWave(mesh, spec.dyn));
+  session.run(1);  // fleet up: every rank built its model
+  const std::vector<pid_t> workers = childPids();
+  ASSERT_EQ(workers.size(), 2u);
+  const pid_t victim = workers[1];
+  std::thread killer([victim] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ::kill(victim, SIGKILL);
+  });
+  std::string what;
+  try {
+    session.run(1 << 30);  // far longer than the test: only a failure ends it
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  killer.join();
+  bool named = false;  // "rank <r> (pid <victim>) exited with code 137"
+  for (Index r = 0; r < spec.nranks; ++r) {
+    named |= what.find("rank " + std::to_string(r) + " (pid " +
+                       std::to_string(victim) + ") exited with code 137") !=
+             std::string::npos;
+  }
+  EXPECT_TRUE(named) << what;
+  EXPECT_TRUE(segmentFiles(session.segmentName()).empty());
+  EXPECT_TRUE(childPids().empty());
 }
 
 // ---------------------------------------------------------------------------
