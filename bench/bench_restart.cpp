@@ -1,5 +1,6 @@
-// Checkpoint-layer throughput (google-benchmark): serialize + atomic-write
-// and read + validate + rebuild of a full sectioned snapshot, in MB/s.
+// Checkpoint-layer throughput (google-benchmark): streamed atomic write
+// (payloads straight from the snapshot's vectors, no serialized copy) and
+// read + validate + rebuild of a full sectioned snapshot, in MB/s.
 // These are NOT a paper figure; they size the restart tax against the
 // paper's I/O budget (section 3.1.3 writes model output through grouped
 // I/O for the same reason: at scale, snapshot bytes are the wall). Record

@@ -26,10 +26,11 @@
 #                                        # bench_compare.py-gated)
 #
 # The ASan/UBSan stage rebuilds with -DGRIST_SANITIZE=ON into build-asan/
-# and runs the ml and common test binaries -- the two subsystems that hand
-# out raw Workspace pointers (the packed GEMM and the batched inference
-# path), where an out-of-bounds pack or a dangling arena pointer would
-# otherwise only show up as silent corruption.
+# and runs the ml, common and io test binaries -- ml and common hand out
+# raw Workspace pointers (the packed GEMM and the batched inference path),
+# and io parses raw spans of a snapshot file image, where an out-of-bounds
+# pack, parse or dangling pointer would otherwise only show up as silent
+# corruption.
 #
 # The TSan stage rebuilds with -DGRIST_SANITIZE=thread into build-tsan/ and
 # runs the parallel and core test binaries: the persistent rank pool and
@@ -231,10 +232,10 @@ fi
 if [[ "${GRIST_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== skipping ASan/UBSan pass (GRIST_SKIP_ASAN=1) =="
 else
-  echo "== sanitizer pass: ASan+UBSan on ml + common test binaries =="
+  echo "== sanitizer pass: ASan+UBSan on ml + common + io test binaries =="
   cmake -B build-asan -S . -DGRIST_SANITIZE=ON >/dev/null
-  cmake --build build-asan -j"$(nproc)" --target test_ml test_ml_alloc test_common
-  for bin in test_ml test_ml_alloc test_common; do
+  cmake --build build-asan -j"$(nproc)" --target test_ml test_ml_alloc test_common test_io
+  for bin in test_ml test_ml_alloc test_common test_io; do
     echo "-- $bin (sanitized)"
     ./build-asan/tests/"$bin"
   done

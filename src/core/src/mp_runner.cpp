@@ -80,6 +80,14 @@ void copyState(StateT& s, const std::vector<double*>& area) {
   }
 }
 
+/// A fresh global State of the given shape, filled from `area`.
+dycore::State stateFrom(const std::vector<double*>& area, const grid::HexMesh& mesh,
+                        int nlev, int ntracers) {
+  dycore::State s(mesh, nlev, ntracers);
+  copyState(s, area);
+  return s;
+}
+
 } // namespace
 
 ResultLayout ResultLayout::compute(Index nranks, Index ncells, Index nedges,
@@ -144,14 +152,14 @@ int workerMain(const RunSpec& spec, Index rank, int ntracers) {
   auto* c = reinterpret_cast<CtlBlock*>(base);
   const std::vector<double*> area = stateArea(lay, base);
 
-  // Read the parent's global initial state and scatter this rank's slice;
-  // the constructor's halo round is collective, so every peer has read the
-  // area before any gather writes to it.
-  dycore::State initial(mesh, cfg.nlev, ntracers);
-  copyState(initial, area);
+  // Read the parent's global initial state and scatter this rank's slice.
+  // The global copy is a temporary, so only the slice outlives
+  // construction. The constructor's halo round is collective, so every
+  // peer has read the area before any gather writes to it.
   auto transport = std::make_shared<parallel::ShmTransport>(spec.segment,
                                                             spec.nranks, rank);
-  RankProcessModel model(mesh, trsk, cfg, spec.nranks, rank, initial, transport);
+  RankProcessModel model(mesh, trsk, cfg, spec.nranks, rank,
+                         stateFrom(area, mesh, cfg.nlev, ntracers), transport);
 
   std::uint32_t last = 0;
   for (;;) {
@@ -285,13 +293,6 @@ MpSession::MpSession(RunSpec spec, const dycore::State& initial)
   const int ntracers = static_cast<int>(initial.tracers.size());
   layout_ = ResultLayout::compute(spec_.nranks, mesh_.ncells, mesh_.nedges,
                                   spec_.dyn.nlev, ntracers);
-  // The control/result segment is parent-created; it carries the initial
-  // state to the workers, which attach by the derived "-ctl" name once it
-  // is ready. The TRANSPORT segment is created by rank 0 inside planLocal
-  // (it knows the message sizes); the parent only unlinks it at teardown.
-  ctl_ = parallel::ShmRegion::create(spec_.segment + "-ctl", layout_.total);
-  copyState(initial, stateArea(layout_, ctl_.payload()));
-  ctl_.markReady();
   hashes_.assign(static_cast<std::size_t>(spec_.nranks), 0);
 
   // Doubles travel as %.17g, which round-trips every value exactly.
@@ -301,7 +302,7 @@ MpSession::MpSession(RunSpec spec, const dycore::State& initial)
     return std::string(buf);
   };
   const dycore::DycoreConfig& dyn = spec_.dyn;
-  pids_ = parallel::spawnRanks(spec_.nranks, spec_.pin, [&](Index r) {
+  const auto argv_for = [&](Index r) {
     return std::vector<std::string>{
         "grist-shm-worker",
         kWorkerFlag,
@@ -318,7 +319,25 @@ MpSession::MpSession(RunSpec spec, const dycore::State& initial)
         exact(dyn.w_damp_tau),
         exact(dyn.ptop),
         exact(dyn.p_surface)};
-  });
+  };
+
+  // The control/result segment is parent-created; it carries the initial
+  // state to the workers, which attach by the derived "-ctl" name once it
+  // is ready. The TRANSPORT segment is created by rank 0 inside planLocal
+  // (it knows the message sizes); the parent only unlinks it at teardown.
+  ctl_ = parallel::ShmRegion::create(spec_.segment + "-ctl", layout_.total);
+  try {
+    copyState(initial, stateArea(layout_, ctl_.payload()));
+    ctl_.markReady();
+    pids_ = parallel::spawnRanks(spec_.nranks, spec_.pin, argv_for);
+  } catch (...) {
+    // A throwing constructor gets no destructor: unlink here. spawnRanks
+    // has reaped every rank it started, but rank 0 may have created the
+    // transport segments first.
+    parallel::ShmTransport::unlinkSegments(spec_.segment);
+    parallel::ShmRegion::unlink(spec_.segment + "-ctl");
+    throw;
+  }
   exit_codes_.assign(pids_.size(), -1);
 }
 
@@ -422,9 +441,8 @@ void MpSession::refreshResults() {
 dycore::State MpSession::gather() {
   command(kCmdGather, 0);
   refreshResults();
-  dycore::State g(mesh_, spec_.dyn.nlev, layout_.ntracers);
-  copyState(g, stateArea(layout_, ctl_.payload()));
-  return g;
+  return stateFrom(stateArea(layout_, ctl_.payload()), mesh_, spec_.dyn.nlev,
+                   layout_.ntracers);
 }
 
 parallel::CommStats MpSession::commStats() {

@@ -26,10 +26,11 @@
 //           fingerprint as provenance) -- restore rejects incompatible runs
 //           by field name
 //
-// Writes are atomic: serialize, write to `path.tmp`, fsync, rename; a crash
-// mid-write never clobbers the last good checkpoint. writeCheckpoint()
-// additionally rotates `ckpt-*.grist` files in a directory, keeping the
-// newest K (default 2).
+// Writes are streamed and atomic: payloads go from the Snapshot's vectors
+// straight into `path.tmp` (no serialized copy), then header and table,
+// fsync, rename; a crash mid-write never clobbers the last good checkpoint.
+// writeCheckpoint() additionally rotates `ckpt-*.grist` files in a
+// directory, keeping the newest K (default 2).
 //
 // Readers reject wrong magic (including the retired seed-era version-1
 // restart files, which carried no CONFIG), truncated headers/tables/
@@ -164,8 +165,9 @@ class Snapshot {
   std::optional<MlWeightsSection> ml;
   std::optional<ConfigSection> config;
 
-  /// Atomic write: serialize, write `path.tmp`, fsync, rename over `path`.
-  /// Throws std::runtime_error on any I/O failure (the .tmp is removed).
+  /// Atomic streamed write into `path.tmp`, fsync, rename over `path`; heap
+  /// use is a few path strings, whatever the snapshot's size. Throws
+  /// std::runtime_error on any I/O failure (the .tmp is removed).
   void write(const std::string& path) const;
 
   /// Read and validate a snapshot of version kFormatVersion. Throws
@@ -173,7 +175,7 @@ class Snapshot {
   /// truncation or checksum failure, naming the offending section.
   static Snapshot read(const std::string& path);
 
-  /// Header + section table only. Same error contract.
+  /// Reads the header + section table only. Same error contract.
   static SnapshotInfo peek(const std::string& path);
 };
 

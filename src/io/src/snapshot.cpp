@@ -6,11 +6,14 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace grist::io {
 
@@ -31,59 +34,6 @@ std::array<std::uint32_t, 256> makeCrcTable() {
   return t;
 }
 
-// ---------------------------------------------------------------------------
-// Byte-buffer (de)serialization. All fields are native little-endian PODs;
-// the format is host-endianness (every target this repo runs on is LE).
-
-struct Writer {
-  std::vector<char> buf;
-  template <typename T>
-  void pod(const T& v) {
-    const char* p = reinterpret_cast<const char*>(&v);
-    buf.insert(buf.end(), p, p + sizeof(T));
-  }
-  void doubles(const std::vector<double>& v) {
-    const char* p = reinterpret_cast<const char*>(v.data());
-    buf.insert(buf.end(), p, p + v.size() * sizeof(double));
-  }
-};
-
-struct Reader {
-  const char* p;
-  const char* end;
-  SectionId section;
-  const std::string& path;
-  Reader(const std::vector<char>& b, SectionId id, const std::string& path_)
-      : p(b.data()), end(b.data() + b.size()), section(id), path(path_) {}
-  void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end - p) < n) {
-      throw std::runtime_error("snapshot: truncated section " +
-                               std::string(sectionName(section)) + " in " + path);
-    }
-  }
-  template <typename T>
-  T pod() {
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    p += sizeof(T);
-    return v;
-  }
-  std::vector<double> doubles(std::size_t n) {
-    need(n * sizeof(double));
-    std::vector<double> v(n);
-    std::memcpy(v.data(), p, n * sizeof(double));
-    p += n * sizeof(double);
-    return v;
-  }
-  void finish() const {
-    if (p != end) {
-      throw std::runtime_error("snapshot: trailing bytes in section " +
-                               std::string(sectionName(section)) + " in " + path);
-    }
-  }
-};
-
 // On-disk section table entry (32 bytes).
 struct TableEntry {
   std::uint32_t id = 0;
@@ -97,225 +47,289 @@ static_assert(sizeof(TableEntry) == 32);
 
 constexpr std::size_t kHeaderBytes = sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t);
 
-std::vector<char> serializeState(const StateSection& s) {
-  Writer w;
-  w.pod(s.ncells);
-  w.pod(s.nedges);
-  w.pod(s.nlev);
-  w.pod(s.ntracers);
-  w.doubles(s.delp);
-  w.doubles(s.u);
-  w.doubles(s.w);
-  w.doubles(s.theta);
-  w.doubles(s.phi);
-  for (const auto& t : s.tracers) w.doubles(t);
-  return std::move(w.buf);
+[[noreturn]] void sectionError(const char* what, SectionId id, const std::string& path) {
+  throw std::runtime_error("snapshot: " + std::string(what) + " section " +
+                           sectionName(id) + " in " + path);
 }
 
-StateSection parseState(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kState, path);
-  StateSection s;
-  s.ncells = r.pod<std::int64_t>();
-  s.nedges = r.pod<std::int64_t>();
-  s.nlev = r.pod<std::int32_t>();
-  s.ntracers = r.pod<std::int32_t>();
-  if (s.ncells < 0 || s.nedges < 0 || s.nlev < 0 || s.ntracers < 0) {
-    throw std::runtime_error("snapshot: negative shape in section STATE in " + path);
+/// Elements in an a x b array. Saturates, so a hostile shape reads as too
+/// large for its section instead of wrapping to a small count.
+std::size_t elems(std::int64_t a, std::int64_t b) {
+  std::size_t n = 0;
+  if (__builtin_mul_overflow(static_cast<std::size_t>(a), static_cast<std::size_t>(b), &n)) {
+    return std::numeric_limits<std::size_t>::max();
   }
-  const std::size_t nc = static_cast<std::size_t>(s.ncells);
-  const std::size_t ne = static_cast<std::size_t>(s.nedges);
-  const std::size_t lev = static_cast<std::size_t>(s.nlev);
-  s.delp = r.doubles(nc * lev);
-  s.u = r.doubles(ne * lev);
-  s.w = r.doubles(nc * (lev + 1));
-  s.theta = r.doubles(nc * lev);
-  s.phi = r.doubles(nc * (lev + 1));
-  s.tracers.reserve(static_cast<std::size_t>(s.ntracers));
-  for (std::int32_t t = 0; t < s.ntracers; ++t) s.tracers.push_back(r.doubles(nc * lev));
-  r.finish();
-  return s;
+  return n;
 }
 
-std::vector<char> serializeLand(const std::vector<double>& tskin) {
-  Writer w;
-  w.pod(static_cast<std::int64_t>(tskin.size()));
-  w.doubles(tskin);
-  return std::move(w.buf);
+// ---------------------------------------------------------------------------
+// Section layouts. Each section's byte layout is spelled once, as a function
+// template over an IO visitor: Sink streams a const section into the file
+// (Snapshot::write), Source parses one into a fresh section (Snapshot::read).
+// All fields are native little-endian PODs; the format is host-endianness
+// (every target this repo runs on is LE). The visitor's calls:
+//   pod(v)               one POD field
+//   shape(v)             one POD array dimension, which must be >= 0
+//   doubles(v, n)        an array of n doubles
+//   rows(vs, count, n)   count arrays of n doubles each
+
+template <class S, class T>
+concept SectionOf = std::same_as<std::remove_const_t<S>, T>;
+
+template <class IO, SectionOf<StateSection> S>
+void layout(IO& io, S& s) {
+  io.shape(s.ncells);
+  io.shape(s.nedges);
+  io.shape(s.nlev);
+  io.shape(s.ntracers);
+  const std::size_t cells = elems(s.ncells, s.nlev);
+  const std::size_t columns = elems(s.ncells, s.nlev + std::int64_t{1});
+  io.doubles(s.delp, cells);
+  io.doubles(s.u, elems(s.nedges, s.nlev));
+  io.doubles(s.w, columns);
+  io.doubles(s.theta, cells);
+  io.doubles(s.phi, columns);
+  io.rows(s.tracers, s.ntracers, cells);
 }
 
-std::vector<double> parseLand(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kLand, path);
-  const auto n = r.pod<std::int64_t>();
-  if (n < 0) throw std::runtime_error("snapshot: negative shape in section LAND in " + path);
-  auto v = r.doubles(static_cast<std::size_t>(n));
-  r.finish();
-  return v;
+/// LAND: the skin temperature, prefixed by its length.
+template <class IO, SectionOf<std::vector<double>> S>
+void layout(IO& io, S& tskin) {
+  auto n = static_cast<std::int64_t>(tskin.size());
+  io.shape(n);
+  io.doubles(tskin, static_cast<std::size_t>(n));
 }
 
-std::vector<char> serializeClock(const ClockSection& c) {
-  Writer w;
-  w.pod(c.sim_seconds);
-  w.pod(c.dyn_steps);
-  return std::move(w.buf);
+template <class IO, SectionOf<ClockSection> S>
+void layout(IO& io, S& c) {
+  io.pod(c.sim_seconds);
+  io.pod(c.dyn_steps);
 }
 
-ClockSection parseClock(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kClock, path);
-  ClockSection c;
-  c.sim_seconds = r.pod<double>();
-  c.dyn_steps = r.pod<std::int64_t>();
-  r.finish();
-  return c;
+template <class IO, SectionOf<DiagSection> S>
+void layout(IO& io, S& d) {
+  io.shape(d.ncells);
+  io.shape(d.nedges);
+  io.shape(d.nlev);
+  io.pod(d.acc_steps);
+  io.doubles(d.acc_flux, elems(d.nedges, d.nlev));
+  io.doubles(d.delp_at_tracer_start, elems(d.ncells, d.nlev));
+  io.doubles(d.precip_accum, static_cast<std::size_t>(d.ncells));
 }
 
-std::vector<char> serializeDiag(const DiagSection& d) {
-  Writer w;
-  w.pod(d.ncells);
-  w.pod(d.nedges);
-  w.pod(d.nlev);
-  w.pod(d.acc_steps);
-  w.doubles(d.acc_flux);
-  w.doubles(d.delp_at_tracer_start);
-  w.doubles(d.precip_accum);
-  return std::move(w.buf);
+template <class IO, SectionOf<MlWeightsSection> S>
+void layout(IO& io, S& m) {
+  io.pod(m.q1q2_fingerprint);
+  io.pod(m.rad_fingerprint);
+  io.pod(m.q1q2_bf16_version);
+  io.pod(m.q1q2_int8_version);
+  io.pod(m.rad_bf16_version);
+  io.pod(m.rad_int8_version);
 }
 
-DiagSection parseDiag(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kDiag, path);
-  DiagSection d;
-  d.ncells = r.pod<std::int64_t>();
-  d.nedges = r.pod<std::int64_t>();
-  d.nlev = r.pod<std::int32_t>();
-  d.acc_steps = r.pod<std::int32_t>();
-  if (d.ncells < 0 || d.nedges < 0 || d.nlev < 0) {
-    throw std::runtime_error("snapshot: negative shape in section DIAG in " + path);
+template <class IO, SectionOf<ConfigSection> S>
+void layout(IO& io, S& c) {
+  io.pod(c.grid_level);
+  io.pod(c.writer_nranks);
+  io.pod(c.nlev);
+  io.pod(c.ntracers);
+  io.pod(c.trac_interval);
+  io.pod(c.phy_interval);
+  io.pod(c.dt);
+  io.pod(c.ns_single);
+  io.pod(c.partition_fingerprint);
+  io.pod(c.mesh_fingerprint);
+}
+
+/// Every section in file order: `f(id, member)` with the snapshot's
+/// std::optional member for that section.
+template <class Snap, class F>
+void forEachSection(Snap& snap, F&& f) {
+  f(SectionId::kState, snap.state);
+  f(SectionId::kLand, snap.land);
+  f(SectionId::kClock, snap.clock);
+  f(SectionId::kDiag, snap.diag);
+  f(SectionId::kMlWeights, snap.ml);
+  f(SectionId::kConfig, snap.config);
+}
+
+/// Parses one section from its CRC-checked span of the file image; every
+/// read is bounds-checked against the span before any arithmetic on it.
+class Source {
+ public:
+  Source(const char* p, std::size_t bytes, SectionId id, const std::string& path)
+      : p_(p), end_(p + bytes), id_(id), path_(path) {}
+
+  template <typename T>
+  void pod(T& v) {
+    if (left() < sizeof(T)) sectionError("truncated", id_, path_);
+    std::memcpy(&v, p_, sizeof(T));
+    p_ += sizeof(T);
   }
-  const std::size_t nc = static_cast<std::size_t>(d.ncells);
-  const std::size_t ne = static_cast<std::size_t>(d.nedges);
-  const std::size_t lev = static_cast<std::size_t>(d.nlev);
-  d.acc_flux = r.doubles(ne * lev);
-  d.delp_at_tracer_start = r.doubles(nc * lev);
-  d.precip_accum = r.doubles(nc);
-  r.finish();
-  return d;
-}
+  template <typename T>
+  void shape(T& v) {
+    pod(v);
+    if (v < 0) sectionError("negative shape in", id_, path_);
+  }
+  void doubles(std::vector<double>& v, std::size_t n) {
+    if (n > left() / sizeof(double)) sectionError("truncated", id_, path_);
+    v.resize(n);
+    std::memcpy(v.data(), p_, n * sizeof(double));
+    p_ += n * sizeof(double);
+  }
+  void rows(std::vector<std::vector<double>>& vs, std::int64_t count, std::size_t n) {
+    for (std::int64_t i = 0; i < count; ++i) doubles(vs.emplace_back(), n);
+  }
+  void finish() const {
+    if (p_ != end_) sectionError("trailing bytes in", id_, path_);
+  }
 
-std::vector<char> serializeMl(const MlWeightsSection& m) {
-  Writer w;
-  w.pod(m.q1q2_fingerprint);
-  w.pod(m.rad_fingerprint);
-  w.pod(m.q1q2_bf16_version);
-  w.pod(m.q1q2_int8_version);
-  w.pod(m.rad_bf16_version);
-  w.pod(m.rad_int8_version);
-  return std::move(w.buf);
-}
+ private:
+  std::size_t left() const { return static_cast<std::size_t>(end_ - p_); }
 
-MlWeightsSection parseMl(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kMlWeights, path);
-  MlWeightsSection m;
-  m.q1q2_fingerprint = r.pod<std::uint64_t>();
-  m.rad_fingerprint = r.pod<std::uint64_t>();
-  m.q1q2_bf16_version = r.pod<std::uint64_t>();
-  m.q1q2_int8_version = r.pod<std::uint64_t>();
-  m.rad_bf16_version = r.pod<std::uint64_t>();
-  m.rad_int8_version = r.pod<std::uint64_t>();
-  r.finish();
-  return m;
-}
+  const char* p_;
+  const char* end_;
+  SectionId id_;
+  const std::string& path_;
+};
 
-std::vector<char> serializeConfig(const ConfigSection& c) {
-  Writer w;
-  w.pod(c.grid_level);
-  w.pod(c.writer_nranks);
-  w.pod(c.nlev);
-  w.pod(c.ntracers);
-  w.pod(c.trac_interval);
-  w.pod(c.phy_interval);
-  w.pod(c.dt);
-  w.pod(c.ns_single);
-  w.pod(c.partition_fingerprint);
-  w.pod(c.mesh_fingerprint);
-  return std::move(w.buf);
-}
+/// Streams a snapshot into the tmp file a write publishes: every field and
+/// array straight from the section, each section under a running CRC32.
+/// Until publish(), a failure or an escaping exception closes and unlinks
+/// the tmp file.
+class Sink {
+ public:
+  explicit Sink(std::string tmp)
+      : tmp_(std::move(tmp)), fd_(::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)) {
+    if (fd_ < 0) fail("cannot open ");
+  }
+  ~Sink() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+      ::unlink(tmp_.c_str());
+    }
+  }
+  Sink(const Sink&) = delete;
+  Sink& operator=(const Sink&) = delete;
 
-ConfigSection parseConfig(const std::vector<char>& buf, const std::string& path) {
-  Reader r(buf, SectionId::kConfig, path);
-  ConfigSection c;
-  c.grid_level = r.pod<std::int32_t>();
-  c.writer_nranks = r.pod<std::int32_t>();
-  c.nlev = r.pod<std::int32_t>();
-  c.ntracers = r.pod<std::int32_t>();
-  c.trac_interval = r.pod<std::int32_t>();
-  c.phy_interval = r.pod<std::int32_t>();
-  c.dt = r.pod<double>();
-  c.ns_single = r.pod<std::uint8_t>();
-  c.partition_fingerprint = r.pod<std::uint64_t>();
-  c.mesh_fingerprint = r.pod<std::uint64_t>();
-  r.finish();
-  return c;
-}
+  template <typename T>
+  void pod(const T& v) { put(&v, sizeof(T)); }
+  template <typename T>
+  void shape(const T& v) { put(&v, sizeof(T)); }
+  void doubles(const std::vector<double>& v, std::size_t) {
+    put(v.data(), v.size() * sizeof(double));
+  }
+  void rows(const std::vector<std::vector<double>>& vs, std::int64_t, std::size_t n) {
+    for (const std::vector<double>& v : vs) doubles(v, n);
+  }
 
-/// Read a whole file; distinguishes "cannot open" from "empty".
-std::vector<char> slurp(const std::string& path) {
+  void seek(std::uint64_t offset) { offset_ = offset; }
+  /// Stream one section at the write position; returns its table entry.
+  template <class S>
+  TableEntry section(SectionId id, const S& s) {
+    TableEntry e;
+    e.id = static_cast<std::uint32_t>(id);
+    e.offset = offset_;
+    crc_ = 0;
+    layout(*this, s);
+    e.bytes = offset_ - e.offset;
+    e.crc = crc_;
+    return e;
+  }
+  /// Atomic publish: fsync, close, rename over `path`, fsync the directory.
+  /// A crash at any point leaves either the previous `path` intact or a
+  /// dangling .tmp that the next write truncates over.
+  void publish(const std::string& path) {
+    if (::fsync(fd_) != 0) fail("fsync failed for ");
+    ::close(fd_);
+    fd_ = -1;
+    if (::rename(tmp_.c_str(), path.c_str()) != 0) {
+      const int err = errno;
+      ::unlink(tmp_.c_str());
+      throw std::runtime_error("snapshot: rename to " + path + " failed: " +
+                               std::strerror(err));
+    }
+    // Make the rename itself durable (fsync the containing directory).
+    const fs::path parent = fs::path(path).parent_path();
+    const std::string dirname = parent.empty() ? "." : parent.string();
+    const int dfd = ::open(dirname.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd >= 0) {
+      ::fsync(dfd);
+      ::close(dfd);
+    }
+  }
+
+ private:
+  [[noreturn]] void fail(const char* what) const {
+    const int err = errno;
+    throw std::runtime_error("snapshot: " + std::string(what) + tmp_ + ": " +
+                             std::strerror(err));
+  }
+  void put(const void* data, std::size_t bytes) {
+    crc_ = crc32(data, bytes, crc_);
+    const char* p = static_cast<const char*>(data);
+    while (bytes > 0) {
+      const ssize_t n = ::pwrite(fd_, p, bytes, static_cast<off_t>(offset_));
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        fail("write failed for ");
+      }
+      p += n;
+      bytes -= static_cast<std::size_t>(n);
+      offset_ += static_cast<std::uint64_t>(n);
+    }
+  }
+
+  std::string tmp_;
+  int fd_;
+  std::uint64_t offset_ = 0;
+  std::uint32_t crc_ = 0;
+};
+
+/// Open a snapshot for reading; distinguishes "cannot open" from "empty".
+std::ifstream openSnapshot(const std::string& path, std::size_t& bytes) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("snapshot: cannot open " + path);
-  const std::streamsize n = in.tellg();
+  bytes = static_cast<std::size_t>(in.tellg());
   in.seekg(0);
-  std::vector<char> buf(static_cast<std::size_t>(n));
-  if (n > 0) in.read(buf.data(), n);
-  if (!in) throw std::runtime_error("snapshot: read failed for " + path);
-  return buf;
+  return in;
 }
 
-/// Parse header + table from a raw file image (no payload validation).
-SnapshotInfo parseTable(const std::vector<char>& file, const std::string& path) {
-  SnapshotInfo info;
-  if (file.size() < kHeaderBytes) {
+void readInto(std::ifstream& in, void* dst, std::size_t bytes, const std::string& path) {
+  if (bytes > 0) in.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+  if (!in) throw std::runtime_error("snapshot: read failed for " + path);
+}
+
+/// Read and check the header + section table at the start of `in`, a
+/// `file_bytes`-byte file (no payload validation).
+SnapshotInfo readTable(std::ifstream& in, std::size_t file_bytes, const std::string& path) {
+  if (file_bytes < kHeaderBytes) {
     throw std::runtime_error("snapshot: truncated header in " + path);
   }
   std::uint64_t magic = 0;
-  std::memcpy(&magic, file.data(), sizeof magic);
+  std::uint32_t version = 0, nsections = 0;
+  readInto(in, &magic, sizeof magic, path);
+  readInto(in, &version, sizeof version, path);
+  readInto(in, &nsections, sizeof nsections, path);
   if (magic != Snapshot::kMagic) {
     throw std::runtime_error("snapshot: bad magic in " + path);
   }
-  std::uint32_t version = 0, nsections = 0;
-  std::memcpy(&version, file.data() + 8, sizeof version);
-  std::memcpy(&nsections, file.data() + 12, sizeof nsections);
   if (version != Snapshot::kFormatVersion) {
     throw std::runtime_error("snapshot: format version " + std::to_string(version) +
                              " unsupported (this build reads version " +
                              std::to_string(Snapshot::kFormatVersion) + ") in " + path);
   }
-  info.format_version = version;
-  const std::size_t table_bytes = static_cast<std::size_t>(nsections) * sizeof(TableEntry);
-  if (file.size() < kHeaderBytes + table_bytes) {
+  if (file_bytes - kHeaderBytes < static_cast<std::size_t>(nsections) * sizeof(TableEntry)) {
     throw std::runtime_error("snapshot: truncated section table in " + path);
   }
+  SnapshotInfo info;
+  info.format_version = version;
   for (std::uint32_t i = 0; i < nsections; ++i) {
     TableEntry e;
-    std::memcpy(&e, file.data() + kHeaderBytes + i * sizeof(TableEntry), sizeof e);
+    readInto(in, &e, sizeof e, path);
     info.sections.push_back({static_cast<SectionId>(e.id), e.offset, e.bytes, e.crc});
   }
   return info;
-}
-
-/// Extract + checksum one section's payload.
-std::vector<char> sectionPayload(const std::vector<char>& file,
-                                 const SnapshotInfo::Entry& e,
-                                 const std::string& path) {
-  const char* name = sectionName(e.id);
-  if (e.offset > file.size() || e.bytes > file.size() - e.offset) {
-    throw std::runtime_error("snapshot: truncated section " + std::string(name) +
-                             " in " + path);
-  }
-  std::vector<char> buf(file.begin() + static_cast<std::ptrdiff_t>(e.offset),
-                        file.begin() + static_cast<std::ptrdiff_t>(e.offset + e.bytes));
-  if (crc32(buf.data(), buf.size()) != e.crc) {
-    throw std::runtime_error("snapshot: CRC mismatch in section " +
-                             std::string(name) + " in " + path);
-  }
-  return buf;
 }
 
 } // namespace
@@ -403,103 +417,51 @@ dycore::State StateSection::toState(const grid::HexMesh& mesh) const {
 // Snapshot write/read
 
 void Snapshot::write(const std::string& path) const {
-  // Serialize every present section.
-  std::vector<std::pair<SectionId, std::vector<char>>> parts;
-  if (state) parts.emplace_back(SectionId::kState, serializeState(*state));
-  if (land) parts.emplace_back(SectionId::kLand, serializeLand(*land));
-  if (clock) parts.emplace_back(SectionId::kClock, serializeClock(*clock));
-  if (diag) parts.emplace_back(SectionId::kDiag, serializeDiag(*diag));
-  if (ml) parts.emplace_back(SectionId::kMlWeights, serializeMl(*ml));
-  if (config) parts.emplace_back(SectionId::kConfig, serializeConfig(*config));
-
-  Writer out;
+  std::uint32_t nsections = 0;
+  forEachSection(*this, [&](SectionId, const auto& s) { nsections += s.has_value(); });
+  Sink out(path + ".tmp");
+  // Payloads first, after room for the header and table; those go in last,
+  // once every section's size and CRC is known.
+  out.seek(kHeaderBytes + nsections * sizeof(TableEntry));
+  std::array<TableEntry, 6> table;  // at most one entry per section
+  std::size_t n = 0;
+  forEachSection(*this, [&](SectionId id, const auto& s) {
+    if (s) table[n++] = out.section(id, *s);
+  });
+  out.seek(0);
   out.pod(kMagic);
   out.pod(kFormatVersion);
-  out.pod(static_cast<std::uint32_t>(parts.size()));
-  std::uint64_t offset = kHeaderBytes + parts.size() * sizeof(TableEntry);
-  for (const auto& [id, buf] : parts) {
-    TableEntry e;
-    e.id = static_cast<std::uint32_t>(id);
-    e.offset = offset;
-    e.bytes = buf.size();
-    e.crc = crc32(buf.data(), buf.size());
-    out.pod(e);
-    offset += buf.size();
-  }
-  for (const auto& [id, buf] : parts) {
-    out.buf.insert(out.buf.end(), buf.begin(), buf.end());
-  }
-
-  // Atomic publish: tmp + fsync + rename. A crash at any point leaves either
-  // the previous `path` intact or a dangling .tmp that the next write
-  // truncates over.
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw std::runtime_error("snapshot: cannot open " + tmp + ": " +
-                             std::strerror(errno));
-  }
-  const char* p = out.buf.data();
-  std::size_t left = out.buf.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw std::runtime_error("snapshot: write failed for " + tmp + ": " +
-                               std::strerror(err));
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("snapshot: fsync failed for " + tmp + ": " +
-                             std::strerror(err));
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    throw std::runtime_error("snapshot: rename to " + path + " failed: " +
-                             std::strerror(err));
-  }
-  // Make the rename itself durable (fsync the containing directory).
-  const fs::path parent = fs::path(path).parent_path();
-  const std::string dirname = parent.empty() ? "." : parent.string();
-  const int dfd = ::open(dirname.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  out.pod(nsections);
+  for (std::size_t i = 0; i < nsections; ++i) out.pod(table[i]);
+  out.publish(path);
 }
 
 SnapshotInfo Snapshot::peek(const std::string& path) {
-  return parseTable(slurp(path), path);
+  std::size_t bytes = 0;
+  std::ifstream in = openSnapshot(path, bytes);
+  return readTable(in, bytes, path);
 }
 
 Snapshot Snapshot::read(const std::string& path) {
-  const std::vector<char> file = slurp(path);
-  const SnapshotInfo info = parseTable(file, path);
+  std::size_t bytes = 0;
+  std::ifstream in = openSnapshot(path, bytes);
+  const SnapshotInfo info = readTable(in, bytes, path);
+  std::vector<char> file(bytes);
+  in.seekg(0);
+  readInto(in, file.data(), bytes, path);
   Snapshot snap;
   for (const SnapshotInfo::Entry& e : info.sections) {
-    const std::vector<char> buf = sectionPayload(file, e, path);
-    switch (e.id) {
-      case SectionId::kState: snap.state = parseState(buf, path); break;
-      case SectionId::kLand: snap.land = parseLand(buf, path); break;
-      case SectionId::kClock: snap.clock = parseClock(buf, path); break;
-      case SectionId::kDiag: snap.diag = parseDiag(buf, path); break;
-      case SectionId::kMlWeights: snap.ml = parseMl(buf, path); break;
-      case SectionId::kConfig: snap.config = parseConfig(buf, path); break;
-      default:
-        // Unknown sections are skipped (forward-compatible readers), but
-        // their CRC was still validated above.
-        break;
-    }
+    if (e.offset > bytes || e.bytes > bytes - e.offset) sectionError("truncated", e.id, path);
+    const char* span = file.data() + e.offset;
+    // Unknown sections are skipped (forward-compatible readers), but their
+    // CRC is still validated.
+    if (crc32(span, e.bytes) != e.crc) sectionError("CRC mismatch in", e.id, path);
+    forEachSection(snap, [&](SectionId id, auto& s) {
+      if (id != e.id) return;
+      Source src(span, e.bytes, id, path);
+      layout(src, s.emplace());
+      src.finish();
+    });
   }
   return snap;
 }

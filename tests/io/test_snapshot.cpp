@@ -91,6 +91,54 @@ class SnapshotTest : public ::testing::Test {
     return snap;
   }
 
+  /// A tiny snapshot with every section present and every value an exact
+  /// binary fraction, so its bytes depend on no libm or SIMD tier.
+  static Snapshot makePinned() {
+    const auto ramp = [](std::size_t n, double start) {
+      std::vector<double> v(n);
+      for (std::size_t i = 0; i < n; ++i) v[i] = start + 0.25 * static_cast<double>(i);
+      return v;
+    };
+    Snapshot snap;
+    StateSection s;
+    s.ncells = 3;
+    s.nedges = 5;
+    s.nlev = 2;
+    s.ntracers = 2;
+    s.delp = ramp(6, 100.0);
+    s.u = ramp(10, -2.0);
+    s.w = ramp(9, 0.5);
+    s.theta = ramp(6, 300.0);
+    s.phi = ramp(9, 1000.0);
+    s.tracers = {ramp(6, 0.125), ramp(6, 0.0)};
+    snap.state = s;
+    snap.land = ramp(3, 289.0);
+    snap.clock = ClockSection{3600.0, 6};
+    DiagSection d;
+    d.ncells = 3;
+    d.nedges = 5;
+    d.nlev = 2;
+    d.acc_steps = 2;
+    d.acc_flux = ramp(10, 0.5);
+    d.delp_at_tracer_start = ramp(6, 99.0);
+    d.precip_accum = ramp(3, 0.0);
+    snap.diag = d;
+    snap.ml = MlWeightsSection{0x0123456789ABCDEFull, 0xFEDCBA9876543210ull, 1, 2, 3, 4};
+    ConfigSection c;
+    c.grid_level = 1;
+    c.writer_nranks = 2;
+    c.nlev = 2;
+    c.ntracers = 2;
+    c.trac_interval = 4;
+    c.phy_interval = 8;
+    c.dt = 450.0;
+    c.ns_single = 1;
+    c.partition_fingerprint = 0xABCD;
+    c.mesh_fingerprint = 0x5EED;
+    snap.config = c;
+    return snap;
+  }
+
   std::string dir_, path_;
   grid::HexMesh mesh_;
   dycore::DycoreConfig cfg_;
@@ -248,6 +296,45 @@ TEST_F(SnapshotTest, ChecksumFlipNamesSection) {
     const std::string what = e.what();
     EXPECT_NE(what.find("CRC mismatch"), std::string::npos) << what;
     EXPECT_NE(what.find("STATE"), std::string::npos) << what;
+  }
+}
+
+TEST_F(SnapshotTest, FileBytesArePinned) {
+  // The whole file, header and table included, recorded from the
+  // serialize/parse implementation this layout replaced: any change to a
+  // section's byte layout shows up here.
+  makePinned().write(path_);
+  const std::vector<char> bytes = slurpFile(path_);
+  EXPECT_EQ(bytes.size(), 969u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x6B7E277Fu)
+      << "the snapshot byte layout changed: bump Snapshot::kFormatVersion so "
+         "old files are refused by version, then re-record this constant";
+  const Snapshot back = Snapshot::read(path_);
+  EXPECT_EQ(back.state->tracers, makePinned().state->tracers);
+  EXPECT_EQ(back.config->mesh_fingerprint, 0x5EEDu);
+}
+
+TEST_F(SnapshotTest, OverflowingStateShapeIsTruncated) {
+  // A CRC-valid STATE whose ncells x nlev x 8 bytes overflows size_t is
+  // refused by its size, not by an allocator exception.
+  makeFull().write(path_);
+  const SnapshotInfo::Entry state = Snapshot::peek(path_).sections.front();
+  ASSERT_EQ(state.id, SectionId::kState);
+  std::vector<char> buf = slurpFile(path_);
+  const std::int64_t ncells = std::int64_t{1} << 40;
+  const std::int32_t nlev = 1 << 23;
+  std::memcpy(buf.data() + state.offset, &ncells, sizeof ncells);
+  std::memcpy(buf.data() + state.offset + 16, &nlev, sizeof nlev);
+  const std::uint32_t crc = crc32(buf.data() + state.offset, state.bytes);
+  std::memcpy(buf.data() + 16 + 24, &crc, sizeof crc);  // table entry 0's CRC
+  dumpFile(path_, buf);
+  try {
+    Snapshot::read(path_);
+    FAIL() << "expected truncation rejection";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("truncated section STATE in " + path_), std::string::npos)
+        << what;
   }
 }
 

@@ -2,20 +2,28 @@
 // in-place (exchange plans, bands and packed buffers survive untouched),
 // so a warm ParallelModel that just swallowed a checkpoint must step with
 // zero heap allocations -- a mid-run restore cannot quietly demote the
-// pool back to a cold path.
+// pool back to a cold path. Also the footprint guard for the checkpoint
+// write: Snapshot::write streams the file from the snapshot's own vectors,
+// so it allocates a few path strings, not a copy of the file.
 //
 // This binary overrides the global allocation operators to count heap
 // traffic, so it is its own test executable (see tests/CMakeLists.txt) --
 // the same pattern as tests/core/test_parallel_model_alloc.cpp.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <new>
+#include <string>
 
+#include "grist/core/checkpoint.hpp"
 #include "grist/core/parallel_model.hpp"
 #include "grist/dycore/init.hpp"
+#include "grist/io/snapshot.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter. malloc-backed so the override itself is free of
@@ -23,16 +31,19 @@
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<long> g_heap_allocs{0};
+std::atomic<long> g_heap_bytes{0};
 } // namespace
 
 void* operator new(std::size_t size) {
   ++g_heap_allocs;
+  g_heap_bytes += static_cast<long>(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t al) {
   ++g_heap_allocs;
+  g_heap_bytes += static_cast<long>(size);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(al), size ? size : 1) != 0) {
     throw std::bad_alloc();
@@ -99,6 +110,28 @@ TEST_F(RestoreAllocationGuard, StepAfterRestoreIsHeapFree) {
   model.restoreGlobalState(checkpoint);
   EXPECT_EQ(allocsDuring(step), 0);
   EXPECT_EQ(allocsDuring(step), 0);
+}
+
+TEST(SnapshotWriteFootprint, StreamsWithoutCopyingTheFile) {
+  const grid::HexMesh mesh = grid::buildHexMesh(4);
+  dycore::DycoreConfig cfg;
+  cfg.nlev = 20;
+  const io::Snapshot snap = captureDynRun(dycore::initBaroclinicWave(mesh, cfg),
+                                          cfg, mesh, /*steps_done=*/0,
+                                          /*nranks=*/1, /*partition_fingerprint=*/0);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("grist_write_footprint." + std::to_string(::getpid()) + ".grist"))
+          .string();
+  const long before = g_heap_bytes.load();
+  snap.write(path);
+  const long allocated = g_heap_bytes.load() - before;
+  const auto file_bytes = static_cast<long>(std::filesystem::file_size(path));
+  std::filesystem::remove(path);
+  EXPECT_GT(file_bytes, 1L << 20);
+  EXPECT_LT(allocated, 64L * 1024)
+      << "Snapshot::write allocated " << allocated << " bytes for a "
+      << file_bytes << "-byte file";
 }
 
 } // namespace
