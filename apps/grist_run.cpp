@@ -11,7 +11,9 @@
 // Extra namelist keys beyond the factory's (see core/factory.hpp):
 //   steps (48)            dynamics steps to run (overridden by argv[2])
 //   restart_in            snapshot to resume from (--restart overrides)
-//   restart_out           snapshot to write at the end of the run
+//   restart_out           snapshot to write at the end of the run (its
+//                         directory must exist, or the run exits 2 before
+//                         its first step)
 //   report_interval (12)  steps between progress lines
 //
 // Checkpoint/restart (io/snapshot.hpp, core/checkpoint.hpp) means the same
@@ -25,6 +27,8 @@
 //                         checkpoint resumes only a solo run, and a
 //                         multi-rank one only a multi-rank run: their
 //                         CONFIG cadences differ.
+// A checkpoint or restart_out write that fails ends the run with exit 1 and
+// the reason on stderr.
 //
 // With --ranks N > 1 the run becomes the multi-rank dynamics step
 // (dynamics only, no physics/IO) with the namelist's dycore settings and
@@ -58,6 +62,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -242,6 +247,46 @@ int runEnsemble(const grist::Config& config, int steps, int members,
   return 0;
 }
 
+/// The solo run: one Model, with the checkpoints and restart_out it asks
+/// for; a failed write throws out of it.
+int runSolo(const grist::Config& config, grist::core::ModelBundle& bundle,
+            int steps, const CkptOpts& ckpt) {
+  using namespace grist;
+  core::Model& model = *bundle.model;
+  const grid::HexMesh& mesh = bundle.mesh;
+  const int report = std::max(1, config.getInt("report_interval", 12));
+  std::printf("scheme %s, grid G%d (%d cells), %d steps\n", model.schemeName(),
+              config.getInt("grid_level", 4), mesh.ncells, steps);
+
+  Timer timer;
+  for (int s = 0; s < steps; ++s) {
+    model.step();
+    if (ckpt.every > 0 &&
+        ((s + 1) % ckpt.every == 0 || s + 1 == steps)) {
+      const std::string path =
+          io::writeCheckpoint(ckpt.dir, model.snapshot(), model.dynSteps());
+      std::printf("checkpoint: step %ld -> %s\n", model.dynSteps(),
+                  path.c_str());
+    }
+    if ((s + 1) % report == 0) {
+      double rain_max = 0;
+      for (const double r : model.meanPrecipRate()) rain_max = std::max(rain_max, r);
+      std::printf("step %6d  sim day %8.3f  KE %.4e  max rain %7.2f mm/d\n", s + 1,
+                  model.simDays(), dycore::totalKineticEnergy(mesh, model.state()),
+                  rain_max);
+    }
+  }
+  const double wall = timer.elapsed();
+  std::printf("done: %.3f simulated days in %.1f s wall (%.1f SDPD on this host)\n",
+              model.simDays(), wall, model.simDays() / (wall / 86400.0));
+
+  if (!ckpt.restart_out.empty()) {
+    model.snapshot().write(ckpt.restart_out);
+    std::printf("restart written to %s\n", ckpt.restart_out.c_str());
+  }
+  return 0;
+}
+
 void usage() {
   std::fprintf(stderr,
                "usage: grist_run <namelist> [steps] [--ranks N] "
@@ -353,6 +398,18 @@ int main(int argc, char** argv) {
                  ckpt.restart.c_str());
     return 2;
   }
+  // A restart_out that cannot be written is refused before the first step,
+  // not after the whole run.
+  if (!ckpt.restart_out.empty()) {
+    std::filesystem::path dir = std::filesystem::path(ckpt.restart_out).parent_path();
+    if (dir.empty()) dir = ".";
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec)) {
+      std::fprintf(stderr, "grist_run: restart_out directory not found: %s\n",
+                   dir.c_str());
+      return 2;
+    }
+  }
 
   const int steps = pos.size() > 1
                         ? numberOrExit("steps", pos[1], 0, INT_MAX)
@@ -392,7 +449,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   core::Model& model = *bundle->model;
-  const grid::HexMesh& mesh = bundle->mesh;
 
   if (!ckpt.restart.empty()) {
     try {
@@ -405,35 +461,10 @@ int main(int argc, char** argv) {
                 ckpt.restart.c_str(), model.simDays(), model.dynSteps());
   }
 
-  const int report = std::max(1, config.getInt("report_interval", 12));
-  std::printf("scheme %s, grid G%d (%d cells), %d steps\n", model.schemeName(),
-              config.getInt("grid_level", 4), mesh.ncells, steps);
-
-  Timer timer;
-  for (int s = 0; s < steps; ++s) {
-    model.step();
-    if (ckpt.every > 0 &&
-        ((s + 1) % ckpt.every == 0 || s + 1 == steps)) {
-      const std::string path =
-          io::writeCheckpoint(ckpt.dir, model.snapshot(), model.dynSteps());
-      std::printf("checkpoint: step %ld -> %s\n", model.dynSteps(),
-                  path.c_str());
-    }
-    if ((s + 1) % report == 0) {
-      double rain_max = 0;
-      for (const double r : model.meanPrecipRate()) rain_max = std::max(rain_max, r);
-      std::printf("step %6d  sim day %8.3f  KE %.4e  max rain %7.2f mm/d\n", s + 1,
-                  model.simDays(), dycore::totalKineticEnergy(mesh, model.state()),
-                  rain_max);
-    }
+  try {
+    return runSolo(config, *bundle, steps, ckpt);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "grist_run: %s\n", e.what());
+    return 1;
   }
-  const double wall = timer.elapsed();
-  std::printf("done: %.3f simulated days in %.1f s wall (%.1f SDPD on this host)\n",
-              model.simDays(), wall, model.simDays() / (wall / 86400.0));
-
-  if (!ckpt.restart_out.empty()) {
-    model.snapshot().write(ckpt.restart_out);
-    std::printf("restart written to %s\n", ckpt.restart_out.c_str());
-  }
-  return 0;
 }

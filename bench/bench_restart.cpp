@@ -1,6 +1,7 @@
 // Checkpoint-layer throughput (google-benchmark): streamed atomic write
-// (payloads straight from the snapshot's vectors, no serialized copy) and
-// read + validate + rebuild of a full sectioned snapshot, in MB/s.
+// (payloads straight from the snapshot's vectors, no serialized copy),
+// read + validate + rebuild of a full sectioned snapshot, and the section
+// CRC on its own, in MB/s.
 // These are NOT a paper figure; they size the restart tax against the
 // paper's I/O budget (section 3.1.3 writes model output through grouped
 // I/O for the same reason: at scale, snapshot bytes are the wall). Record
@@ -14,7 +15,9 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "grist/core/checkpoint.hpp"
 #include "grist/dycore/init.hpp"
@@ -105,6 +108,27 @@ void BM_RestartLoad(benchmark::State& state) {
                           f.file_bytes);
 }
 BENCHMARK(BM_RestartLoad)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) {
+  // The section checksum alone, over every payload byte of the snapshot
+  // file: the CRC work each write and each read does.
+  Fixture& f = fixtureFor(static_cast<int>(state.range(0)));
+  const io::SnapshotInfo info = io::Snapshot::peek(f.path);
+  std::vector<char> file(static_cast<std::size_t>(f.file_bytes));
+  std::ifstream(f.path, std::ios::binary).read(file.data(), f.file_bytes);
+  std::int64_t payload_bytes = 0;
+  for (const io::SnapshotInfo::Entry& e : info.sections) {
+    payload_bytes += static_cast<std::int64_t>(e.bytes);
+  }
+  for (auto _ : state) {
+    for (const io::SnapshotInfo::Entry& e : info.sections) {
+      benchmark::DoNotOptimize(io::crc32(file.data() + e.offset, e.bytes));
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          payload_bytes);
+}
+BENCHMARK(BM_Crc32)->Arg(5)->Unit(benchmark::kMillisecond);
 
 void BM_CheckpointRotation(benchmark::State& state) {
   // writeCheckpoint = serialize + atomic rename + keep-last-2 prune; the

@@ -26,11 +26,12 @@
 #                                        # bench_compare.py-gated)
 #
 # The ASan/UBSan stage rebuilds with -DGRIST_SANITIZE=ON into build-asan/
-# and runs the ml, common and io test binaries -- ml and common hand out
-# raw Workspace pointers (the packed GEMM and the batched inference path),
-# and io parses raw spans of a snapshot file image, where an out-of-bounds
-# pack, parse or dangling pointer would otherwise only show up as silent
-# corruption.
+# and runs the ml, common, io and physics test binaries -- ml and common
+# hand out raw Workspace pointers (the packed GEMM and the batched inference
+# path), io parses raw spans of a snapshot file image, and the physics
+# schemes keep per-column stack arrays of 128 levels, where an out-of-bounds
+# pack, parse, level or dangling pointer would otherwise only show up as
+# silent corruption.
 #
 # The TSan stage rebuilds with -DGRIST_SANITIZE=thread into build-tsan/ and
 # runs the parallel and core test binaries: the persistent rank pool and
@@ -232,10 +233,10 @@ fi
 if [[ "${GRIST_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== skipping ASan/UBSan pass (GRIST_SKIP_ASAN=1) =="
 else
-  echo "== sanitizer pass: ASan+UBSan on ml + common + io test binaries =="
+  echo "== sanitizer pass: ASan+UBSan on ml + common + io + physics test binaries =="
   cmake -B build-asan -S . -DGRIST_SANITIZE=ON >/dev/null
-  cmake --build build-asan -j"$(nproc)" --target test_ml test_ml_alloc test_common test_io
-  for bin in test_ml test_ml_alloc test_common test_io; do
+  cmake --build build-asan -j"$(nproc)" --target test_ml test_ml_alloc test_common test_io test_physics
+  for bin in test_ml test_ml_alloc test_common test_io test_physics; do
     echo "-- $bin (sanitized)"
     ./build-asan/tests/"$bin"
   done

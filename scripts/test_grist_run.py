@@ -7,7 +7,9 @@ A run broken by `restart_out` -> `restart_in` must end in a snapshot
 byte-identical to the unbroken run's, solo and at 2 ranks on both
 transports; the two transports run the namelist's dycore and `case` and
 agree byte for byte; `--ensemble` with a restart key, a resume under
-another dt, an unknown scheme and an unknown case are refused with exit 2.
+another dt, an unknown scheme, an unknown case and a `restart_out` in a
+missing directory are refused with exit 2; a write that fails mid-run
+exits 1 with the reason.
 The namelist is G2 with physics off (`phy_interval` above the run length):
 the physics suites' caches are not checkpointed.
 """
@@ -138,6 +140,32 @@ class GristRunTest(unittest.TestCase):
             p = self.run_grist(M, f"dt_dyn = 300\nrestart_in = {b}\n", flags)
             self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
             self.assertIn("CONFIG mismatch: dt", p.stderr)
+
+    def test_restart_out_in_a_missing_directory_is_refused_up_front(self):
+        target = self.path("no/such/dir/out.grist")
+        for flags in ((), ("--ranks", "2", "--transport", "threads")):
+            p = self.run_grist(N, f"restart_out = {target}\n", flags)
+            self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
+            self.assertIn("restart_out directory not found", p.stderr)
+            self.assertNotIn("done:", p.stdout)  # refused before stepping
+
+    def test_failed_write_exits_1_with_the_reason(self):
+        # A directory where the tmp file should go makes the open fail even
+        # for root; a regular file where a directory should be fails the
+        # checkpoint directory's creation.
+        out = self.path("out.grist")
+        os.mkdir(out + ".tmp")
+        blocker = self.path("blocker")
+        with open(blocker, "w", encoding="utf-8"):
+            pass
+        for keys, flags in (
+                (f"restart_out = {out}\n", ()),
+                ("", ("--checkpoint-every", "2",
+                      "--checkpoint-dir", os.path.join(blocker, "ck")))):
+            p = self.run_grist(2, keys, flags)
+            self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
+            self.assertIn("grist_run: ", p.stderr)
+            self.assertNotIn("terminate called", p.stderr)
 
     def test_multi_rank_refuses_unknown_scheme(self):
         p = self.run_grist(1, "scheme = bogus\n", ("--ranks", "2"))

@@ -13,13 +13,20 @@ using namespace constants;
 namespace {
 
 // First-order conservative remap of one mass-weighted scalar: values[k] are
-// layer means on old interfaces pi_old; result on new interfaces pi_new.
+// layer means on old interfaces pi_old; result on new interfaces pi_new,
+// which increase with j. Each target starts at the first old layer that
+// can overlap it: a layer skipped here has pi_old[k + 1] <= lo and
+// pi_old[k] < hi for this and every later target, so it adds nothing and
+// does not stop the sum, and every target adds the same terms in the same
+// order as a sweep from k = 0.
 void remapScalar(int nlev, const double* pi_old, const double* pi_new,
                  const double* values, double* out) {
+  int k0 = 0;
   for (int j = 0; j < nlev; ++j) {
     const double lo = pi_new[j], hi = pi_new[j + 1];
+    while (k0 + 1 < nlev && pi_old[k0 + 1] <= lo && pi_old[k0] < hi) ++k0;
     double mass = 0.0;
-    for (int k = 0; k < nlev; ++k) {
+    for (int k = k0; k < nlev; ++k) {
       const double olo = pi_old[k], ohi = pi_old[k + 1];
       const double overlap = std::min(hi, ohi) - std::max(lo, olo);
       if (overlap > 0) mass += overlap * values[k];
@@ -71,10 +78,12 @@ void verticalRemap(Index ncells, int nlev, double ptop, State& state) {
     // w: linear interpolation of the interface profile in pi.
     double* w_old = ws.get<double>(nlev + 1);
     for (int k = 0; k <= nlev; ++k) w_old[k] = state.w(c, k);
+    // Find the old interval containing each target; the targets increase
+    // (the column mass is positive), so each search resumes where the
+    // previous one stopped.
+    int j = 1;
     for (int k = 1; k < nlev; ++k) {
       const double target = pi_new[k];
-      // Find the old interval containing the target.
-      int j = 1;
       while (j < nlev && pi_old[j] < target) ++j;
       const double t =
           (target - pi_old[j - 1]) / std::max(1e-12, pi_old[j] - pi_old[j - 1]);

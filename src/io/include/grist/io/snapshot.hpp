@@ -32,6 +32,11 @@
 // writeCheckpoint() additionally rotates `ckpt-*.grist` files in a
 // directory, keeping the newest K (default 2).
 //
+// Every payload byte is checksummed on both paths; the CRC is computed
+// eight bytes at a time (slicing-by-8) over the same reflected polynomial,
+// so the values, and the file bytes at format version 4, are those of the
+// byte-at-a-time table.
+//
 // Readers reject wrong magic (including the retired seed-era version-1
 // restart files, which carried no CONFIG), truncated headers/tables/
 // payloads, format-version mismatches and checksum failures with errors
@@ -48,6 +53,7 @@
 namespace grist::io {
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320), the per-section checksum.
+/// `crc32(b, n, crc32(a, m))` equals the CRC of `a` followed by `b`.
 std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed = 0);
 
 enum class SectionId : std::uint32_t {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "grist/common/math.hpp"
@@ -13,10 +14,15 @@ using constants::kCp;
 using constants::kGravity;
 using constants::kLv;
 
+namespace {
+constexpr int kMaxLevels = 128;  // per-column stack arrays
+} // namespace
+
 void Convection::run(const PhysicsInput& in, double dt, double grid_dx,
                      PhysicsOutput& out) const {
   if (!activeAt(grid_dx)) return;  // storm-resolving: convection is explicit
   const int nlev = in.nlev;
+  if (nlev > kMaxLevels) throw std::invalid_argument("Convection: nlev > 128");
 #pragma omp parallel for schedule(static)
   for (Index c = 0; c < in.ncolumns; ++c) {
     // Trigger: lifted low-level parcel warmer than the environment two
@@ -38,8 +44,8 @@ void Convection::run(const PhysicsInput& in, double dt, double grid_dx,
     // moisture removal) -- the standard Betts-Miller positivity rule; a
     // net-moistening adjustment means deep convection does not apply.
     double precip_col = 0.0;  // kg/m^2/s condensate removed
-    double stage_dtdt[128] = {};
-    double stage_dqdt[128] = {};
+    double stage_dtdt[kMaxLevels] = {};
+    double stage_dqdt[kMaxLevels] = {};
     for (int k = 0; k < nlev; ++k) {
       const double pk = in.pmid(c, k);
       if (pk < 3.0e4) continue;  // adjustment below 300 hPa only

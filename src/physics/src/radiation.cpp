@@ -1,6 +1,7 @@
 #include "grist/physics/radiation.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "grist/common/math.hpp"
 
@@ -11,6 +12,7 @@ using constants::kGravity;
 
 namespace {
 constexpr double kSigmaSB = 5.670374e-8;
+constexpr int kMaxLevels = 128;  // per-column stack arrays
 } // namespace
 
 Radiation::Radiation(RadiationConfig config) : config_(config) {
@@ -38,9 +40,10 @@ Radiation::Radiation(RadiationConfig config) : config_(config) {
 
 void Radiation::run(const PhysicsInput& in, PhysicsOutput& out) const {
   const int nlev = in.nlev;
+  if (nlev > kMaxLevels) throw std::invalid_argument("Radiation: nlev > 128");
 #pragma omp parallel for schedule(static)
   for (Index c = 0; c < in.ncolumns; ++c) {
-    double heating[128 + 1] = {};  // accumulate, clamp, then commit
+    double heating[kMaxLevels] = {};  // accumulate, clamp, then commit
     // ---- shortwave: direct-beam absorption sweep per band ----
     double gsw = 0.0;
     const double mu = in.coszr[c];
@@ -67,31 +70,31 @@ void Radiation::run(const PhysicsInput& in, PhysicsOutput& out) const {
     out.gsw[c] = gsw;
 
     // ---- longwave: emissivity two-sweep per band ----
+    // T^4 is the same in every band and sweep, and a band's emissivity the
+    // same in both of its sweeps: each is computed once and reused.
+    double t4[kMaxLevels];
+    for (int k = 0; k < nlev; ++k) t4[k] = std::pow(in.t(c, k), 4.0);
+    const double up_surface = kSigmaSB * std::pow(in.tskin[c], 4.0);
     double glw = 0.0;
     for (int b = 0; b < config_.lw_bands; ++b) {
       // Downward sweep: each layer emits eps*sigma*T^4 and transmits the
       // rest; store per-interface downward fluxes.
-      double down[128 + 1];
+      double eps[kMaxLevels];
+      double down[kMaxLevels + 1];
       down[0] = 0.0;
       for (int k = 0; k < nlev; ++k) {
         const double dp = in.delp(c, k);
         const double tau = lw_k_gas_[b] * dp + lw_k_vap_[b] * in.qv(c, k) * dp +
                            lw_k_cld_[b] * in.qc(c, k) * dp;
-        const double eps = 1.0 - std::exp(-tau);
-        const double t4 = std::pow(in.t(c, k), 4.0);
-        down[k + 1] = down[k] * (1.0 - eps) + eps * kSigmaSB * t4;
+        eps[k] = 1.0 - std::exp(-tau);
+        down[k + 1] = down[k] * (1.0 - eps[k]) + eps[k] * kSigmaSB * t4[k];
       }
       glw += lw_weight_[b] * down[nlev];
       // Upward sweep from the surface.
-      double up[128 + 1];
-      up[nlev] = kSigmaSB * std::pow(in.tskin[c], 4.0);
+      double up[kMaxLevels + 1];
+      up[nlev] = up_surface;
       for (int k = nlev - 1; k >= 0; --k) {
-        const double dp = in.delp(c, k);
-        const double tau = lw_k_gas_[b] * dp + lw_k_vap_[b] * in.qv(c, k) * dp +
-                           lw_k_cld_[b] * in.qc(c, k) * dp;
-        const double eps = 1.0 - std::exp(-tau);
-        const double t4 = std::pow(in.t(c, k), 4.0);
-        up[k] = up[k + 1] * (1.0 - eps) + eps * kSigmaSB * t4;
+        up[k] = up[k + 1] * (1.0 - eps[k]) + eps[k] * kSigmaSB * t4[k];
       }
       // Heating from net-flux divergence, weighted by the band fraction.
       for (int k = 0; k < nlev; ++k) {

@@ -1,7 +1,5 @@
 #include "grist/physics/suite.hpp"
 
-#include <stdexcept>
-
 #include "grist/common/math.hpp"
 
 namespace grist::physics {
@@ -19,7 +17,6 @@ ConventionalSuite::ConventionalSuite(Index ncolumns, int nlev,
       rad_out_(ncolumns, nlev) {}
 
 void ConventionalSuite::run(const PhysicsInput& in, double dt, PhysicsOutput& out) {
-  if (in.nlev > 128) throw std::invalid_argument("ConventionalSuite: nlev > 128");
   out.zero();
 
   // ---- radiation on its own (longer) cadence, cached in between ----

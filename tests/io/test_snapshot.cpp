@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -197,6 +198,37 @@ TEST_F(SnapshotTest, Crc32MatchesKnownVectors) {
   EXPECT_EQ(crc32("", 0), 0u);
 }
 
+/// The textbook byte-at-a-time CRC-32, the oracle for the sliced one.
+std::uint32_t crc32Bytewise(const unsigned char* p, std::size_t n, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST_F(SnapshotTest, Crc32MatchesBytewiseOracleAtEveryLengthAndAlignment) {
+  // Every tail length around the 8-byte step, at every start alignment.
+  std::vector<unsigned char> buf(8 + 67);
+  std::uint32_t x = 0x9E3779B9u;
+  for (unsigned char& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 67; ++n) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(crc32(p, n), crc32Bytewise(p, n)) << "offset " << offset << " length " << n;
+      // A running CRC over a split equals the one-shot value.
+      for (std::size_t cut = 0; cut <= n; cut += 5) {
+        ASSERT_EQ(crc32(p + cut, n - cut, crc32(p, cut)), crc32(p, n))
+            << "offset " << offset << " length " << n << " cut " << cut;
+      }
+    }
+  }
+}
+
 TEST_F(SnapshotTest, WrongMagicIsRejected) {
   // Garbage, and a header of the retired seed-era restart format (its
   // magic, four int64 shapes, sim seconds): that format carried no CONFIG,
@@ -334,6 +366,26 @@ TEST_F(SnapshotTest, OverflowingStateShapeIsTruncated) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("truncated section STATE in " + path_), std::string::npos)
+        << what;
+  }
+}
+
+TEST_F(SnapshotTest, TracersOfEmptyRowsAreRefused) {
+  // A CRC-valid STATE of no cells with 2^31 - 1 tracers passes every size
+  // check, since its rows hold no bytes; the reader refuses it before
+  // allocating a row.
+  StateSection s;
+  s.nlev = 2;
+  s.ntracers = std::numeric_limits<std::int32_t>::max();
+  Snapshot snap;
+  snap.state = s;
+  snap.write(path_);
+  try {
+    Snapshot::read(path_);
+    FAIL() << "expected empty-rows rejection";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("empty rows in section STATE in " + path_), std::string::npos)
         << what;
   }
 }
