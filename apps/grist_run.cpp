@@ -19,7 +19,9 @@
 // Checkpoint/restart (io/snapshot.hpp, core/checkpoint.hpp) means the same
 // in every run mode but --ensemble, which refuses all of it (exit 2):
 //   --checkpoint-every K  write an atomic snapshot every K dynamics steps
-//   --checkpoint-dir D    into D/ckpt-<step>.grist (keep-last-2 rotation)
+//   --checkpoint-dir D    into D/ckpt-<step>.grist (keep-last-2 rotation);
+//                         D is created and probed with a file before the
+//                         first step, and a D that cannot be exits 2
 //   --restart PATH        resume from a snapshot. Multi-rank checkpoints
 //                         store the GLOBAL state, so one written at N ranks
 //                         restores at any M ranks (repartition-on-restart),
@@ -55,6 +57,7 @@
 //                         ensemble spread. Ensemble runs are single-rank and
 //                         do not combine with checkpoint/restart.
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <climits>
@@ -105,6 +108,21 @@ T numberOrExit(const char* flag, const char* token, T lo, T hi) {
 bool fileExists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
+}
+
+/// Creates `dir` if needed and writes (then removes) a probe file in it.
+bool dirUsable(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) return false;
+  const std::filesystem::path probe =
+      std::filesystem::path(dir) /
+      (".grist_run-probe-" + std::to_string(::getpid()));
+  std::FILE* f = std::fopen(probe.c_str(), "wb");
+  if (!f) return false;
+  std::fclose(f);
+  std::filesystem::remove(probe, ec);
+  return true;
 }
 
 /// The multi-rank dynamics run (both transports share the reporting).
@@ -409,6 +427,15 @@ int main(int argc, char** argv) {
                    dir.c_str());
       return 2;
     }
+  }
+  // Likewise a --checkpoint-dir: create it and probe it with a file now,
+  // rather than fail at the first checkpoint, `--checkpoint-every` steps in.
+  if (!ckpt.dir.empty() && !dirUsable(ckpt.dir)) {
+    std::fprintf(stderr,
+                 "grist_run: --checkpoint-dir cannot be created or written: "
+                 "%s\n",
+                 ckpt.dir.c_str());
+    return 2;
   }
 
   const int steps = pos.size() > 1

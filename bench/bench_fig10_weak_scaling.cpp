@@ -43,7 +43,8 @@ void measuredPart() {
         static_cast<double>(after.bytes - before.bytes) / nsteps / nranks;
     const double msgs_per_step =
         static_cast<double>(after.messages - before.messages) / nsteps;
-    table.addRow({std::to_string(nranks), "G" + std::to_string(level),
+    table.addRow({std::to_string(nranks),
+                  std::string("G").append(std::to_string(level)),
                   std::to_string(mesh.ncells / nranks),
                   io::Table::num(bytes_per_rank_step, 0),
                   io::Table::num(msgs_per_step, 0)});
@@ -75,7 +76,7 @@ int main() {
     io::Table table({"Processes", "Grid", "SDPD", "Weak efficiency", "Comm share"});
     for (std::size_t i = 0; i < points.size(); ++i) {
       table.addRow({std::to_string(points[i].ncgs),
-                    "G" + std::to_string(ladder[i].first),
+                    std::string("G").append(std::to_string(ladder[i].first)),
                     io::Table::num(points[i].sdpd, 1),
                     io::Table::num(points[i].efficiency, 3),
                     io::Table::num(points[i].comm_share, 3)});

@@ -233,7 +233,8 @@ int main() {
       const RunOut out = runClimate(cs.level, use_ml, cs.nsteps, cs.dt, q1q2, rad);
       const double contrast =
           out.extratropics > 1e-12 ? out.tropical_band / out.extratropics : 0.0;
-      table.addRow({"G" + std::to_string(cs.level), cs.analog,
+      table.addRow({std::string("G").append(std::to_string(cs.level)),
+                    cs.analog,
                     use_ml ? "ML-physics" : "Conventional",
                     out.stable ? "yes" : "NO", io::Table::num(out.tropical_band, 2),
                     io::Table::num(out.extratropics, 2),

@@ -9,8 +9,10 @@
 // pipeline against the multi-sweep kernel sequence it replaced; the
 // BM_Simd*/BM_Fused* pairs measure the explicitly vectorized SimdBackend
 // tier (best the CPU supports) against the auto-vectorized Host
-// instantiation on identical inputs. Record both to BENCH_host_kernels.json
-// with the --benchmark_format=json invocation documented in README.md.
+// instantiation on identical inputs; the BM_Simd* float rows hold the six NS
+// intermediates in float, as the MIX dycore step does. BM_DycoreStep is one
+// whole dyn step in DP and MIX. Record them to BENCH_host_kernels.json with
+// the --benchmark_format=json invocation documented in README.md.
 //
 // Every benchmark makes one untimed warm-up call before the timing loop so
 // the first measured iteration sees warm thread-local Workspace arenas and
@@ -18,11 +20,15 @@
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "grist/backend/quant.hpp"
 #include "grist/backend/simd.hpp"
 #include "grist/common/math.hpp"
+#include "grist/dycore/dycore.hpp"
+#include "grist/dycore/init.hpp"
 #include "grist/dycore/kernels.hpp"
 #include "grist/grid/hex_mesh.hpp"
 #include "grist/grid/trsk.hpp"
@@ -364,145 +370,130 @@ void BM_FusedScalarTendencies(benchmark::State& state) {
 // the BM_Simd*/BM_Fused* geomean across the fused sweeps.
 // ---------------------------------------------------------------------------
 
+/// The fused sweeps' six NS intermediates in NS storage, as the dycore
+/// step holds them (the storage contract in grist/backend/simd.hpp).
 template <typename NS>
-void BM_SimdEdgeFluxes(benchmark::State& state) {
+struct NsScratch {
+  parallel::FieldT<NS> flux, uflux, ke, div_u, vor, qv;
+
+  NsScratch(const grid::HexMesh& m, int nlev)
+      : flux(m.nedges, nlev), uflux(m.nedges, nlev), ke(m.ncells, nlev),
+        div_u(m.ncells, nlev), vor(m.nvertices, nlev), qv(m.nvertices, nlev) {}
+};
+
+/// The five fused sweeps through the active tier's NS slots, on the
+/// Fixture's double fields and NS-typed intermediates.
+template <typename NS>
+struct SimdSweeps {
+  static constexpr int si = backend::simd::kNsIndex<NS>;
   Fixture& f = fixture();
   const backend::simd::KernelTable& tb = backend::simd::table();
-  constexpr int si = backend::simd::kNsIndex<NS>;
-  state.SetLabel(backend::simd::tierName(tb.tier));
-  tb.fused_edge_fluxes[si](f.mesh, f.mesh.nedges, f.nlev, f.delp.data(),
-                           f.u.data(), f.flux.data(), f.uflux.data());
-  for (auto _ : state) {
-    tb.fused_edge_fluxes[si](f.mesh, f.mesh.nedges, f.nlev, f.delp.data(),
-                             f.u.data(), f.flux.data(), f.uflux.data());
-    benchmark::DoNotOptimize(f.uflux.data());
+  NsScratch<NS> s{f.mesh, f.nlev};
+
+  void edge() {
+    std::get<si>(tb.fused_edge_fluxes)(f.mesh, f.mesh.nedges, f.nlev,
+                                       f.delp.data(), f.u.data(),
+                                       s.flux.data(), s.uflux.data());
   }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
+  void cell() {
+    std::get<si>(tb.fused_cell_diagnostics)(
+        f.mesh, f.mesh.ncells, f.nlev, s.flux.data(), s.uflux.data(),
+        f.u.data(), f.div_flux.data(), s.div_u.data(), s.ke.data());
+  }
+  void vertex() {
+    std::get<si>(tb.fused_vertex_diagnostics)(
+        f.mesh, f.mesh.nvertices, f.nlev, f.u.data(), f.delp.data(),
+        constants::kOmega, s.vor.data(), s.qv.data());
+  }
+  void scalar() {
+    std::get<si>(tb.fused_scalar_tendencies)(
+        f.mesh, f.mesh.ncells, f.nlev, s.flux.data(), f.theta.data(),
+        f.delp.data(), f.div_flux.data(), f.nu_theta, f.delp_tend.data(),
+        f.thetam_tend.data());
+  }
+  void momentum() {
+    std::get<si>(tb.fused_momentum_tendency)(
+        f.mesh, f.trsk, f.mesh.nedges, f.nlev, s.ke.data(), s.qv.data(),
+        s.flux.data(), f.phi.data(), f.alpha.data(), f.p.data(),
+        s.div_u.data(), s.vor.data(), f.nu_div, f.nu_vor, f.u_tend.data());
+  }
+  void all() {
+    edge();
+    cell();
+    vertex();
+    scalar();
+    momentum();
+  }
+};
+
+/// Time one sweep of a SimdSweeps after one untimed pass of the whole
+/// pipeline (every input of the sweep populated, arenas warm).
+template <typename NS, typename Sweep>
+void runSimdSweep(benchmark::State& state, Sweep sweep, Index items) {
+  SimdSweeps<NS> sw;
+  state.SetLabel(backend::simd::tierName(sw.tb.tier));
+  sw.all();
+  for (auto _ : state) {
+    (sw.*sweep)();
+    benchmark::DoNotOptimize(&sw);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * items * sw.f.nlev);
+}
+
+template <typename NS>
+void BM_SimdEdgeFluxes(benchmark::State& state) {
+  runSimdSweep<NS>(state, &SimdSweeps<NS>::edge, fixture().mesh.nedges);
 }
 
 template <typename NS>
 void BM_SimdCellDiagnostics(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  const backend::simd::KernelTable& tb = backend::simd::table();
-  constexpr int si = backend::simd::kNsIndex<NS>;
-  state.SetLabel(backend::simd::tierName(tb.tier));
-  tb.fused_cell_diagnostics[si](f.mesh, f.mesh.ncells, f.nlev, f.flux.data(),
-                                f.uflux.data(), f.u.data(), f.div_flux.data(),
-                                f.div_u.data(), f.ke.data());
-  for (auto _ : state) {
-    tb.fused_cell_diagnostics[si](f.mesh, f.mesh.ncells, f.nlev, f.flux.data(),
-                                  f.uflux.data(), f.u.data(),
-                                  f.div_flux.data(), f.div_u.data(),
-                                  f.ke.data());
-    benchmark::DoNotOptimize(f.ke.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.nlev);
+  runSimdSweep<NS>(state, &SimdSweeps<NS>::cell, fixture().mesh.ncells);
 }
 
 template <typename NS>
 void BM_SimdVertexDiagnostics(benchmark::State& state) {
-  Fixture& f = fixture();
-  const backend::simd::KernelTable& tb = backend::simd::table();
-  constexpr int si = backend::simd::kNsIndex<NS>;
-  state.SetLabel(backend::simd::tierName(tb.tier));
-  tb.fused_vertex_diagnostics[si](f.mesh, f.mesh.nvertices, f.nlev, f.u.data(),
-                                  f.delp.data(), constants::kOmega,
-                                  f.vvor.data(), f.vqv.data());
-  for (auto _ : state) {
-    tb.fused_vertex_diagnostics[si](f.mesh, f.mesh.nvertices, f.nlev,
-                                    f.u.data(), f.delp.data(),
-                                    constants::kOmega, f.vvor.data(),
-                                    f.vqv.data());
-    benchmark::DoNotOptimize(f.vqv.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nvertices * f.nlev);
+  runSimdSweep<NS>(state, &SimdSweeps<NS>::vertex, fixture().mesh.nvertices);
 }
 
 template <typename NS>
 void BM_SimdScalarTendencies(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  unfusedCellDiagnostics<NS>(f);
-  const backend::simd::KernelTable& tb = backend::simd::table();
-  constexpr int si = backend::simd::kNsIndex<NS>;
-  state.SetLabel(backend::simd::tierName(tb.tier));
-  tb.fused_scalar_tendencies[si](f.mesh, f.mesh.ncells, f.nlev, f.flux.data(),
-                                 f.theta.data(), f.delp.data(),
-                                 f.div_flux.data(), f.nu_theta,
-                                 f.delp_tend.data(), f.thetam_tend.data());
-  for (auto _ : state) {
-    tb.fused_scalar_tendencies[si](f.mesh, f.mesh.ncells, f.nlev,
-                                   f.flux.data(), f.theta.data(),
-                                   f.delp.data(), f.div_flux.data(),
-                                   f.nu_theta, f.delp_tend.data(),
-                                   f.thetam_tend.data());
-    benchmark::DoNotOptimize(f.thetam_tend.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.nlev);
+  runSimdSweep<NS>(state, &SimdSweeps<NS>::scalar, fixture().mesh.ncells);
 }
 
 template <typename NS>
 void BM_SimdMomentumTendency(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  unfusedCellDiagnostics<NS>(f);
-  dycore::kernels::fusedVertexDiagnostics<NS>(f.mesh, f.mesh.nvertices, f.nlev,
-                                              f.u.data(), f.delp.data(),
-                                              constants::kOmega, f.vvor.data(),
-                                              f.vqv.data());
-  const backend::simd::KernelTable& tb = backend::simd::table();
-  constexpr int si = backend::simd::kNsIndex<NS>;
-  state.SetLabel(backend::simd::tierName(tb.tier));
-  tb.fused_momentum_tendency[si](
-      f.mesh, f.trsk, f.mesh.nedges, f.nlev, f.ke.data(), f.vqv.data(),
-      f.flux.data(), f.phi.data(), f.alpha.data(), f.p.data(), f.div_u.data(),
-      f.vvor.data(), f.nu_div, f.nu_vor, f.u_tend.data());
-  for (auto _ : state) {
-    tb.fused_momentum_tendency[si](
-        f.mesh, f.trsk, f.mesh.nedges, f.nlev, f.ke.data(), f.vqv.data(),
-        f.flux.data(), f.phi.data(), f.alpha.data(), f.p.data(),
-        f.div_u.data(), f.vvor.data(), f.nu_div, f.nu_vor, f.u_tend.data());
-    benchmark::DoNotOptimize(f.u_tend.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
+  runSimdSweep<NS>(state, &SimdSweeps<NS>::momentum, fixture().mesh.nedges);
 }
 
 // The SIMD acceptance pipeline: the same five fused sweeps as
 // BM_FusedTendencyPipeline, all through the dispatch table.
 template <typename NS>
 void BM_SimdTendencyPipeline(benchmark::State& state) {
-  Fixture& f = fixture();
-  const backend::simd::KernelTable& tb = backend::simd::table();
-  constexpr int si = backend::simd::kNsIndex<NS>;
-  state.SetLabel(backend::simd::tierName(tb.tier));
-  auto run = [&f, &tb] {
-    tb.fused_edge_fluxes[si](f.mesh, f.mesh.nedges, f.nlev, f.delp.data(),
-                             f.u.data(), f.flux.data(), f.uflux.data());
-    tb.fused_cell_diagnostics[si](f.mesh, f.mesh.ncells, f.nlev, f.flux.data(),
-                                  f.uflux.data(), f.u.data(),
-                                  f.div_flux.data(), f.div_u.data(),
-                                  f.ke.data());
-    tb.fused_vertex_diagnostics[si](f.mesh, f.mesh.nvertices, f.nlev,
-                                    f.u.data(), f.delp.data(),
-                                    constants::kOmega, f.vvor.data(),
-                                    f.vqv.data());
-    tb.fused_scalar_tendencies[si](f.mesh, f.mesh.ncells, f.nlev,
-                                   f.flux.data(), f.theta.data(),
-                                   f.delp.data(), f.div_flux.data(),
-                                   f.nu_theta, f.delp_tend.data(),
-                                   f.thetam_tend.data());
-    tb.fused_momentum_tendency[si](
-        f.mesh, f.trsk, f.mesh.nedges, f.nlev, f.ke.data(), f.vqv.data(),
-        f.flux.data(), f.phi.data(), f.alpha.data(), f.p.data(),
-        f.div_u.data(), f.vvor.data(), f.nu_div, f.nu_vor, f.u_tend.data());
-  };
-  run();
+  runSimdSweep<NS>(state, &SimdSweeps<NS>::all, fixture().mesh.nedges);
+}
+
+// One full Dycore::step (three RK stages with their EOS and fused sweeps,
+// the RK updates, the flux accumulation and the implicit solve) of a G5
+// nlev-20 baroclinic wave, dt 300 s: the dyn step a Model runs, in DP
+// (double) and MIX (float), without the rest of the model around it.
+template <typename NS>
+void BM_DycoreStep(benchmark::State& state) {
+  const Fixture& f = fixture();
+  dycore::DycoreConfig cfg;
+  cfg.nlev = 20;
+  cfg.ns = std::is_same_v<NS, float> ? precision::NsMode::kSingle
+                                     : precision::NsMode::kDouble;
+  dycore::State st = dycore::initBaroclinicWave(f.mesh, cfg);
+  dycore::Dycore dy(f.mesh, f.trsk, cfg);
+  state.SetLabel(backend::simd::tierName(backend::simd::activeTier()));
+  dy.step(st);
   for (auto _ : state) {
-    run();
-    benchmark::DoNotOptimize(f.u_tend.data());
+    dy.step(st);
+    benchmark::DoNotOptimize(st.u.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
+  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * cfg.nlev);
 }
 
 // The acceptance pair: the whole horizontal tendency step (everything
@@ -750,6 +741,8 @@ BENCHMARK_TEMPLATE(BM_FusedTendencyPipeline, float)->Unit(benchmark::kMillisecon
 BENCHMARK_TEMPLATE(BM_SimdTendencyPipeline, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SimdTendencyPipeline, float)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_VertImplicitSolver)->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_DycoreStep, double)->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_DycoreStep, float)->Unit(benchmark::kMillisecond);
 
 // Square, conv-shaped (Fig. 8 res-unit conv at column_block=32), and
 // MLP-shaped (hidden x hidden over a column block).

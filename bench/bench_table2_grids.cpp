@@ -69,7 +69,8 @@ int main() {
     const auto counts = grid::countsForLevel(level);
     const bool ok = mesh.ncells == counts.cells && mesh.nedges == counts.edges &&
                     mesh.nvertices == counts.vertices;
-    verify.addRow({"G" + std::to_string(level), std::to_string(mesh.ncells),
+    verify.addRow({std::string("G").append(std::to_string(level)),
+                   std::to_string(mesh.ncells),
                    std::to_string(counts.cells), std::to_string(mesh.nedges),
                    std::to_string(counts.edges), std::to_string(mesh.nvertices),
                    std::to_string(counts.vertices), ok ? "yes" : "NO"});

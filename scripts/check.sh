@@ -59,7 +59,7 @@ if [[ -n "$isa_offenders" ]]; then
 fi
 
 echo "== tier-1: configure + build + ctest =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DGRIST_WERROR=ON >/dev/null
 cmake --build build -j"$(nproc)"
 # One OpenMP thread per test: default teams at -j"$(nproc)" oversubscribe
 # the cores; the per-tier and ENSEMBLE passes below keep default OpenMP.

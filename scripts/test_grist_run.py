@@ -149,19 +149,31 @@ class GristRunTest(unittest.TestCase):
             self.assertIn("restart_out directory not found", p.stderr)
             self.assertNotIn("done:", p.stdout)  # refused before stepping
 
-    def test_failed_write_exits_1_with_the_reason(self):
-        # A directory where the tmp file should go makes the open fail even
-        # for root; a regular file where a directory should be fails the
-        # checkpoint directory's creation.
-        out = self.path("out.grist")
-        os.mkdir(out + ".tmp")
+    def test_unusable_checkpoint_dir_is_refused_up_front(self):
+        # A regular file where a directory should be: the checkpoint
+        # directory can never be created, so the run must not start.
         blocker = self.path("blocker")
         with open(blocker, "w", encoding="utf-8"):
             pass
+        ck = os.path.join(blocker, "ck")
+        for flags in ((), ("--ranks", "2", "--transport", "threads")):
+            p = self.run_grist(N, "", flags + ("--checkpoint-every", "2",
+                                               "--checkpoint-dir", ck))
+            self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
+            self.assertIn("--checkpoint-dir", p.stderr)
+            self.assertIn(ck, p.stderr)
+            self.assertNotIn("done:", p.stdout)  # refused before stepping
+
+    def test_failed_write_exits_1_with_the_reason(self):
+        # A directory where the tmp file should go makes the open fail even
+        # for root, for restart_out and for the first checkpoint alike.
+        out = self.path("out.grist")
+        os.mkdir(out + ".tmp")
+        ck = self.path("ck")
+        os.makedirs(os.path.join(ck, "ckpt-000000000002.grist.tmp"))
         for keys, flags in (
                 (f"restart_out = {out}\n", ()),
-                ("", ("--checkpoint-every", "2",
-                      "--checkpoint-dir", os.path.join(blocker, "ck")))):
+                ("", ("--checkpoint-every", "2", "--checkpoint-dir", ck))):
             p = self.run_grist(2, keys, flags)
             self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
             self.assertIn("grist_run: ", p.stderr)

@@ -34,6 +34,21 @@
 // are therefore exact (ULP bound 0); the ULP machinery exists for the day a
 // kernel opts into reassociation.
 //
+// Storage contract (paper §3.4.3: ns is a kind, so it fixes storage as well
+// as arithmetic): the step's fused sweeps store their six NS intermediates
+// -- flux, uflux (edges), ke, div_u (cells), vor, qv (vertices) -- in NS, so
+// the float slots take float rows and move half the bytes with no converts.
+// This is bitwise in both modes because every reader of these six already
+// rounds its input to NS on load: flux, vor and qv are computed in NS;
+// uflux is a double product whose one reader casts it to NS; ke and div_u
+// sum in double (a per-thread Workspace row under float storage) and are
+// rounded once on store, exactly where their reader rounded them; and
+// accumulate_flux widens a float flux exactly. A float slot therefore
+// stores (float)x where the Host instantiation stores x, and every
+// downstream value is unchanged. div_flux stays double in both modes:
+// delp_tend = -div_flux reads the double sum itself, and that path carries
+// the dry mass.
+//
 // Layout contract (src/common): operand arrays are entity-major with nlev
 // fastest (unit-stride vector lanes), allocated cache-line aligned and
 // padded to whole lines (parallel::FieldT, common::Workspace::acquire).
@@ -43,6 +58,7 @@
 #pragma once
 
 #include <cstddef>
+#include <tuple>
 #include <vector>
 
 #include "grist/backend/backend.hpp"
@@ -79,10 +95,50 @@ enum class Tier { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 const char* tierName(Tier t);
 
+/// A pair of NS slots whose operand types follow the NS: element 0 is the
+/// double instantiation, element 1 the float one (index with kNsIndex).
+template <template <typename> class Fn>
+using NsSlots = std::tuple<Fn<double>, Fn<float>>;
+
+// The fused sweeps' signatures; S is the storage of the NS intermediates
+// (flux, uflux, ke, div_u, vor, qv), equal to the sweep's NS.
+template <typename S>
+using FusedEdgeFluxesFn = void (*)(const HexMesh&, Index nedges, int nlev,
+                                   const double* delp, const double* u,
+                                   S* flux, S* uflux);
+template <typename S>
+using FusedCellDiagnosticsFn = void (*)(const HexMesh&, Index ncells, int nlev,
+                                        const S* flux, const S* uflux,
+                                        const double* u, double* div_flux,
+                                        S* div_u, S* ke);
+template <typename S>
+using FusedVertexDiagnosticsFn = void (*)(const HexMesh&, Index nvertices,
+                                          int nlev, const double* u,
+                                          const double* delp, double omega,
+                                          S* vor, S* qv);
+template <typename S>
+using FusedScalarTendenciesFn = void (*)(const HexMesh&, Index ncells,
+                                         int nlev, const S* flux,
+                                         const double* scalar,
+                                         const double* delp,
+                                         const double* div_flux, double nu,
+                                         double* delp_tend,
+                                         double* thetam_tend);
+template <typename S>
+using FusedMomentumTendencyFn = void (*)(
+    const HexMesh&, const TrskWeights&, Index nedges, int nlev, const S* ke,
+    const S* qv, const S* flux, const double* phi, const double* alpha,
+    const double* p, const S* div_u, const S* vor, double nu_div,
+    double nu_vor, double* tend_u);
+template <typename S>
+using AccumulateFluxFn = void (*)(Index nedges, int nlev, const S* flux,
+                                  double* acc);
+
 /// Per-kernel function pointers for one tier. Index the [2] arrays with
-/// nsIndex(): 0 = NS double, 1 = NS float. Signatures mirror the
-/// dycore::kernels sweep drivers (OpenMP over entities inside); operands
-/// are entity-major, nlev-fastest, compact stride.
+/// nsIndex() and the NsSlots with std::get<kNsIndex<NS>>: 0 = NS double,
+/// 1 = NS float. Signatures mirror the dycore::kernels sweep drivers
+/// (OpenMP over entities inside); operands are entity-major, nlev-fastest,
+/// compact stride.
 struct KernelTable {
   Tier tier = Tier::kScalar;
 
@@ -106,30 +162,13 @@ struct KernelTable {
                                       double* flux_low, double* flux_anti,
                                       double* q_td, double* rp,
                                       double* rm) = {};
-  void (*fused_edge_fluxes[2])(const HexMesh&, Index nedges, int nlev,
-                               const double* delp, const double* u,
-                               double* flux, double* uflux) = {};
-  void (*fused_cell_diagnostics[2])(const HexMesh&, Index ncells, int nlev,
-                                    const double* flux, const double* uflux,
-                                    const double* u, double* div_flux,
-                                    double* div_u, double* ke) = {};
-  void (*fused_vertex_diagnostics[2])(const HexMesh&, Index nvertices,
-                                      int nlev, const double* u,
-                                      const double* delp, double omega,
-                                      double* vor, double* qv) = {};
-  void (*fused_scalar_tendencies[2])(const HexMesh&, Index ncells, int nlev,
-                                     const double* flux, const double* scalar,
-                                     const double* delp,
-                                     const double* div_flux, double nu,
-                                     double* delp_tend,
-                                     double* thetam_tend) = {};
-  void (*fused_momentum_tendency[2])(const HexMesh&, const TrskWeights&,
-                                     Index nedges, int nlev, const double* ke,
-                                     const double* qv, const double* flux,
-                                     const double* phi, const double* alpha,
-                                     const double* p, const double* div_u,
-                                     const double* vor, double nu_div,
-                                     double nu_vor, double* tend_u) = {};
+  /// The step's five fused sweeps, typed by their NS storage (see "Storage
+  /// contract" above): std::get<kNsIndex<NS>> is the NS instantiation.
+  NsSlots<FusedEdgeFluxesFn> fused_edge_fluxes = {};
+  NsSlots<FusedCellDiagnosticsFn> fused_cell_diagnostics = {};
+  NsSlots<FusedVertexDiagnosticsFn> fused_vertex_diagnostics = {};
+  NsSlots<FusedScalarTendenciesFn> fused_scalar_tendencies = {};
+  NsSlots<FusedMomentumTendencyFn> fused_momentum_tendency = {};
 
   // --- The dycore step's own sweeps. `cells`/`edges` == nullptr means the
   // contiguous range [0, n); otherwise the n listed entities (the overlap
@@ -163,9 +202,9 @@ struct KernelTable {
   void (*update_edges)(const Index* edges, Index n, int nlev, double dts,
                        const double* u0, const double* u_tend,
                        double* u) = nullptr;
-  /// acc += flux (the tracer mass-flux window), flat over nedges*nlev.
-  void (*accumulate_flux)(Index nedges, int nlev, const double* flux,
-                          double* acc) = nullptr;
+  /// acc += flux (the tracer mass-flux window), flat over nedges*nlev;
+  /// `flux` is NS-stored, `acc` double (widening a float is exact).
+  NsSlots<AccumulateFluxFn> accumulate_flux = {};
   /// The vertical implicit (w, phi) solve for `nmembers` states at once,
   /// member index as the vector lane (blocks of up to 8). The pointer
   /// arrays hold one entry per member. Per-lane arithmetic is exactly

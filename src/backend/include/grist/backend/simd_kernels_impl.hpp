@@ -33,6 +33,9 @@
 //     side; both sums are non-negative throughout, so x + 0.0 is bit-exact.
 //   - Fringe lanes (nlev % width) run masked (AVX-512) or scalar (AVX2);
 //     nothing reads past a row end, so row padding is never relied on.
+//   - The fused sweeps store their NS intermediates in NS (the storage
+//     contract in simd.hpp): a float slot writes (float)x where the Host
+//     body writes x, and reads it back where the Host body rounded x to NS.
 #pragma once
 
 #include <algorithm>
@@ -69,13 +72,15 @@ using grid::TrskWeights;
 //   centered = 0.5*(h1+h2); upwind = ue>=0 ? h1 : h2;
 //   r = upwind/centered; blend = 1/(1+r*r);
 //   he = centered + blend*(upwind-centered)*0.5;
-//   flux = (double)(le*ue*he); uflux = le_d*ue_d  (fused only)
+//   flux = (F)(le*ue*he); uflux = (F)(le_d*ue_d)  (fused only)
+// F is the output storage: double for the registry kernel, NS for the
+// fused sweep. The intrinsic paths are the double NS, where F is double.
 // ---------------------------------------------------------------------------
 
-template <precision::NsReal NS>
+template <precision::NsReal NS, typename F>
 inline void edgeFluxRow(int nlev, NS le, double le_d, const double* __restrict d1,
                         const double* __restrict d2, const double* __restrict ur,
-                        double* __restrict fr, double* __restrict ufr) {
+                        F* __restrict fr, F* __restrict ufr) {
 #if defined(__AVX512F__)
   if constexpr (std::is_same_v<NS, double>) {
     const __m512d vhalf = _mm512_set1_pd(0.5);
@@ -157,8 +162,8 @@ inline void edgeFluxRow(int nlev, NS le, double le_d, const double* __restrict d
     const NS r = upwind / centered;
     const NS blend = NS(1) / (NS(1) + r * r);
     const NS he = centered + blend * (upwind - centered) * NS(0.5);
-    fr[k] = static_cast<double>(le * ue * he);
-    if (ufr) ufr[k] = le_d * ue_d;
+    fr[k] = static_cast<F>(le * ue * he);
+    if (ufr) ufr[k] = static_cast<F>(le_d * ue_d);
   }
 }
 
@@ -171,23 +176,24 @@ void primalNormalFluxEdgeImpl(const HexMesh& m, Index nedges, int nlev,
     const Index c1 = m.edge_cell[e][0];
     const Index c2 = m.edge_cell[e][1];
     const double le_d = m.edge_le[e];
-    edgeFluxRow<NS>(nlev, static_cast<NS>(le_d), le_d, delp + c1 * nlev,
-                    delp + c2 * nlev, u + e * nlev, flux + e * nlev, nullptr);
+    edgeFluxRow<NS, double>(nlev, static_cast<NS>(le_d), le_d,
+                            delp + c1 * nlev, delp + c2 * nlev, u + e * nlev,
+                            flux + e * nlev, nullptr);
   }
 }
 
 template <precision::NsReal NS>
 void fusedEdgeFluxesImpl(const HexMesh& m, Index nedges, int nlev,
-                         const double* delp, const double* u, double* flux,
-                         double* uflux) {
+                         const double* delp, const double* u, NS* flux,
+                         NS* uflux) {
 #pragma omp parallel for schedule(static)
   for (Index e = 0; e < nedges; ++e) {
     const Index c1 = m.edge_cell[e][0];
     const Index c2 = m.edge_cell[e][1];
     const double le_d = m.edge_le[e];
-    edgeFluxRow<NS>(nlev, static_cast<NS>(le_d), le_d, delp + c1 * nlev,
-                    delp + c2 * nlev, u + e * nlev, flux + e * nlev,
-                    uflux + e * nlev);
+    edgeFluxRow<NS, NS>(nlev, static_cast<NS>(le_d), le_d, delp + c1 * nlev,
+                        delp + c2 * nlev, u + e * nlev, flux + e * nlev,
+                        uflux + e * nlev);
   }
 }
 
@@ -318,7 +324,8 @@ void updateEdgesImpl(const Index* edges, Index n, int nlev, double dts,
   }
 }
 
-void accumulateFluxImpl(Index nedges, int nlev, const double* __restrict flux,
+template <precision::NsReal NS>
+void accumulateFluxImpl(Index nedges, int nlev, const NS* __restrict flux,
                         double* __restrict acc) {
   const Index total = nedges * nlev;
 #pragma omp parallel for simd schedule(static)
@@ -746,43 +753,75 @@ void vertSolveLanesImpl(const Index* cells, Index ncols, int nmembers,
 // memory accumulators, so the vector form is a direct transcription. (A
 // k-register-tiled variant measured slower here: the ring's per-edge scalar
 // setup re-ran once per tile and the tile arrays stayed in stack memory, so
-// it added work without cutting the L1 round-trips.)
+// it added work without cutting the L1 round-trips.) div_u and ke sum in
+// double; under float storage the sums run in per-thread Workspace rows and
+// each NS row is written once, rounded.
 // ---------------------------------------------------------------------------
 template <precision::NsReal NS>
 void fusedCellDiagnosticsImpl(const HexMesh& m, Index ncells, int nlev,
-                              const double* flux, const double* uflux,
-                              const double* u, double* div_flux, double* div_u,
-                              double* ke) {
-#pragma omp parallel for schedule(static)
-  for (Index c = 0; c < ncells; ++c) {
-    const NS inv_area = static_cast<NS>(1.0 / m.cell_area[c]);
-    double* __restrict df = div_flux + c * nlev;
-    double* __restrict du = div_u + c * nlev;
-    double* __restrict kc = ke + c * nlev;
-#pragma omp simd
-    for (int k = 0; k < nlev; ++k) {
-      df[k] = 0.0;
-      du[k] = 0.0;
-      kc[k] = 0.0;
+                              const NS* flux, const NS* uflux, const double* u,
+                              double* div_flux, NS* div_u, NS* ke) {
+  constexpr bool kDoubleRows = std::is_same_v<NS, double>;
+#pragma omp parallel
+  {
+    // Float storage: each thread sums div_u and ke in two double rows,
+    // reused cell after cell.
+    Workspace& ws = Workspace::threadLocal();
+    if constexpr (!kDoubleRows) {
+      ws.reserve(Workspace::bytesFor<double>(nlev) * 2);
     }
-    const Index j0 = m.cell_offset[c];
-    const Index j1 = m.cell_offset[c + 1];
-    for (Index j = j0; j < j1; ++j) {
-      const Index e = m.cell_edges[j];
-      const NS sign = static_cast<NS>(m.cell_edge_sign[j]);
-      const NS weight =
-          static_cast<NS>(0.25 * m.edge_le[e] * m.edge_de[e]) * inv_area;
-      const double* __restrict fl = flux + e * nlev;
-      const double* __restrict ufl = uflux + e * nlev;
-      const double* __restrict ur = u + e * nlev;
+    const Workspace::Frame frame(ws);
+    double* du_sum = nullptr;
+    double* ke_sum = nullptr;
+    if constexpr (!kDoubleRows) {
+      du_sum = ws.acquire<double>(nlev);
+      ke_sum = ws.acquire<double>(nlev);
+    }
+#pragma omp for schedule(static)
+    for (Index c = 0; c < ncells; ++c) {
+      const NS inv_area = static_cast<NS>(1.0 / m.cell_area[c]);
+      double* __restrict df = div_flux + c * nlev;
+      double* __restrict du;
+      double* __restrict kc;
+      if constexpr (kDoubleRows) {
+        du = div_u + c * nlev;
+        kc = ke + c * nlev;
+      } else {
+        du = du_sum;
+        kc = ke_sum;
+      }
 #pragma omp simd
       for (int k = 0; k < nlev; ++k) {
-        df[k] = df[k] +
-                static_cast<double>(sign * static_cast<NS>(fl[k]) * inv_area);
-        du[k] = du[k] +
-                static_cast<double>(sign * static_cast<NS>(ufl[k]) * inv_area);
-        const NS ue = static_cast<NS>(ur[k]);
-        kc[k] = kc[k] + static_cast<double>(weight * ue * ue);
+        df[k] = 0.0;
+        du[k] = 0.0;
+        kc[k] = 0.0;
+      }
+      const Index j0 = m.cell_offset[c];
+      const Index j1 = m.cell_offset[c + 1];
+      for (Index j = j0; j < j1; ++j) {
+        const Index e = m.cell_edges[j];
+        const NS sign = static_cast<NS>(m.cell_edge_sign[j]);
+        const NS weight =
+            static_cast<NS>(0.25 * m.edge_le[e] * m.edge_de[e]) * inv_area;
+        const NS* __restrict fl = flux + e * nlev;
+        const NS* __restrict ufl = uflux + e * nlev;
+        const double* __restrict ur = u + e * nlev;
+#pragma omp simd
+        for (int k = 0; k < nlev; ++k) {
+          df[k] = df[k] + static_cast<double>(sign * fl[k] * inv_area);
+          du[k] = du[k] + static_cast<double>(sign * ufl[k] * inv_area);
+          const NS ue = static_cast<NS>(ur[k]);
+          kc[k] = kc[k] + static_cast<double>(weight * ue * ue);
+        }
+      }
+      if constexpr (!kDoubleRows) {
+        NS* __restrict du_out = div_u + c * nlev;
+        NS* __restrict ke_out = ke + c * nlev;
+#pragma omp simd
+        for (int k = 0; k < nlev; ++k) {
+          du_out[k] = static_cast<NS>(du[k]);
+          ke_out[k] = static_cast<NS>(kc[k]);
+        }
       }
     }
   }
@@ -797,7 +836,7 @@ void fusedCellDiagnosticsImpl(const HexMesh& m, Index ncells, int nlev,
 template <precision::NsReal NS>
 void fusedVertexDiagnosticsImpl(const HexMesh& m, Index nvertices, int nlev,
                                 const double* u, const double* delp,
-                                double omega, double* vor, double* qv) {
+                                double omega, NS* vor, NS* qv) {
 #pragma omp parallel for schedule(static)
   for (Index v = 0; v < nvertices; ++v) {
     const NS inv_area = static_cast<NS>(1.0 / m.vtx_area[v]);
@@ -814,8 +853,8 @@ void fusedVertexDiagnosticsImpl(const HexMesh& m, Index nvertices, int nlev,
     const double* __restrict d0 = delp + m.vtx_cells[v][0] * nlev;
     const double* __restrict d1 = delp + m.vtx_cells[v][1] * nlev;
     const double* __restrict d2 = delp + m.vtx_cells[v][2] * nlev;
-    double* __restrict vr = vor + v * nlev;
-    double* __restrict qr = qv + v * nlev;
+    NS* __restrict vr = vor + v * nlev;
+    NS* __restrict qr = qv + v * nlev;
 #pragma omp simd
     for (int k = 0; k < nlev; ++k) {
       NS acc = NS(0);
@@ -826,10 +865,10 @@ void fusedVertexDiagnosticsImpl(const HexMesh& m, Index nvertices, int nlev,
       hv_acc += kite[0] * static_cast<NS>(d0[k]);
       hv_acc += kite[1] * static_cast<NS>(d1[k]);
       hv_acc += kite[2] * static_cast<NS>(d2[k]);
-      const double zeta = static_cast<double>(acc * inv_area);
+      const NS zeta = acc * inv_area;
       vr[k] = zeta;
       const NS hv = hv_acc * inv_area;
-      qr[k] = static_cast<double>((static_cast<NS>(zeta) + f) / hv);
+      qr[k] = (zeta + f) / hv;
     }
   }
 }
@@ -837,11 +876,14 @@ void fusedVertexDiagnosticsImpl(const HexMesh& m, Index nvertices, int nlev,
 // ---------------------------------------------------------------------------
 // fused_scalar_tendencies: direct transcription (already j-outer / k-inner
 // with the output rows doubling as accumulators; a register-tiled variant
-// measured slower, see fused_cell_diagnostics).
+// measured slower, see fused_cell_diagnostics). The upwind select runs on
+// the double scalar rows and converts once: a convert inside each arm is a
+// conditional operation that may trap, so the compiler would not if-convert
+// (and vectorize) the float loop. Same value bit for bit.
 // ---------------------------------------------------------------------------
 template <precision::NsReal NS>
 void fusedScalarTendenciesImpl(const HexMesh& m, Index ncells, int nlev,
-                               const double* flux, const double* scalar,
+                               const NS* flux, const double* scalar,
                                const double* delp, const double* div_flux,
                                double nu, double* delp_tend,
                                double* thetam_tend) {
@@ -867,15 +909,14 @@ void fusedScalarTendenciesImpl(const HexMesh& m, Index ncells, int nlev,
       const NS w = static_cast<NS>(m.edge_le[e] / m.edge_de[e] * m.edge_de[e] *
                                    m.edge_de[e] * nu) *
                    inv_area;
-      const double* __restrict fl = flux + e * nlev;
+      const NS* __restrict fl = flux + e * nlev;
       const double* __restrict s1 = scalar + c1 * nlev;
       const double* __restrict s2 = scalar + c2 * nlev;
       const double* __restrict sn = scalar + nb * nlev;
 #pragma omp simd
       for (int k = 0; k < nlev; ++k) {
-        const NS f = static_cast<NS>(fl[k]);
-        const NS se =
-            f >= NS(0) ? static_cast<NS>(s1[k]) : static_cast<NS>(s2[k]);
+        const NS f = fl[k];
+        const NS se = static_cast<NS>(f >= NS(0) ? s1[k] : s2[k]);
         tt_row[k] = tt_row[k] - static_cast<double>(sign * f * se * inv_area);
         dt_row[k] =
             dt_row[k] + static_cast<double>(
@@ -902,11 +943,11 @@ void fusedScalarTendenciesImpl(const HexMesh& m, Index ncells, int nlev,
 // ---------------------------------------------------------------------------
 template <precision::NsReal NS>
 void fusedMomentumTendencyImpl(const HexMesh& m, const TrskWeights& trsk,
-                               Index nedges, int nlev, const double* ke,
-                               const double* qv, const double* flux,
+                               Index nedges, int nlev, const NS* ke,
+                               const NS* qv, const NS* flux,
                                const double* phi, const double* alpha,
-                               const double* p, const double* div_u,
-                               const double* vor, double nu_div, double nu_vor,
+                               const double* p, const NS* div_u,
+                               const NS* vor, double nu_div, double nu_vor,
                                double* tend_u) {
 #pragma omp parallel
   {
@@ -925,12 +966,11 @@ void fusedMomentumTendencyImpl(const HexMesh& m, const TrskWeights& trsk,
       const NS inv_le = static_cast<NS>(1.0 / m.edge_le[e]);
       const NS scale = static_cast<NS>(m.edge_de[e] * m.edge_de[e]);
       const double inv_de_d = 1.0 / m.edge_de[e];
-      const double* __restrict qv1 = qv + v1 * nlev;
-      const double* __restrict qv2 = qv + v2 * nlev;
+      const NS* __restrict qv1 = qv + v1 * nlev;
+      const NS* __restrict qv2 = qv + v2 * nlev;
 #pragma omp simd
       for (int k = 0; k < nlev; ++k) {
-        qe_row[k] =
-            NS(0.5) * (static_cast<NS>(qv1[k]) + static_cast<NS>(qv2[k]));
+        qe_row[k] = NS(0.5) * (qv1[k] + qv2[k]);
         acc_row[k] = NS(0);
       }
       const Index j0 = trsk.offset[e];
@@ -939,44 +979,39 @@ void fusedMomentumTendencyImpl(const HexMesh& m, const TrskWeights& trsk,
         const Index ep = trsk.edge[j];
         const NS wj = static_cast<NS>(trsk.weight[j]);
         const NS inv_lep = static_cast<NS>(1.0 / m.edge_le[ep]);
-        const double* __restrict w1 = qv + m.edge_vertex[ep][0] * nlev;
-        const double* __restrict w2 = qv + m.edge_vertex[ep][1] * nlev;
-        const double* __restrict fl = flux + ep * nlev;
+        const NS* __restrict w1 = qv + m.edge_vertex[ep][0] * nlev;
+        const NS* __restrict w2 = qv + m.edge_vertex[ep][1] * nlev;
+        const NS* __restrict fl = flux + ep * nlev;
 #pragma omp simd
         for (int k = 0; k < nlev; ++k) {
-          const NS qep =
-              NS(0.5) * (static_cast<NS>(w1[k]) + static_cast<NS>(w2[k]));
-          acc_row[k] += wj * static_cast<NS>(fl[k]) * inv_lep * NS(0.5) *
-                        (qe_row[k] + qep);
+          const NS qep = NS(0.5) * (w1[k] + w2[k]);
+          acc_row[k] += wj * fl[k] * inv_lep * NS(0.5) * (qe_row[k] + qep);
         }
       }
-      const double* __restrict ke1 = ke + c1 * nlev;
-      const double* __restrict ke2 = ke + c2 * nlev;
+      const NS* __restrict ke1 = ke + c1 * nlev;
+      const NS* __restrict ke2 = ke + c2 * nlev;
       const double* __restrict ph1 = phi + c1 * (nlev + 1);
       const double* __restrict ph2 = phi + c2 * (nlev + 1);
       const double* __restrict al1 = alpha + c1 * nlev;
       const double* __restrict al2 = alpha + c2 * nlev;
       const double* __restrict p1 = p + c1 * nlev;
       const double* __restrict p2 = p + c2 * nlev;
-      const double* __restrict dv1 = div_u + c1 * nlev;
-      const double* __restrict dv2 = div_u + c2 * nlev;
-      const double* __restrict vr1 = vor + v1 * nlev;
-      const double* __restrict vr2 = vor + v2 * nlev;
+      const NS* __restrict dv1 = div_u + c1 * nlev;
+      const NS* __restrict dv2 = div_u + c2 * nlev;
+      const NS* __restrict vr1 = vor + v1 * nlev;
+      const NS* __restrict vr2 = vor + v2 * nlev;
       double* __restrict tu = tend_u + e * nlev;
 #pragma omp simd
       for (int k = 0; k < nlev; ++k) {
         double t = 0.0;
-        t += static_cast<double>(
-            -(static_cast<NS>(ke2[k]) - static_cast<NS>(ke1[k])) * inv_de);
+        t += static_cast<double>(-(ke2[k] - ke1[k]) * inv_de);
         t += static_cast<double>(acc_row[k]);
         const double phm1 = 0.5 * (ph1[k] + ph1[k + 1]);
         const double phm2 = 0.5 * (ph2[k] + ph2[k + 1]);
         const double alpha_e = 0.5 * (al1[k] + al2[k]);
         t -= ((phm2 - phm1) + alpha_e * (p2[k] - p1[k])) * inv_de_d;
-        const NS grad_div =
-            (static_cast<NS>(dv2[k]) - static_cast<NS>(dv1[k])) * inv_de;
-        const NS curl_vor =
-            (static_cast<NS>(vr2[k]) - static_cast<NS>(vr1[k])) * inv_le;
+        const NS grad_div = (dv2[k] - dv1[k]) * inv_de;
+        const NS curl_vor = (vr2[k] - vr1[k]) * inv_le;
         t += static_cast<double>(scale * (static_cast<NS>(nu_div) * grad_div -
                                           static_cast<NS>(nu_vor) * curl_vor));
         tu[k] = t;
@@ -1002,16 +1037,16 @@ const KernelTable& GRIST_SIMD_TIER_FN() {
     t.div_at_cell[1] = &divAtCellImpl<float>;
     t.tracer_hori_flux_limiter[0] = &tracerHoriFluxLimiterImpl<double>;
     t.tracer_hori_flux_limiter[1] = &tracerHoriFluxLimiterImpl<float>;
-    t.fused_edge_fluxes[0] = &fusedEdgeFluxesImpl<double>;
-    t.fused_edge_fluxes[1] = &fusedEdgeFluxesImpl<float>;
-    t.fused_cell_diagnostics[0] = &fusedCellDiagnosticsImpl<double>;
-    t.fused_cell_diagnostics[1] = &fusedCellDiagnosticsImpl<float>;
-    t.fused_vertex_diagnostics[0] = &fusedVertexDiagnosticsImpl<double>;
-    t.fused_vertex_diagnostics[1] = &fusedVertexDiagnosticsImpl<float>;
-    t.fused_scalar_tendencies[0] = &fusedScalarTendenciesImpl<double>;
-    t.fused_scalar_tendencies[1] = &fusedScalarTendenciesImpl<float>;
-    t.fused_momentum_tendency[0] = &fusedMomentumTendencyImpl<double>;
-    t.fused_momentum_tendency[1] = &fusedMomentumTendencyImpl<float>;
+    t.fused_edge_fluxes = {&fusedEdgeFluxesImpl<double>,
+                           &fusedEdgeFluxesImpl<float>};
+    t.fused_cell_diagnostics = {&fusedCellDiagnosticsImpl<double>,
+                                &fusedCellDiagnosticsImpl<float>};
+    t.fused_vertex_diagnostics = {&fusedVertexDiagnosticsImpl<double>,
+                                  &fusedVertexDiagnosticsImpl<float>};
+    t.fused_scalar_tendencies = {&fusedScalarTendenciesImpl<double>,
+                                 &fusedScalarTendenciesImpl<float>};
+    t.fused_momentum_tendency = {&fusedMomentumTendencyImpl<double>,
+                                 &fusedMomentumTendencyImpl<float>};
     t.rrr_alpha_p[0] = &rrrAlphaPImpl<double>;
     t.rrr_alpha_p[1] = &rrrAlphaPImpl<float>;
     t.rrr_p = &rrrPImpl;
@@ -1019,7 +1054,8 @@ const KernelTable& GRIST_SIMD_TIER_FN() {
     t.save_edge_start = &saveEdgeStartImpl;
     t.update_cells = &updateCellsImpl;
     t.update_edges = &updateEdgesImpl;
-    t.accumulate_flux = &accumulateFluxImpl;
+    t.accumulate_flux = {&accumulateFluxImpl<double>,
+                         &accumulateFluxImpl<float>};
     t.vert_solve_lanes = &vertSolveLanesImpl;
     return t;
   }();

@@ -8,7 +8,15 @@
 // scalar reference uses, so packed panels are bit-identical across tiers;
 // likewise int8 uses vcvtps2dq whose default RNE matches lrintf.
 
+// GCC 12.2's AVX-512 headers build each unmasked intrinsic's pass-through
+// operand from a self-initialized `__Y = __Y`, which -Wmaybe-uninitialized
+// reports once the packers below inline them (GCC bug 105593, fixed in
+// later releases). The operand is never read, so the warning is silenced
+// for the header's lines only; this file's own code stays checked.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include "quant_tiers.hpp"
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "grist/dycore/config.hpp"
@@ -97,6 +98,22 @@ class Dycore {
   template <typename NS>
   void computeTendencies(const State& state);
 
+  /// The six NS intermediates of the tendency sweeps, stored in NS (the
+  /// storage contract in grist/backend/simd.hpp). Edges: flux, uflux;
+  /// cells: ke, div_u; vertices: vor, qv.
+  template <typename S>
+  struct NsScratch {
+    parallel::FieldT<S> flux, uflux, ke, div_u, vor, qv;
+  };
+  template <typename NS>
+  NsScratch<NS>& nsScratch() {
+    if constexpr (std::is_same_v<NS, float>) {
+      return ns_sp_;
+    } else {
+      return ns_dp_;
+    }
+  }
+
   const grid::HexMesh& mesh_;
   const grid::TrskWeights& trsk_;
   DycoreConfig config_;
@@ -108,14 +125,15 @@ class Dycore {
   // Scratch (allocated once, shared by all members), grouped by mesh
   // entity; the constructor asserts every field's size against its entity
   // count. Cell fields:
-  parallel::Field div_flux_, ke_, alpha_, p_, div_u_;
+  parallel::Field div_flux_, alpha_, p_;
   parallel::Field thetam_tend_, delp_tend_;
   parallel::Field delp0_, thetam0_;  // step-start copies for RK
   // Edge fields:
-  parallel::Field flux_, uflux_, u_tend_;
+  parallel::Field u_tend_;
   parallel::Field u0_;  // step-start copy for RK
-  // Vertex fields:
-  parallel::Field vor_, qv_;
+  // The NS intermediates: only the set config().ns selects is allocated.
+  NsScratch<double> ns_dp_;
+  NsScratch<float> ns_sp_;
 
   // Per member: the mass-flux accumulator, and for members 0..M-2 the
   // pre-solver pressure (the last member's stays in p_, so M = 1 adds none).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
 
 #include "grist/backend/simd.hpp"
 #include "grist/common/workspace.hpp"
@@ -44,22 +46,30 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   // instead of silently aliasing out-of-range rows.
   // -- cell fields (ncells x nlev) --
   div_flux_ = Field(mesh.ncells, nlev);
-  ke_ = Field(mesh.ncells, nlev);
   alpha_ = Field(mesh.ncells, nlev);
   p_ = Field(mesh.ncells, nlev);
-  div_u_ = Field(mesh.ncells, nlev);
   thetam_tend_ = Field(mesh.ncells, nlev);
   delp_tend_ = Field(mesh.ncells, nlev);
   delp0_ = Field(mesh.ncells, nlev);
   thetam0_ = Field(mesh.ncells, nlev);
   // -- edge fields (nedges x nlev) --
-  flux_ = Field(mesh.nedges, nlev);
-  uflux_ = Field(mesh.nedges, nlev);
   u_tend_ = Field(mesh.nedges, nlev);
   u0_ = Field(mesh.nedges, nlev);
-  // -- vertex fields (nvertices x nlev) --
-  vor_ = Field(mesh.nvertices, nlev);
-  qv_ = Field(mesh.nvertices, nlev);
+  // -- the NS intermediates in the storage config_.ns selects --
+  const auto allocate_ns = [&](auto& s) {
+    using F = std::remove_reference_t<decltype(s.flux)>;
+    s.flux = F(mesh.nedges, nlev);
+    s.uflux = F(mesh.nedges, nlev);
+    s.ke = F(mesh.ncells, nlev);
+    s.div_u = F(mesh.ncells, nlev);
+    s.vor = F(mesh.nvertices, nlev);
+    s.qv = F(mesh.nvertices, nlev);
+  };
+  if (config_.ns == precision::NsMode::kDouble) {
+    allocate_ns(ns_dp_);
+  } else {
+    allocate_ns(ns_sp_);
+  }
   // -- per member --
   const std::size_t mm = static_cast<std::size_t>(nmembers_);
   acc_flux_.reserve(mm);
@@ -74,27 +84,34 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   solve_w_.resize(mm);
   solve_phi_.resize(mm);
 
-  const auto expect = [nlev](const Field& f, Index nentity, const char* name) {
+  const auto expect = [nlev](const auto& f, Index nentity, const char* name) {
     if (f.entities() != nentity || f.components() != nlev) {
       throw std::logic_error(std::string("Dycore: mis-sized scratch field ") +
                              name);
     }
   };
+  const auto expect_ns = [&](const auto& s) {
+    expect(s.flux, mesh.nedges, "flux");
+    expect(s.uflux, mesh.nedges, "uflux");
+    expect(s.ke, mesh.ncells, "ke");
+    expect(s.div_u, mesh.ncells, "div_u");
+    expect(s.vor, mesh.nvertices, "vor");
+    expect(s.qv, mesh.nvertices, "qv");
+  };
   expect(div_flux_, mesh.ncells, "div_flux");
-  expect(ke_, mesh.ncells, "ke");
   expect(alpha_, mesh.ncells, "alpha");
   expect(p_, mesh.ncells, "p");
-  expect(div_u_, mesh.ncells, "div_u");
   expect(thetam_tend_, mesh.ncells, "thetam_tend");
   expect(delp_tend_, mesh.ncells, "delp_tend");
   expect(delp0_, mesh.ncells, "delp0");
   expect(thetam0_, mesh.ncells, "thetam0");
-  expect(flux_, mesh.nedges, "flux");
-  expect(uflux_, mesh.nedges, "uflux");
   expect(u_tend_, mesh.nedges, "u_tend");
   expect(u0_, mesh.nedges, "u0");
-  expect(vor_, mesh.nvertices, "vor");
-  expect(qv_, mesh.nvertices, "qv");
+  if (config_.ns == precision::NsMode::kDouble) {
+    expect_ns(ns_dp_);
+  } else {
+    expect_ns(ns_sp_);
+  }
   for (const Field& f : acc_flux_) expect(f, mesh.nedges, "acc_flux");
   for (const Field& f : p_solve_) expect(f, mesh.ncells, "p_solve");
 }
@@ -189,6 +206,7 @@ void Dycore::computeTendencies(const State& state) {
   const int nlev = config_.nlev;
   constexpr int si = simd::kNsIndex<NS>;
   const simd::KernelTable& tb = simd::table();
+  NsScratch<NS>& ns = nsScratch<NS>();
 
   // Thermodynamic diagnostics on the diagnostic cell band: alpha and p
   // only. compute_rrr's Exner and pi_mid outputs are never read by the
@@ -199,28 +217,30 @@ void Dycore::computeTendencies(const State& state) {
 
   // Fused edge sweep: mass flux + plain velocity flux from one pass over
   // ALL local edges (both cells of a local edge are always local).
-  tb.fused_edge_fluxes[si](mesh_, mesh_.nedges, nlev, state.delp.data(),
-                           state.u.data(), flux_.data(), uflux_.data());
-  // Fused cell-neighbor sweep: div(flux), div(uflux), kinetic energy.
-  tb.fused_cell_diagnostics[si](mesh_, bounds_.cells_diag, nlev, flux_.data(),
-                                uflux_.data(), state.u.data(),
-                                div_flux_.data(), div_u_.data(), ke_.data());
+  std::get<si>(tb.fused_edge_fluxes)(mesh_, mesh_.nedges, nlev,
+                                     state.delp.data(), state.u.data(),
+                                     ns.flux.data(), ns.uflux.data());
+  // Fused cell-neighbor sweep: div(flux) in double, div(uflux), kinetic
+  // energy.
+  std::get<si>(tb.fused_cell_diagnostics)(
+      mesh_, bounds_.cells_diag, nlev, ns.flux.data(), ns.uflux.data(),
+      state.u.data(), div_flux_.data(), ns.div_u.data(), ns.ke.data());
   // Fused vertex sweep: vorticity + mass-weighted potential vorticity.
-  tb.fused_vertex_diagnostics[si](mesh_, bounds_.vertices_diag, nlev,
-                                  state.u.data(), state.delp.data(),
-                                  constants::kOmega, vor_.data(), qv_.data());
+  std::get<si>(tb.fused_vertex_diagnostics)(
+      mesh_, bounds_.vertices_diag, nlev, state.u.data(), state.delp.data(),
+      constants::kOmega, ns.vor.data(), ns.qv.data());
   // Fused cell-tendency sweep: delp_tend = -div(flux) and the mass-weighted
   // theta tendency (advection + delp * nu * del2 diffusion).
-  tb.fused_scalar_tendencies[si](
-      mesh_, bounds_.cells_prog, nlev, flux_.data(), state.theta.data(),
+  std::get<si>(tb.fused_scalar_tendencies)(
+      mesh_, bounds_.cells_prog, nlev, ns.flux.data(), state.theta.data(),
       state.delp.data(), div_flux_.data(), config_.diff_coef / config_.dt,
       delp_tend_.data(), thetam_tend_.data());
   // Fused edge-tendency sweep: -grad(ke) + Coriolis + pressure gradient
   // (hard-double inside) + del2 damping; u_tend_ written exactly once.
-  tb.fused_momentum_tendency[si](
-      mesh_, trsk_, bounds_.edges_prog, nlev, ke_.data(), qv_.data(),
-      flux_.data(), state.phi.data(), alpha_.data(), p_.data(), div_u_.data(),
-      vor_.data(), config_.div_damp / config_.dt,
+  std::get<si>(tb.fused_momentum_tendency)(
+      mesh_, trsk_, bounds_.edges_prog, nlev, ns.ke.data(), ns.qv.data(),
+      ns.flux.data(), state.phi.data(), alpha_.data(), p_.data(),
+      ns.div_u.data(), ns.vor.data(), config_.div_damp / config_.dt,
       config_.diff_coef / config_.dt, u_tend_.data());
 }
 
@@ -233,7 +253,7 @@ void Dycore::stepImpl(State* const* states, const OverlapHooks* hooks) {
   };
 
   // Member-sequential over the shared scratch: the RK3 explicit stages,
-  // then the member's flux accumulation and pre-solver pressure. flux_ is
+  // then the member's flux accumulation and pre-solver pressure. The flux is
   // live only within the member's iteration, and the implicit solve does
   // not touch it, so accumulating before the solve is state-invisible.
   // Member m < M-1 keeps its pressure in p_solve_[m]; the last one in p_.
@@ -275,8 +295,9 @@ void Dycore::stepImpl(State* const* states, const OverlapHooks* hooks) {
         update(nullptr, bounds_.cells_prog, nullptr, bounds_.edges_prog, dts);
       }
     }
-    // The mass flux driving tracer transport (double precision).
-    tb.accumulate_flux(mesh_.nedges, nlev, flux_.data(), acc_flux_[mi].data());
+    // The mass flux driving tracer transport, accumulated in double.
+    std::get<simd::kNsIndex<NS>>(tb.accumulate_flux)(
+        mesh_.nedges, nlev, nsScratch<NS>().flux.data(), acc_flux_[mi].data());
     if (!hooks) {
       tb.rrr_p(nullptr, bounds_.cells_prog, nlev, state.delp.data(),
                state.theta.data(), state.phi.data(), p_solve);

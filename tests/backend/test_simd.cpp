@@ -9,12 +9,17 @@
 // shared scalar bodies over physically seeded payloads, with the same fixed
 // solver constants the sim uses. The SIMD side runs the dispatch table over
 // an identically seeded copy; every output array must match bit for bit.
+// The fused sweeps' float slots store their six NS intermediates as float
+// rows (the storage contract in simd.hpp): each of those must equal the
+// Host output rounded to float, bitwise, and everything else the Host
+// output itself.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "grist/backend/simd.hpp"
@@ -47,11 +52,101 @@ constexpr double kNuTheta = 0.005 / 300.0;
 constexpr double kNuDiv = 0.02 / 300.0;
 constexpr double kNuVor = 0.005 / 300.0;
 
+/// The six NS-stored operands of the fused sweeps as S rows, seeded from
+/// (and written back into) a SimKernelData. Widening a float row back into
+/// a double one is exact.
+template <typename S>
+struct NsRows {
+  std::vector<S> flux, uflux, ke, div_u, vor, qv;
+
+  explicit NsRows(const SimKernelData& d)
+      : flux(d.flux.begin(), d.flux.end()),
+        uflux(d.uflux.begin(), d.uflux.end()),
+        ke(d.ke.begin(), d.ke.end()),
+        div_u(d.div_u.begin(), d.div_u.end()),
+        vor(d.vor.begin(), d.vor.end()),
+        qv(d.qv.begin(), d.qv.end()) {}
+
+  void writeBack(SimKernelData& d) const {
+    d.flux.assign(flux.begin(), flux.end());
+    d.uflux.assign(uflux.begin(), uflux.end());
+    d.ke.assign(ke.begin(), ke.end());
+    d.div_u.assign(div_u.begin(), div_u.end());
+    d.vor.assign(vor.begin(), vor.end());
+    d.qv.assign(qv.begin(), qv.end());
+  }
+};
+
+/// One fused sweep through the table's NS slot, on NS-typed rows.
+template <precision::NsReal NS>
+void runFusedSweep(SimKernel kernel, const HexMesh& mesh,
+                   const TrskWeights& trsk, const KernelTable& tb,
+                   SimKernelData& d, NsRows<NS>& r) {
+  constexpr int si = kNsIndex<NS>;
+  const int nlev = d.nlev;
+  switch (kernel) {
+    case SimKernel::kFusedEdgeFluxes:
+      std::get<si>(tb.fused_edge_fluxes)(mesh, d.nedges, nlev, d.delp.data(),
+                                         d.u.data(), r.flux.data(),
+                                         r.uflux.data());
+      return;
+    case SimKernel::kFusedCellDiagnostics:
+      std::get<si>(tb.fused_cell_diagnostics)(
+          mesh, d.ncells, nlev, r.flux.data(), r.uflux.data(), d.u.data(),
+          d.div_flux.data(), r.div_u.data(), r.ke.data());
+      return;
+    case SimKernel::kFusedVertexDiagnostics:
+      std::get<si>(tb.fused_vertex_diagnostics)(
+          mesh, d.nvertices, nlev, d.u.data(), d.delp.data(),
+          constants::kOmega, r.vor.data(), r.qv.data());
+      return;
+    case SimKernel::kFusedScalarTendencies:
+      std::get<si>(tb.fused_scalar_tendencies)(
+          mesh, d.ncells, nlev, r.flux.data(), d.theta.data(), d.delp.data(),
+          d.div_flux.data(), kNuTheta, d.delp_tend.data(),
+          d.thetam_tend.data());
+      return;
+    case SimKernel::kFusedMomentumTendency:
+      std::get<si>(tb.fused_momentum_tendency)(
+          mesh, trsk, d.nedges, nlev, r.ke.data(), r.qv.data(), r.flux.data(),
+          d.phi.data(), d.alpha.data(), d.p.data(), r.div_u.data(),
+          r.vor.data(), kNuDiv, kNuVor, d.tend_u.data());
+      return;
+    default:
+      FAIL() << kernelName(kernel) << " is not a fused sweep";
+  }
+}
+
+bool isFusedSweep(SimKernel kernel) {
+  switch (kernel) {
+    case SimKernel::kFusedEdgeFluxes:
+    case SimKernel::kFusedCellDiagnostics:
+    case SimKernel::kFusedVertexDiagnostics:
+    case SimKernel::kFusedScalarTendencies:
+    case SimKernel::kFusedMomentumTendency:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// The SIMD-table equivalent of runKernelPhases: same entity counts, same
-/// constants, outputs land in `d`.
+/// constants, outputs land in `d` (a fused sweep's NS rows widened back).
 void runSimdKernel(SimKernel kernel, const HexMesh& mesh,
                    const TrskWeights& trsk, NsMode ns, const KernelTable& tb,
                    SimKernelData& d) {
+  if (isFusedSweep(kernel)) {
+    if (ns == NsMode::kSingle) {
+      NsRows<float> rows(d);
+      runFusedSweep<float>(kernel, mesh, trsk, tb, d, rows);
+      rows.writeBack(d);
+    } else {
+      NsRows<double> rows(d);
+      runFusedSweep<double>(kernel, mesh, trsk, tb, d, rows);
+      rows.writeBack(d);
+    }
+    return;
+  }
   const int si = nsIndex(ns);
   const int nlev = d.nlev;
   switch (kernel) {
@@ -94,33 +189,8 @@ void runSimdKernel(SimKernel kernel, const HexMesh& mesh,
                           &theta, &p, &w, &phi, kWDampTau);
       return;
     }
-    case SimKernel::kFusedEdgeFluxes:
-      tb.fused_edge_fluxes[si](mesh, d.nedges, nlev, d.delp.data(),
-                               d.u.data(), d.flux.data(), d.uflux.data());
-      return;
-    case SimKernel::kFusedCellDiagnostics:
-      tb.fused_cell_diagnostics[si](mesh, d.ncells, nlev, d.flux.data(),
-                                    d.uflux.data(), d.u.data(),
-                                    d.div_flux.data(), d.div_u.data(),
-                                    d.ke.data());
-      return;
-    case SimKernel::kFusedVertexDiagnostics:
-      tb.fused_vertex_diagnostics[si](mesh, d.nvertices, nlev, d.u.data(),
-                                      d.delp.data(), constants::kOmega,
-                                      d.vor.data(), d.qv.data());
-      return;
-    case SimKernel::kFusedScalarTendencies:
-      tb.fused_scalar_tendencies[si](mesh, d.ncells, nlev, d.flux.data(),
-                                     d.theta.data(), d.delp.data(),
-                                     d.div_flux.data(), kNuTheta,
-                                     d.delp_tend.data(), d.thetam_tend.data());
-      return;
-    case SimKernel::kFusedMomentumTendency:
-      tb.fused_momentum_tendency[si](
-          mesh, trsk, d.nedges, nlev, d.ke.data(), d.qv.data(), d.flux.data(),
-          d.phi.data(), d.alpha.data(), d.p.data(), d.div_u.data(),
-          d.vor.data(), kNuDiv, kNuVor, d.tend_u.data());
-      return;
+    default:
+      break;
   }
   FAIL() << "unknown kernel";
 }
@@ -209,6 +279,11 @@ TEST_F(SimdParityTest, AllKernelsAllTiersAllPrecisionsBitwise) {
         }
         SimKernelData ref = makeSimKernelData(*mesh_, nlev);
         runKernelOnData(kernel, *mesh_, *trsk_, ns, ExecBackend::kHost, ref);
+        // A float slot of a fused sweep holds its six NS rows in float:
+        // the Host rows rounded to float.
+        if (ns == NsMode::kSingle && isFusedSweep(kernel)) {
+          NsRows<float>(ref).writeBack(ref);
+        }
         for (const Tier tier : availableTiers()) {
           SCOPED_TRACE(std::string(kernelName(kernel)) + " ns=" +
                        (ns == NsMode::kSingle ? "single" : "double") +
@@ -218,6 +293,68 @@ TEST_F(SimdParityTest, AllKernelsAllTiersAllPrecisionsBitwise) {
           runSimdKernel(kernel, *mesh_, *trsk_, ns, table(tier), got);
           expectDataBitwiseEqual(ref, got, kernel != SimKernel::kComputeRrr);
         }
+      }
+    }
+  }
+}
+
+// The five fused sweeps chained as the step chains them (edge, cell,
+// vertex, scalar, momentum), each reading what the previous ones stored.
+// Per tier and nlev: the float pipeline's six NS rows equal the Host MIX
+// pipeline's outputs rounded to float, its four double outputs equal the
+// Host's bitwise, and the double pipeline equals the Host DP one outright.
+TEST_F(SimdParityTest, FusedPipelineStoresNsRowsBitwisePerTier) {
+  const SimKernel pipeline[] = {
+      SimKernel::kFusedEdgeFluxes, SimKernel::kFusedCellDiagnostics,
+      SimKernel::kFusedVertexDiagnostics, SimKernel::kFusedScalarTendencies,
+      SimKernel::kFusedMomentumTendency};
+  for (const int nlev : kNlevSweep) {
+    for (const NsMode ns : {NsMode::kDouble, NsMode::kSingle}) {
+      SimKernelData ref = makeSimKernelData(*mesh_, nlev);
+      for (const SimKernel k : pipeline) {
+        runKernelOnData(k, *mesh_, *trsk_, ns, ExecBackend::kHost, ref);
+      }
+      for (const Tier tier : availableTiers()) {
+        SCOPED_TRACE(std::string("nlev=") + std::to_string(nlev) + " tier=" +
+                     tierName(tier) +
+                     (ns == NsMode::kSingle ? " float rows" : " double rows"));
+        SimKernelData got = makeSimKernelData(*mesh_, nlev);
+        if (ns == NsMode::kSingle) {
+          NsRows<float> rows(got);
+          for (const SimKernel k : pipeline) {
+            runFusedSweep<float>(k, *mesh_, *trsk_, table(tier), got, rows);
+          }
+          const NsRows<float> want(ref);  // the Host rows rounded to float
+          const auto same = [](const std::vector<float>& x,
+                               const std::vector<float>& y) {
+            return x.size() == y.size() &&
+                   std::memcmp(x.data(), y.data(),
+                               x.size() * sizeof(float)) == 0;
+          };
+          EXPECT_TRUE(same(want.flux, rows.flux)) << "flux";
+          EXPECT_TRUE(same(want.uflux, rows.uflux)) << "uflux";
+          EXPECT_TRUE(same(want.ke, rows.ke)) << "ke";
+          EXPECT_TRUE(same(want.div_u, rows.div_u)) << "div_u";
+          EXPECT_TRUE(same(want.vor, rows.vor)) << "vor";
+          EXPECT_TRUE(same(want.qv, rows.qv)) << "qv";
+        } else {
+          NsRows<double> rows(got);
+          for (const SimKernel k : pipeline) {
+            runFusedSweep<double>(k, *mesh_, *trsk_, table(tier), got, rows);
+          }
+          rows.writeBack(got);
+          EXPECT_TRUE(bitwiseEqual(ref.flux, got.flux, "flux"));
+          EXPECT_TRUE(bitwiseEqual(ref.uflux, got.uflux, "uflux"));
+          EXPECT_TRUE(bitwiseEqual(ref.ke, got.ke, "ke"));
+          EXPECT_TRUE(bitwiseEqual(ref.div_u, got.div_u, "div_u"));
+          EXPECT_TRUE(bitwiseEqual(ref.vor, got.vor, "vor"));
+          EXPECT_TRUE(bitwiseEqual(ref.qv, got.qv, "qv"));
+        }
+        EXPECT_TRUE(bitwiseEqual(ref.div_flux, got.div_flux, "div_flux"));
+        EXPECT_TRUE(bitwiseEqual(ref.delp_tend, got.delp_tend, "delp_tend"));
+        EXPECT_TRUE(
+            bitwiseEqual(ref.thetam_tend, got.thetam_tend, "thetam_tend"));
+        EXPECT_TRUE(bitwiseEqual(ref.tend_u, got.tend_u, "tend_u"));
       }
     }
   }
@@ -403,8 +540,17 @@ TEST_F(SimdParityTest, RkSweepsMatchScalarLoopsContiguousAndBanded) {
       EXPECT_TRUE(bandRowsMatch(ref_u, u, d.u, ein, nlev, "u (band)"));
 
       std::vector<double> acc(d.flux);
-      tb.accumulate_flux(ne, nlev, d.uflux.data(), acc.data());
+      std::get<0>(tb.accumulate_flux)(ne, nlev, d.uflux.data(), acc.data());
       EXPECT_TRUE(bitwiseEqual(ref_acc, acc, "acc"));
+      // A float-stored flux widens exactly into the double window.
+      const std::vector<float> uflux_sp(d.uflux.begin(), d.uflux.end());
+      std::vector<double> ref_acc_sp(d.flux);
+      for (std::size_t i = 0; i < ref_acc_sp.size(); ++i) {
+        ref_acc_sp[i] += static_cast<double>(uflux_sp[i]);
+      }
+      acc = d.flux;
+      std::get<1>(tb.accumulate_flux)(ne, nlev, uflux_sp.data(), acc.data());
+      EXPECT_TRUE(bitwiseEqual(ref_acc_sp, acc, "acc (float flux)"));
     }
   }
 }
@@ -523,18 +669,21 @@ TEST(SimdDispatch, EveryTableSlotIsPopulated) {
       EXPECT_NE(tb.tend_grad_ke_at_edge[si], nullptr);
       EXPECT_NE(tb.div_at_cell[si], nullptr);
       EXPECT_NE(tb.tracer_hori_flux_limiter[si], nullptr);
-      EXPECT_NE(tb.fused_edge_fluxes[si], nullptr);
-      EXPECT_NE(tb.fused_cell_diagnostics[si], nullptr);
-      EXPECT_NE(tb.fused_vertex_diagnostics[si], nullptr);
-      EXPECT_NE(tb.fused_scalar_tendencies[si], nullptr);
-      EXPECT_NE(tb.fused_momentum_tendency[si], nullptr);
     }
+    const auto both_slots = [](const auto& slots) {
+      return std::get<0>(slots) != nullptr && std::get<1>(slots) != nullptr;
+    };
+    EXPECT_TRUE(both_slots(tb.fused_edge_fluxes));
+    EXPECT_TRUE(both_slots(tb.fused_cell_diagnostics));
+    EXPECT_TRUE(both_slots(tb.fused_vertex_diagnostics));
+    EXPECT_TRUE(both_slots(tb.fused_scalar_tendencies));
+    EXPECT_TRUE(both_slots(tb.fused_momentum_tendency));
+    EXPECT_TRUE(both_slots(tb.accumulate_flux));
     EXPECT_NE(tb.rrr_p, nullptr);
     EXPECT_NE(tb.save_cell_start, nullptr);
     EXPECT_NE(tb.save_edge_start, nullptr);
     EXPECT_NE(tb.update_cells, nullptr);
     EXPECT_NE(tb.update_edges, nullptr);
-    EXPECT_NE(tb.accumulate_flux, nullptr);
     EXPECT_NE(tb.vert_solve_lanes, nullptr);
   }
 }

@@ -2,7 +2,8 @@
 // fused kernel must match the unfused kernel sequence it replaces to
 // <= 1 ulp (NS = double) / <= 1e-6 relative (NS = float), and the
 // Workspace-backed column solves must perform ZERO heap allocations once
-// their per-thread arenas are warm.
+// their per-thread arenas are warm. Also the Dycore's scratch footprint:
+// MIX stores its six NS intermediates as float rows.
 //
 // This binary overrides the global allocation operators to count heap
 // traffic, so it is its own test executable (see tests/CMakeLists.txt).
@@ -17,7 +18,9 @@
 #include <new>
 #include <vector>
 
+#include "grist/common/aligned.hpp"
 #include "grist/common/workspace.hpp"
+#include "grist/dycore/dycore.hpp"
 #include "grist/dycore/kernels.hpp"
 #include "grist/dycore/state.hpp"
 #include "grist/dycore/tracer.hpp"
@@ -31,16 +34,19 @@
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<long> g_heap_allocs{0};
+std::atomic<long> g_heap_bytes{0};
 } // namespace
 
 void* operator new(std::size_t size) {
   ++g_heap_allocs;
+  g_heap_bytes += static_cast<long>(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t al) {
   ++g_heap_allocs;
+  g_heap_bytes += static_cast<long>(size);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(al), size ? size : 1) != 0) {
     throw std::bad_alloc();
@@ -334,6 +340,45 @@ TEST(AllocationGuard, VerticalRemapIsHeapFreeWhenWarm) {
               verticalRemap(f.mesh.ncells, f.nlev, 225.0, scratch2);
             }),
             0);
+}
+
+// ---------------------------------------------------------------------------
+// Footprint: a Dycore allocates its scratch once, at construction. MIX
+// stores flux, uflux (edges), ke, div_u (cells), vor and qv (vertices) as
+// float rows; every other scratch field, and all of DP's, is double.
+// ---------------------------------------------------------------------------
+
+long bytesDuring(const std::function<void()>& fn) {
+  const long before = g_heap_bytes.load();
+  fn();
+  return g_heap_bytes.load() - before;
+}
+
+TEST(DycoreFootprint, MixStoresItsSixNsIntermediatesInFloat) {
+  Fixture& f = fx();
+  DycoreConfig cfg;
+  // 16 levels make every float row whole cache lines, so the MIX saving is
+  // exactly 4 B per NS element (no row padding in the difference).
+  cfg.nlev = 16;
+  const auto constructed = [&](precision::NsMode ns) {
+    cfg.ns = ns;
+    return bytesDuring([&] { const Dycore dy(f.mesh, f.trsk, cfg); });
+  };
+  const long dp = constructed(precision::NsMode::kDouble);
+  const long mix = constructed(precision::NsMode::kSingle);
+  const auto rows = [&](Index n, std::size_t elem) {
+    return static_cast<long>(common::roundUpToCacheLine(
+        static_cast<std::size_t>(n) * cfg.nlev * elem));
+  };
+  const long nc = f.mesh.ncells, ne = f.mesh.nedges, nv = f.mesh.nvertices;
+  // The per-member tables: one mass-flux Field and five solve pointers.
+  const long tables =
+      static_cast<long>(sizeof(parallel::Field) + 5 * sizeof(double*));
+  // DP: 9 cell, 5 edge (with the mass-flux window) and 2 vertex double rows.
+  EXPECT_EQ(dp, 9 * rows(nc, 8) + 5 * rows(ne, 8) + 2 * rows(nv, 8) + tables);
+  EXPECT_EQ(mix, 7 * rows(nc, 8) + 3 * rows(ne, 8) + 2 * rows(nc, 4) +
+                     2 * rows(ne, 4) + 2 * rows(nv, 4) + tables);
+  EXPECT_GE(dp - mix, 4L * cfg.nlev * (2 * ne + 2 * nc + 2 * nv));
 }
 
 } // namespace
