@@ -7,8 +7,8 @@
 #include <cstdint>
 #include <cstdio>
 
+#include "grist/backend/kernels.hpp"
 #include "grist/common/timer.hpp"
-#include "grist/dycore/kernels.hpp"
 #include "grist/grid/reorder.hpp"
 #include "grist/grid/trsk.hpp"
 #include "grist/io/table.hpp"
@@ -24,12 +24,20 @@ double hostKernelSeconds(const grid::HexMesh& mesh, int nlev, int reps) {
   const parallel::Field u(mesh.nedges, nlev, 10.0);
   parallel::Field flux(mesh.nedges, nlev, 0.0);
   parallel::Field div(mesh.ncells, nlev, 0.0);
+  namespace bk = backend::kernels;
+  using backend::hostMut;
+  using backend::hostView;
+  const auto mv = backend::makeHostMeshView(mesh);
   Timer timer;
   for (int r = 0; r < reps; ++r) {
-    dycore::kernels::primalNormalFluxEdge<double>(mesh, mesh.nedges, nlev,
-                                                  delp.data(), u.data(), flux.data());
-    dycore::kernels::divAtCell<double>(mesh, mesh.ncells, nlev, flux.data(),
-                                       div.data());
+    backend::hostSweep(mesh.nedges, [&](auto& ctx, Index e) {
+      bk::primalNormalFluxEdge<double>(ctx, e, mv, nlev, hostView(delp.data()),
+                                       hostView(u.data()), hostMut(flux.data()));
+    });
+    backend::hostSweep(mesh.ncells, [&](auto& ctx, Index c) {
+      bk::divAtCell<double>(ctx, c, mv, nlev, hostView(flux.data()),
+                            hostMut(div.data()));
+    });
   }
   return timer.elapsed() / reps;
 }

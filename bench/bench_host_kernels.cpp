@@ -5,14 +5,14 @@
 // big wins in Fig. 9 come from the CPE memory system, reproduced in
 // bench_fig9_kernels).
 //
-// The BM_Unfused*/BM_Fused* pairs measure the fused single-sweep tendency
-// pipeline against the multi-sweep kernel sequence it replaced; the
-// BM_Simd*/BM_Fused* pairs measure the explicitly vectorized SimdBackend
-// tier (best the CPU supports) against the auto-vectorized Host
-// instantiation on identical inputs; the BM_Simd* float rows hold the six NS
-// intermediates in float, as the MIX dycore step does. BM_DycoreStep is one
-// whole dyn step in DP and MIX. Record them to BENCH_host_kernels.json with
-// the --benchmark_format=json invocation documented in README.md.
+// Every Host benchmark runs the shared kernel bodies through
+// backend::hostSweep. The BM_Simd*/BM_Fused* pairs measure the explicitly
+// vectorized SimdBackend tier (best the CPU supports) against the
+// auto-vectorized Host instantiation on identical inputs; the BM_Simd* float
+// rows hold the six NS intermediates in float, as the MIX dycore step does.
+// BM_DycoreStep is one whole dyn step in DP and MIX. Record them to
+// BENCH_host_kernels.json with the --benchmark_format=json invocation
+// documented in README.md.
 //
 // Every benchmark makes one untimed warm-up call before the timing loop so
 // the first measured iteration sees warm thread-local Workspace arenas and
@@ -24,12 +24,13 @@
 #include <type_traits>
 #include <vector>
 
+#include "grist/backend/kernels.hpp"
 #include "grist/backend/quant.hpp"
 #include "grist/backend/simd.hpp"
 #include "grist/common/math.hpp"
+#include "grist/common/workspace.hpp"
 #include "grist/dycore/dycore.hpp"
 #include "grist/dycore/init.hpp"
-#include "grist/dycore/kernels.hpp"
 #include "grist/grid/hex_mesh.hpp"
 #include "grist/grid/trsk.hpp"
 #include "grist/ml/matrix.hpp"
@@ -41,10 +42,16 @@
 namespace {
 
 using namespace grist;
+using backend::hostMut;
+using backend::hostSweep;
+using backend::hostView;
+namespace bk = backend::kernels;
 
 struct Fixture {
   grid::HexMesh mesh = grid::buildHexMesh(5);
   grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
+  backend::MeshView<backend::HostBackend> mv = backend::makeHostMeshView(mesh);
+  backend::TrskView<backend::HostBackend> tv = backend::makeHostTrskView(trsk);
   int nlev = 30;
   parallel::Field delp{mesh.ncells, nlev, 500.0};
   parallel::Field theta{mesh.ncells, nlev, 300.0};
@@ -55,7 +62,7 @@ struct Fixture {
   parallel::Field out_edge{mesh.nedges, nlev, 0.0};
   parallel::Field vor{mesh.nvertices, nlev, 0.0};
   parallel::Field qv{mesh.nvertices, nlev, 1.0e-8};
-  // Extra streams for the fused-vs-unfused tendency pipeline.
+  // Extra streams for the fused tendency pipeline.
   parallel::Field uflux{mesh.nedges, nlev, 0.0};
   parallel::Field div_flux{mesh.ncells, nlev, 0.0};
   parallel::Field div_u{mesh.ncells, nlev, 0.0};
@@ -68,7 +75,6 @@ struct Fixture {
   parallel::Field vqv{mesh.nvertices, nlev, 0.0};
   parallel::Field delp_tend{mesh.ncells, nlev, 0.0};
   parallel::Field thetam_tend{mesh.ncells, nlev, 0.0};
-  parallel::Field scalar_del2{mesh.ncells, nlev, 0.0};
   parallel::Field u_tend{mesh.nedges, nlev, 0.0};
   parallel::Field w{mesh.ncells, nlev + 1, 0.01};
   double nu_theta = 0.005 / 300.0;
@@ -88,9 +94,12 @@ struct Fixture {
     for (Index e = 0; e < mesh.nedges; ++e) {
       for (int k = 0; k < nlev; ++k) u(e, k) = 12.0 * std::sin(0.23 * e + 0.4 * k) - 3.0;
     }
-    dycore::kernels::computeRrr<double>(mesh.ncells, nlev, 225.0, delp.data(),
-                                        theta.data(), phi.data(), alpha.data(),
-                                        p.data(), exner.data(), pi_mid.data());
+    hostSweep(mesh.ncells, [&](auto& ctx, Index c) {
+      bk::computeRrrColumn<double, backend::HostBackend>(
+          ctx, c, nlev, 225.0, hostView(delp.data()), hostView(theta.data()),
+          hostView(phi.data()), hostMut(alpha.data()), hostMut(p.data()),
+          hostMut(exner.data()), hostMut(pi_mid.data()));
+    });
   }
 };
 
@@ -99,32 +108,41 @@ Fixture& fixture() {
   return f;
 }
 
+/// Time `run` after one untimed call.
+template <typename Run>
+void timeLoop(benchmark::State& state, const Run& run, const double* out,
+              Index items) {
+  run();
+  for (auto _ : state) {
+    run();
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * items * fixture().nlev);
+}
+
 template <typename NS>
 void BM_PrimalNormalFlux(benchmark::State& state) {
   Fixture& f = fixture();
-  dycore::kernels::primalNormalFluxEdge<NS>(f.mesh, f.mesh.nedges, f.nlev,
-                                            f.delp.data(), f.u.data(),
-                                            f.flux.data());
-  for (auto _ : state) {
-    dycore::kernels::primalNormalFluxEdge<NS>(f.mesh, f.mesh.nedges, f.nlev,
-                                              f.delp.data(), f.u.data(),
-                                              f.flux.data());
-    benchmark::DoNotOptimize(f.flux.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
+  const auto run = [&f] {
+    hostSweep(f.mesh.nedges, [&](auto& ctx, Index e) {
+      bk::primalNormalFluxEdge<NS>(ctx, e, f.mv, f.nlev, hostView(f.delp.data()),
+                                   hostView(f.u.data()), hostMut(f.flux.data()));
+    });
+  };
+  timeLoop(state, run, f.flux.data(), f.mesh.nedges);
 }
 
 template <typename NS>
 void BM_DivAtCell(benchmark::State& state) {
   Fixture& f = fixture();
-  dycore::kernels::divAtCell<NS>(f.mesh, f.mesh.ncells, f.nlev, f.flux.data(),
-                                 f.out_cell.data());
-  for (auto _ : state) {
-    dycore::kernels::divAtCell<NS>(f.mesh, f.mesh.ncells, f.nlev, f.flux.data(),
-                                   f.out_cell.data());
-    benchmark::DoNotOptimize(f.out_cell.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.nlev);
+  const auto run = [&f] {
+    hostSweep(f.mesh.ncells, [&](auto& ctx, Index c) {
+      bk::divAtCell<NS>(ctx, c, f.mv, f.nlev, hostView(f.flux.data()),
+                        hostMut(f.out_cell.data()));
+    });
+  };
+  timeLoop(state, run, f.out_cell.data(), f.mesh.ncells);
 }
 
 template <typename NS>
@@ -132,234 +150,145 @@ void BM_ComputeRrr(benchmark::State& state) {
   Fixture& f = fixture();
   parallel::Field alpha(f.mesh.ncells, f.nlev), p(f.mesh.ncells, f.nlev),
       exner(f.mesh.ncells, f.nlev), pi(f.mesh.ncells, f.nlev);
-  dycore::kernels::computeRrr<NS>(f.mesh.ncells, f.nlev, 225.0, f.delp.data(),
-                                  f.theta.data(), f.phi.data(), alpha.data(),
-                                  p.data(), exner.data(), pi.data());
-  for (auto _ : state) {
-    dycore::kernels::computeRrr<NS>(f.mesh.ncells, f.nlev, 225.0, f.delp.data(),
-                                    f.theta.data(), f.phi.data(), alpha.data(),
-                                    p.data(), exner.data(), pi.data());
-    benchmark::DoNotOptimize(p.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.nlev);
+  const auto run = [&] {
+    hostSweep(f.mesh.ncells, [&](auto& ctx, Index c) {
+      bk::computeRrrColumn<NS, backend::HostBackend>(
+          ctx, c, f.nlev, 225.0, hostView(f.delp.data()),
+          hostView(f.theta.data()), hostView(f.phi.data()),
+          hostMut(alpha.data()), hostMut(p.data()), hostMut(exner.data()),
+          hostMut(pi.data()));
+    });
+  };
+  timeLoop(state, run, p.data(), f.mesh.ncells);
 }
 
 template <typename NS>
 void BM_CoriolisTerm(benchmark::State& state) {
   Fixture& f = fixture();
-  f.out_edge.fill(0.0);
-  dycore::kernels::calcCoriolisTerm<NS>(f.mesh, f.trsk, f.mesh.nedges, f.nlev,
-                                        f.flux.data(), f.qv.data(),
-                                        f.out_edge.data());
-  for (auto _ : state) {
+  const auto run = [&f] {
     f.out_edge.fill(0.0);
-    dycore::kernels::calcCoriolisTerm<NS>(f.mesh, f.trsk, f.mesh.nedges, f.nlev,
-                                          f.flux.data(), f.qv.data(),
-                                          f.out_edge.data());
-    benchmark::DoNotOptimize(f.out_edge.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
+    hostSweep(f.mesh.nedges, [&](auto& ctx, Index e) {
+      bk::calcCoriolisTerm<NS>(ctx, e, f.mv, f.tv, f.nlev,
+                               hostView(f.flux.data()), hostView(f.qv.data()),
+                               hostMut(f.out_edge.data()));
+    });
+  };
+  timeLoop(state, run, f.out_edge.data(), f.mesh.nedges);
 }
 
 // ---------------------------------------------------------------------------
-// Fused-vs-unfused pairs. Each BM_Unfused* reproduces the pre-fusion kernel
-// sequence (including its zero-fill and read-modify-write passes over the
-// tendency arrays); the BM_Fused* partner runs the single-sweep replacement
-// on identical inputs. The *TendencyPipeline pair is the acceptance number:
-// the full horizontal tendency step, everything downstream of computeRrr.
+// The five fused sweeps as Host instantiations, on the Fixture's double
+// fields: the BM_Fused* partners of the BM_Simd* rows below.
 // ---------------------------------------------------------------------------
 
 template <typename NS>
-void unfusedEdgeFluxes(Fixture& f) {
-  dycore::kernels::primalNormalFluxEdge<NS>(f.mesh, f.mesh.nedges, f.nlev,
-                                            f.delp.data(), f.u.data(),
-                                            f.flux.data());
-  // Pre-fusion dycore filled uflux with its own edge loop (always double).
-  double* uflux = f.uflux.data();
-  const double* u = f.u.data();
-#pragma omp parallel for schedule(static)
-  for (Index e = 0; e < f.mesh.nedges; ++e) {
-    const double le = f.mesh.edge_le[e];
-    for (int k = 0; k < f.nlev; ++k) uflux[e * f.nlev + k] = le * u[e * f.nlev + k];
-  }
-}
-
-template <typename NS>
-void unfusedCellDiagnostics(Fixture& f) {
-  dycore::kernels::divAtCell<NS>(f.mesh, f.mesh.ncells, f.nlev, f.flux.data(),
-                                 f.div_flux.data());
-  dycore::kernels::divAtCell<NS>(f.mesh, f.mesh.ncells, f.nlev, f.uflux.data(),
-                                 f.div_u.data());
-  dycore::kernels::kineticEnergy<NS>(f.mesh, f.mesh.ncells, f.nlev, f.u.data(),
-                                     f.ke.data());
-}
-
-template <typename NS>
-void unfusedScalarTendencies(Fixture& f) {
-  const std::size_t cn = static_cast<std::size_t>(f.mesh.ncells) * f.nlev;
-  double* dt = f.delp_tend.data();
-  const double* div = f.div_flux.data();
-  for (std::size_t i = 0; i < cn; ++i) dt[i] = -div[i];
-  f.scalar_del2.fill(0.0);
-  dycore::kernels::scalarFluxTendency<NS>(f.mesh, f.mesh.ncells, f.nlev,
-                                          f.flux.data(), f.theta.data(),
-                                          f.thetam_tend.data());
-  dycore::kernels::del2Scalar<NS>(f.mesh, f.mesh.ncells, f.nlev, f.theta.data(),
-                                  f.nu_theta, f.scalar_del2.data());
-  double* tt = f.thetam_tend.data();
-  const double* dp = f.delp.data();
-  const double* s2 = f.scalar_del2.data();
-  for (std::size_t i = 0; i < cn; ++i) tt[i] += dp[i] * s2[i];
-}
-
-template <typename NS>
-void unfusedMomentumTendency(Fixture& f) {
-  f.u_tend.fill(0.0);
-  dycore::kernels::tendGradKeAtEdge<NS>(f.mesh, f.mesh.nedges, f.nlev,
-                                        f.ke.data(), f.u_tend.data());
-  dycore::kernels::calcCoriolisTerm<NS>(f.mesh, f.trsk, f.mesh.nedges, f.nlev,
-                                        f.flux.data(), f.vqv.data(),
-                                        f.u_tend.data());
-  dycore::kernels::calcPressureGradient(f.mesh, f.mesh.nedges, f.nlev,
-                                        f.phi.data(), f.alpha.data(), f.p.data(),
-                                        f.pi_mid.data(), f.u_tend.data());
-  dycore::kernels::del2Momentum<NS>(f.mesh, f.mesh.nedges, f.nlev,
-                                    f.div_u.data(), f.vor.data(), f.nu_div,
-                                    f.nu_vor, f.u_tend.data());
-}
-
-template <typename NS>
-void BM_UnfusedEdgeFluxes(benchmark::State& state) {
+struct HostSweeps {
   Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  for (auto _ : state) {
-    unfusedEdgeFluxes<NS>(f);
-    benchmark::DoNotOptimize(f.uflux.data());
+
+  void edge() {
+    hostSweep(f.mesh.nedges, [&](auto& ctx, Index e) {
+      bk::fusedEdgeFluxes<NS>(ctx, e, f.mv, f.nlev, hostView(f.delp.data()),
+                              hostView(f.u.data()), hostMut(f.flux.data()),
+                              hostMut(f.uflux.data()));
+    });
   }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
+  void cell() {
+    hostSweep(f.mesh.ncells, [&](auto& ctx, Index c) {
+      bk::fusedCellDiagnostics<NS>(
+          ctx, c, f.mv, f.nlev, hostView(f.flux.data()),
+          hostView(f.uflux.data()), hostView(f.u.data()),
+          hostMut(f.div_flux.data()), hostMut(f.div_u.data()),
+          hostMut(f.ke.data()));
+    });
+  }
+  void vertex() {
+    hostSweep(f.mesh.nvertices, [&](auto& ctx, Index v) {
+      bk::fusedVertexDiagnostics<NS>(
+          ctx, v, f.mv, f.nlev, hostView(f.u.data()), hostView(f.delp.data()),
+          constants::kOmega, hostMut(f.vvor.data()), hostMut(f.vqv.data()));
+    });
+  }
+  void scalar() {
+    hostSweep(f.mesh.ncells, [&](auto& ctx, Index c) {
+      bk::fusedScalarTendencies<NS>(
+          ctx, c, f.mv, f.nlev, hostView(f.flux.data()),
+          hostView(f.theta.data()), hostView(f.delp.data()),
+          hostView(f.div_flux.data()), f.nu_theta,
+          hostMut(f.delp_tend.data()), hostMut(f.thetam_tend.data()));
+    });
+  }
+  void momentum() {
+    hostSweep(f.mesh.nedges, [&](auto& ctx, Index e) {
+      // Per-level accumulator rows from the thread's arena.
+      common::Workspace& ws = common::Workspace::threadLocal();
+      ws.reserve(2 * common::Workspace::bytesFor<NS>(f.nlev));
+      const common::Workspace::Frame frame(ws);
+      NS* qe_row = ws.get<NS>(f.nlev);
+      NS* acc_row = ws.get<NS>(f.nlev);
+      bk::fusedMomentumTendency<NS>(
+          ctx, e, f.mv, f.tv, f.nlev, hostView(f.ke.data()),
+          hostView(f.vqv.data()), hostView(f.flux.data()),
+          hostView(f.phi.data()), hostView(f.alpha.data()),
+          hostView(f.p.data()), hostView(f.div_u.data()),
+          hostView(f.vvor.data()), f.nu_div, f.nu_vor,
+          hostMut(f.u_tend.data()), qe_row, acc_row);
+    });
+  }
+  void all() {
+    edge();
+    cell();
+    vertex();
+    scalar();
+    momentum();
+  }
+};
+
+/// Time one sweep of a HostSweeps or SimdSweeps after one untimed pass of
+/// the whole pipeline (every input of the sweep populated, arenas warm).
+template <typename Sweeps>
+void runSweep(benchmark::State& state, void (Sweeps::*sweep)(), Index items,
+              const char* label = nullptr) {
+  Sweeps sw;
+  if (label) state.SetLabel(label);
+  sw.all();
+  for (auto _ : state) {
+    (sw.*sweep)();
+    benchmark::DoNotOptimize(&sw);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * items * fixture().nlev);
 }
 
 template <typename NS>
 void BM_FusedEdgeFluxes(benchmark::State& state) {
-  Fixture& f = fixture();
-  dycore::kernels::fusedEdgeFluxes<NS>(f.mesh, f.mesh.nedges, f.nlev,
-                                       f.delp.data(), f.u.data(),
-                                       f.flux.data(), f.uflux.data());
-  for (auto _ : state) {
-    dycore::kernels::fusedEdgeFluxes<NS>(f.mesh, f.mesh.nedges, f.nlev,
-                                         f.delp.data(), f.u.data(),
-                                         f.flux.data(), f.uflux.data());
-    benchmark::DoNotOptimize(f.uflux.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
-}
-
-template <typename NS>
-void BM_UnfusedCellDiagnostics(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  unfusedCellDiagnostics<NS>(f);
-  for (auto _ : state) {
-    unfusedCellDiagnostics<NS>(f);
-    benchmark::DoNotOptimize(f.ke.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.nlev);
+  runSweep(state, &HostSweeps<NS>::edge, fixture().mesh.nedges);
 }
 
 template <typename NS>
 void BM_FusedCellDiagnostics(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  dycore::kernels::fusedCellDiagnostics<NS>(f.mesh, f.mesh.ncells, f.nlev,
-                                            f.flux.data(), f.uflux.data(),
-                                            f.u.data(), f.div_flux.data(),
-                                            f.div_u.data(), f.ke.data());
-  for (auto _ : state) {
-    dycore::kernels::fusedCellDiagnostics<NS>(f.mesh, f.mesh.ncells, f.nlev,
-                                              f.flux.data(), f.uflux.data(),
-                                              f.u.data(), f.div_flux.data(),
-                                              f.div_u.data(), f.ke.data());
-    benchmark::DoNotOptimize(f.ke.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.nlev);
+  runSweep(state, &HostSweeps<NS>::cell, fixture().mesh.ncells);
 }
 
-template <typename NS>
-void BM_UnfusedMomentumTendency(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  unfusedCellDiagnostics<NS>(f);
-  dycore::kernels::fusedVertexDiagnostics<NS>(f.mesh, f.mesh.nvertices, f.nlev,
-                                              f.u.data(), f.delp.data(),
-                                              constants::kOmega, f.vvor.data(),
-                                              f.vqv.data());
-  unfusedMomentumTendency<NS>(f);
-  for (auto _ : state) {
-    unfusedMomentumTendency<NS>(f);
-    benchmark::DoNotOptimize(f.u_tend.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
-}
-
-template <typename NS>
-void BM_FusedMomentumTendency(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  unfusedCellDiagnostics<NS>(f);
-  dycore::kernels::fusedVertexDiagnostics<NS>(f.mesh, f.mesh.nvertices, f.nlev,
-                                              f.u.data(), f.delp.data(),
-                                              constants::kOmega, f.vvor.data(),
-                                              f.vqv.data());
-  dycore::kernels::fusedMomentumTendency<NS>(
-      f.mesh, f.trsk, f.mesh.nedges, f.nlev, f.ke.data(), f.vqv.data(),
-      f.flux.data(), f.phi.data(), f.alpha.data(), f.p.data(), f.div_u.data(),
-      f.vvor.data(), f.nu_div, f.nu_vor, f.u_tend.data());
-  for (auto _ : state) {
-    dycore::kernels::fusedMomentumTendency<NS>(
-        f.mesh, f.trsk, f.mesh.nedges, f.nlev, f.ke.data(), f.vqv.data(),
-        f.flux.data(), f.phi.data(), f.alpha.data(), f.p.data(),
-        f.div_u.data(), f.vvor.data(), f.nu_div, f.nu_vor, f.u_tend.data());
-    benchmark::DoNotOptimize(f.u_tend.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
-}
-
-// Host baselines for the two fused sweeps that previously only appeared
-// inside the pipeline benchmark; the BM_Simd* partners below need
-// standalone numbers for every registry sweep.
 template <typename NS>
 void BM_FusedVertexDiagnostics(benchmark::State& state) {
-  Fixture& f = fixture();
-  dycore::kernels::fusedVertexDiagnostics<NS>(f.mesh, f.mesh.nvertices, f.nlev,
-                                              f.u.data(), f.delp.data(),
-                                              constants::kOmega, f.vvor.data(),
-                                              f.vqv.data());
-  for (auto _ : state) {
-    dycore::kernels::fusedVertexDiagnostics<NS>(
-        f.mesh, f.mesh.nvertices, f.nlev, f.u.data(), f.delp.data(),
-        constants::kOmega, f.vvor.data(), f.vqv.data());
-    benchmark::DoNotOptimize(f.vqv.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nvertices * f.nlev);
+  runSweep(state, &HostSweeps<NS>::vertex, fixture().mesh.nvertices);
 }
 
 template <typename NS>
 void BM_FusedScalarTendencies(benchmark::State& state) {
-  Fixture& f = fixture();
-  unfusedEdgeFluxes<NS>(f);
-  unfusedCellDiagnostics<NS>(f);
-  dycore::kernels::fusedScalarTendencies<NS>(
-      f.mesh, f.mesh.ncells, f.nlev, f.flux.data(), f.theta.data(),
-      f.delp.data(), f.div_flux.data(), f.nu_theta, f.delp_tend.data(),
-      f.thetam_tend.data());
-  for (auto _ : state) {
-    dycore::kernels::fusedScalarTendencies<NS>(
-        f.mesh, f.mesh.ncells, f.nlev, f.flux.data(), f.theta.data(),
-        f.delp.data(), f.div_flux.data(), f.nu_theta, f.delp_tend.data(),
-        f.thetam_tend.data());
-    benchmark::DoNotOptimize(f.thetam_tend.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.nlev);
+  runSweep(state, &HostSweeps<NS>::scalar, fixture().mesh.ncells);
+}
+
+template <typename NS>
+void BM_FusedMomentumTendency(benchmark::State& state) {
+  runSweep(state, &HostSweeps<NS>::momentum, fixture().mesh.nedges);
+}
+
+// The Host acceptance pipeline: the five fused sweeps, everything
+// downstream of compute_rrr.
+template <typename NS>
+void BM_FusedTendencyPipeline(benchmark::State& state) {
+  runSweep(state, &HostSweeps<NS>::all, fixture().mesh.nedges);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,51 +355,47 @@ struct SimdSweeps {
   }
 };
 
-/// Time one sweep of a SimdSweeps after one untimed pass of the whole
-/// pipeline (every input of the sweep populated, arenas warm).
-template <typename NS, typename Sweep>
-void runSimdSweep(benchmark::State& state, Sweep sweep, Index items) {
-  SimdSweeps<NS> sw;
-  state.SetLabel(backend::simd::tierName(sw.tb.tier));
-  sw.all();
-  for (auto _ : state) {
-    (sw.*sweep)();
-    benchmark::DoNotOptimize(&sw);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * items * sw.f.nlev);
+/// The dispatch tier a BM_Simd* row ran.
+const char* simdLabel() {
+  return backend::simd::tierName(backend::simd::table().tier);
 }
 
 template <typename NS>
 void BM_SimdEdgeFluxes(benchmark::State& state) {
-  runSimdSweep<NS>(state, &SimdSweeps<NS>::edge, fixture().mesh.nedges);
+  runSweep(state, &SimdSweeps<NS>::edge, fixture().mesh.nedges,
+           simdLabel());
 }
 
 template <typename NS>
 void BM_SimdCellDiagnostics(benchmark::State& state) {
-  runSimdSweep<NS>(state, &SimdSweeps<NS>::cell, fixture().mesh.ncells);
+  runSweep(state, &SimdSweeps<NS>::cell, fixture().mesh.ncells,
+           simdLabel());
 }
 
 template <typename NS>
 void BM_SimdVertexDiagnostics(benchmark::State& state) {
-  runSimdSweep<NS>(state, &SimdSweeps<NS>::vertex, fixture().mesh.nvertices);
+  runSweep(state, &SimdSweeps<NS>::vertex, fixture().mesh.nvertices,
+           simdLabel());
 }
 
 template <typename NS>
 void BM_SimdScalarTendencies(benchmark::State& state) {
-  runSimdSweep<NS>(state, &SimdSweeps<NS>::scalar, fixture().mesh.ncells);
+  runSweep(state, &SimdSweeps<NS>::scalar, fixture().mesh.ncells,
+           simdLabel());
 }
 
 template <typename NS>
 void BM_SimdMomentumTendency(benchmark::State& state) {
-  runSimdSweep<NS>(state, &SimdSweeps<NS>::momentum, fixture().mesh.nedges);
+  runSweep(state, &SimdSweeps<NS>::momentum, fixture().mesh.nedges,
+           simdLabel());
 }
 
 // The SIMD acceptance pipeline: the same five fused sweeps as
 // BM_FusedTendencyPipeline, all through the dispatch table.
 template <typename NS>
 void BM_SimdTendencyPipeline(benchmark::State& state) {
-  runSimdSweep<NS>(state, &SimdSweeps<NS>::all, fixture().mesh.nedges);
+  runSweep(state, &SimdSweeps<NS>::all, fixture().mesh.nedges,
+           simdLabel());
 }
 
 // One full Dycore::step (three RK stages with their EOS and fused sweeps,
@@ -496,77 +421,24 @@ void BM_DycoreStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.mesh.ncells * cfg.nlev);
 }
 
-// The acceptance pair: the whole horizontal tendency step (everything
-// downstream of computeRrr), old multi-sweep sequence vs fused pipeline.
-template <typename NS>
-void BM_UnfusedTendencyPipeline(benchmark::State& state) {
-  Fixture& f = fixture();
-  auto run = [&f] {
-    unfusedEdgeFluxes<NS>(f);
-    unfusedCellDiagnostics<NS>(f);
-    dycore::kernels::vorticityAtVertex<NS>(f.mesh, f.mesh.nvertices, f.nlev,
-                                           f.u.data(), f.vvor.data());
-    dycore::kernels::potentialVorticityAtVertex<NS>(
-        f.mesh, f.mesh.nvertices, f.nlev, f.vvor.data(), f.delp.data(),
-        constants::kOmega, f.vqv.data());
-    unfusedScalarTendencies<NS>(f);
-    unfusedMomentumTendency<NS>(f);
-  };
-  run();
-  for (auto _ : state) {
-    run();
-    benchmark::DoNotOptimize(f.u_tend.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
-}
-
-template <typename NS>
-void BM_FusedTendencyPipeline(benchmark::State& state) {
-  Fixture& f = fixture();
-  auto run = [&f] {
-    dycore::kernels::fusedEdgeFluxes<NS>(f.mesh, f.mesh.nedges, f.nlev,
-                                         f.delp.data(), f.u.data(),
-                                         f.flux.data(), f.uflux.data());
-    dycore::kernels::fusedCellDiagnostics<NS>(f.mesh, f.mesh.ncells, f.nlev,
-                                              f.flux.data(), f.uflux.data(),
-                                              f.u.data(), f.div_flux.data(),
-                                              f.div_u.data(), f.ke.data());
-    dycore::kernels::fusedVertexDiagnostics<NS>(
-        f.mesh, f.mesh.nvertices, f.nlev, f.u.data(), f.delp.data(),
-        constants::kOmega, f.vvor.data(), f.vqv.data());
-    dycore::kernels::fusedScalarTendencies<NS>(
-        f.mesh, f.mesh.ncells, f.nlev, f.flux.data(), f.theta.data(),
-        f.delp.data(), f.div_flux.data(), f.nu_theta, f.delp_tend.data(),
-        f.thetam_tend.data());
-    dycore::kernels::fusedMomentumTendency<NS>(
-        f.mesh, f.trsk, f.mesh.nedges, f.nlev, f.ke.data(), f.vqv.data(),
-        f.flux.data(), f.phi.data(), f.alpha.data(), f.p.data(),
-        f.div_u.data(), f.vvor.data(), f.nu_div, f.nu_vor, f.u_tend.data());
-  };
-  run();
-  for (auto _ : state) {
-    run();
-    benchmark::DoNotOptimize(f.u_tend.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.nedges * f.nlev);
-}
-
-// Workspace-backed column solve (hard double): confirms the arena refactor
-// did not slow the Thomas sweeps down.
+// The step's column solve (hard double): the dispatch table's member-lane
+// solve at one member, Workspace-backed.
 void BM_VertImplicitSolver(benchmark::State& state) {
   Fixture& f = fixture();
   parallel::Field w = f.w;
   parallel::Field phi = f.phi;
-  dycore::kernels::vertImplicitSolver(f.mesh.ncells, f.nlev, 300.0, 225.0,
-                                      f.delp.data(), f.theta.data(), f.p.data(),
-                                      w.data(), phi.data(), 0.0);
-  for (auto _ : state) {
-    dycore::kernels::vertImplicitSolver(f.mesh.ncells, f.nlev, 300.0, 225.0,
-                                        f.delp.data(), f.theta.data(),
-                                        f.p.data(), w.data(), phi.data(), 0.0);
-    benchmark::DoNotOptimize(w.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.mesh.ncells * f.nlev);
+  const double* delp = f.delp.data();
+  const double* theta = f.theta.data();
+  const double* p = f.p.data();
+  double* wp = w.data();
+  double* phip = phi.data();
+  const backend::simd::KernelTable& tb = backend::simd::table();
+  state.SetLabel(simdLabel());
+  const auto run = [&] {
+    tb.vert_solve_lanes(nullptr, f.mesh.ncells, 1, f.nlev, 300.0, 225.0,
+                        &delp, &theta, &p, &wp, &phip, 0.0);
+  };
+  timeLoop(state, run, w.data(), f.mesh.ncells);
 }
 
 // ---------------------------------------------------------------------------
@@ -704,17 +576,11 @@ BENCHMARK_TEMPLATE(BM_ComputeRrr, float)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_CoriolisTerm, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_CoriolisTerm, float)->Unit(benchmark::kMillisecond);
 
-BENCHMARK_TEMPLATE(BM_UnfusedEdgeFluxes, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedEdgeFluxes, double)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_UnfusedEdgeFluxes, float)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedEdgeFluxes, float)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_UnfusedCellDiagnostics, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedCellDiagnostics, double)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_UnfusedCellDiagnostics, float)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedCellDiagnostics, float)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_UnfusedMomentumTendency, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedMomentumTendency, double)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_UnfusedMomentumTendency, float)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedMomentumTendency, float)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedVertexDiagnostics, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedVertexDiagnostics, float)->Unit(benchmark::kMillisecond);
@@ -734,9 +600,7 @@ BENCHMARK_TEMPLATE(BM_SimdScalarTendencies, float)->Unit(benchmark::kMillisecond
 BENCHMARK_TEMPLATE(BM_SimdMomentumTendency, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SimdMomentumTendency, float)->Unit(benchmark::kMillisecond);
 
-BENCHMARK_TEMPLATE(BM_UnfusedTendencyPipeline, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedTendencyPipeline, double)->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_UnfusedTendencyPipeline, float)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FusedTendencyPipeline, float)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SimdTendencyPipeline, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SimdTendencyPipeline, float)->Unit(benchmark::kMillisecond);

@@ -6,10 +6,13 @@
 //   B::View<T>      -- read-only array handle, read(ctx, i);
 //   B::MutView<T>   -- writable array handle, read(ctx, i) / write(ctx, i, v).
 //
-// HostBackend (here) is the production target: views are raw pointers and
-// every Context method is an empty inline -- under -O3 the instantiated body
-// compiles to exactly the loads/stores/FLOPs the hand-written kernel had
-// (guarded by the bit-exactness tests test_fused_kernels and test_simd).
+// HostBackend (here) is the plain host instantiation: views are raw
+// pointers and every Context method is an empty inline, so under -O3 the
+// body compiles to its bare loads/stores/FLOPs. It is the reference the
+// SIMD dispatch tiers (simd.hpp, the production step) are bitwise equal to
+// (test_simd, test_fused_kernels), and hostSweep below is the one generic
+// way to run a body over a range of entities; no per-kernel Host wrapper
+// exists.
 //
 // SimBackend (sim.hpp) is the SW26010P cost-model target: views carry the
 // pool allocator's virtual base addresses and every read/write/divide is
@@ -84,5 +87,18 @@ concept ExecutionBackend = requires(typename B::Context ctx,
 };
 
 static_assert(ExecutionBackend<HostBackend>);
+
+/// Run `body(ctx, i)` for every i in [0, n) with a Host context, OpenMP
+/// static schedule. The one generic sweep for a shared body outside the
+/// dispatch table (a diagnostic, a test reference, a bench baseline); the
+/// body must write only entity i's rows.
+template <typename Body>
+void hostSweep(Index n, const Body& body) {
+#pragma omp parallel for schedule(static)
+  for (Index i = 0; i < n; ++i) {
+    HostBackend::Context ctx;
+    body(ctx, i);
+  }
+}
 
 } // namespace grist::backend

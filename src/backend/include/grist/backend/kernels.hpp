@@ -3,9 +3,11 @@
 // Each function here is ONE entity's worth of work (one edge, cell, vertex
 // or column) of a dycore kernel, written once and instantiated for every
 // backend:
-//   - HostBackend (src/dycore): views are raw pointers, Context calls are
-//     empty inlines -- the body compiles to the exact load/store/FLOP
-//     sequence of the former hand-written kernel, bit-for-bit;
+//   - HostBackend: views are raw pointers, Context calls are empty inlines
+//     -- the body compiles to the exact load/store/FLOP sequence of the
+//     former hand-written kernel, bit-for-bit; the SIMD dispatch tiers
+//     (simd.hpp) are bitwise equal to it, and backend::hostSweep or a
+//     direct call (the coupler's column EOS) runs it;
 //   - SimBackend (src/swgomp): every view access and every flops/divs/elems
 //     call is accounted against the simulated SW26010P, so the Fig. 9 cost
 //     model follows the production code mechanically instead of being
@@ -276,6 +278,11 @@ void computeRrrColumn(Ctx& ctx, Index c, int nlev, double ptop,
 // ---------------------------------------------------------------------------
 // calc_pressure_gradient (SENSITIVE -- double only):
 //   tend_u(e) -= [ (phm(c2)-phm(c1)) + alpha_e (p(c2)-p(c1)) ] / de.
+// The full mass-coordinate PGF along model levels, -grad(phi_mid) -
+// alpha grad(p). Over terrain-following levels these are two large
+// cancelling terms (the residual is measured by
+// TopographyTest.PgfErrorFlowStaysSmall); subtracting pi from p would drop
+// the alpha grad(pi) piece that balances grad(phi) over orography.
 // ---------------------------------------------------------------------------
 template <typename B, typename Ctx>
 void calcPressureGradient(Ctx& ctx, Index e, const MeshView<B>& m, int nlev,
@@ -407,7 +414,14 @@ void del2Scalar(Ctx& ctx, Index c, const MeshView<B>& m, int nlev,
 // ---------------------------------------------------------------------------
 // vert_implicit_solver (SENSITIVE -- double only): one column's fully
 // implicit (w, phi) acoustic update, Thomas algorithm over the interior
-// interfaces. Scratch rows are caller-provided raw pointers (the host hands
+// interfaces:
+//   phi+(k) = phi(k) + dt g w+(k)                       (interfaces)
+//   w+(k)   = w(k) + dt g [ (p+_k - p+_{k-1}) / dpi_k - 1 ]
+// with p linearized about the current state,
+//   p+_j = p_j - (gamma p_j / dphi_j)(dphi+_j - dphi_j),
+// a symmetric-positive tridiagonal system in w+ at interior interfaces
+// (w = 0 at the top and the surface); dpi at interface k is the mean of the
+// adjacent layer masses. Scratch rows are caller-provided raw pointers (the host hands
 // out Workspace arena rows, the sim driver a plain buffer): per-column
 // temporaries live in registers/LDM in the cost model and are not accounted.
 // ---------------------------------------------------------------------------

@@ -136,9 +136,8 @@ using AccumulateFluxFn = void (*)(Index nedges, int nlev, const S* flux,
 
 /// Per-kernel function pointers for one tier. Index the [2] arrays with
 /// nsIndex() and the NsSlots with std::get<kNsIndex<NS>>: 0 = NS double,
-/// 1 = NS float. Signatures mirror the dycore::kernels sweep drivers
-/// (OpenMP over entities inside); operands are entity-major, nlev-fastest,
-/// compact stride.
+/// 1 = NS float. Each entry is a whole sweep (OpenMP over entities inside)
+/// over entity-major, nlev-fastest, compact-stride operands.
 struct KernelTable {
   Tier tier = Tier::kScalar;
 
@@ -177,12 +176,12 @@ struct KernelTable {
 
   /// compute_rrr restricted to what the step reads: alpha and p. The
   /// Exner pow and the pi_mid prefix sum are never computed. Bitwise equal
-  /// to kernels::computeRrr<NS>'s alpha/p.
+  /// to kernels::computeRrrColumn<NS>'s alpha/p.
   void (*rrr_alpha_p[2])(const Index* cells, Index n, int nlev,
                          const double* delp, const double* theta,
                          const double* phi, double* alpha, double* p) = {};
   /// p alone, in double: the pressure the implicit solver reads (bitwise
-  /// kernels::computeRrr<double>'s p).
+  /// kernels::computeRrrColumn<double>'s p).
   void (*rrr_p)(const Index* cells, Index n, int nlev, const double* delp,
                 const double* theta, const double* phi, double* p) = nullptr;
   /// RK3 step-start copies as flat cell*k sweeps: delp0 = delp,

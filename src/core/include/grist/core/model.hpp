@@ -135,7 +135,6 @@ class Model {
   std::vector<Member> members_;
   std::vector<dycore::State*> state_ptrs_;  ///< Dycore::step operand table
 
-  parallel::Field mean_flux_;  ///< tracer-step scratch: window-mean flux
   double sim_seconds_ = 0.0;
   long dyn_steps_ = 0;
 };

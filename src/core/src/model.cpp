@@ -44,8 +44,7 @@ Model::Model(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
     : mesh_(mesh),
       config_(std::move(config)),
       dycore_(mesh, trsk, config_.dyn, static_cast<int>(members.size())),
-      coupler_(mesh, config_.dyn.nlev),
-      mean_flux_(mesh.nedges, config_.dyn.nlev) {
+      coupler_(mesh, config_.dyn.nlev) {
   for (const dycore::State& s : members) {
     if (s.tracers.size() < 3) {
       throw std::invalid_argument("Model: state needs >= 3 tracers (qv, qc, qr)");
@@ -183,9 +182,7 @@ void Model::restore(const io::Snapshot& snap) {
   solo.tskin = *snap.land;
   sim_seconds_ = snap.clock->sim_seconds;
   dyn_steps_ = snap.clock->dyn_steps;
-  parallel::Field flux(mesh_.nedges, config_.dyn.nlev);
-  std::memcpy(flux.data(), d.acc_flux.data(), d.acc_flux.size() * sizeof(double));
-  dycore_.restoreAccumulatedFlux(flux, d.acc_steps);
+  dycore_.restoreAccumulatedFlux(d.acc_flux, d.acc_steps);
   std::memcpy(solo.delp_at_tracer_start.data(), d.delp_at_tracer_start.data(),
               d.delp_at_tracer_start.size() * sizeof(double));
   solo.precip_accum = d.precip_accum;
@@ -211,15 +208,11 @@ void Model::tracerStep() {
   args.ncells_prog = mesh_.ncells;
   args.nlev = config_.dyn.nlev;
   args.dt = nsub * config_.dyn.dt;
-  args.mean_flux = mean_flux_.data();
+  // Each member's window-mean mass flux, divided in its own accumulator.
+  dycore_.averageAccumulatedFlux();
   for (int m = 0; m < members(); ++m) {
     Member& mb = member(m);
-    // Window-mean mass flux into the constructor-owned scratch (no
-    // warm-path allocation).
-    const parallel::Field& acc = dycore_.accumulatedMassFlux(m);
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      mean_flux_.data()[i] = acc.data()[i] / static_cast<double>(nsub);
-    }
+    args.mean_flux = dycore_.accumulatedMassFlux(m).data();
     args.delp_old = mb.delp_at_tracer_start.data();
     args.delp_new = mb.state.delp.data();
     for (auto& tracer : mb.state.tracers) {

@@ -41,13 +41,10 @@ class Coupler {
   int nlev_;
   CouplerConfig config_;
   Index ncells_;
-  // Per-cell local east/north unit vectors (for wind projection).
+  // Per-cell local east/north unit vectors (for wind projection). The only
+  // mesh-sized storage: both directions run the EOS one column at a time
+  // into per-thread Workspace rows.
   std::vector<Vec3> east_, north_;
-  // EOS scratch for the computeRrr calls in both directions, allocated once
-  // so warm coupling performs no heap allocation (the model and ensemble
-  // alloc guards step through here). mutable: pure scratch, both methods are
-  // semantically const.
-  mutable parallel::Field rrr_alpha_, rrr_p_, rrr_exner_, rrr_pi_mid_;
 };
 
 } // namespace grist::coupler

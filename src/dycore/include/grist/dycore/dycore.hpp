@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -78,10 +79,16 @@ class Dycore {
   /// Number of dynamics steps accumulated (members step in lockstep).
   int accumulatedSteps() const { return acc_steps_; }
   void resetAccumulatedFlux();
+  /// End the tracer window: divide every member's accumulator in place by
+  /// accumulatedSteps(), so accumulatedMassFlux(m) is the window-mean flux
+  /// the tracer step transports with. The window then counts as one step,
+  /// so accumulator / accumulatedSteps() is still its mean. Requires
+  /// accumulatedSteps() > 0.
+  void averageAccumulatedFlux();
   /// Overwrite member 0's flux accumulator window (checkpoint restore: a
-  /// snapshot taken mid-tracer-window resumes bitwise). `flux` must be
-  /// edges x nlev.
-  void restoreAccumulatedFlux(const parallel::Field& flux, int steps);
+  /// snapshot taken mid-tracer-window resumes bitwise). `flux` holds the
+  /// edges x nlev accumulator, as DIAG stores it.
+  void restoreAccumulatedFlux(std::span<const double> flux, int steps);
 
   int members() const { return nmembers_; }
   const DycoreConfig& config() const { return config_; }

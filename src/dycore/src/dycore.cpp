@@ -6,9 +6,8 @@
 #include <tuple>
 #include <type_traits>
 
+#include "grist/backend/kernels.hpp"
 #include "grist/backend/simd.hpp"
-#include "grist/common/workspace.hpp"
-#include "grist/dycore/kernels.hpp"
 
 namespace grist::dycore {
 
@@ -121,16 +120,27 @@ void Dycore::resetAccumulatedFlux() {
   acc_steps_ = 0;
 }
 
-void Dycore::restoreAccumulatedFlux(const parallel::Field& flux, int steps) {
+void Dycore::averageAccumulatedFlux() {
+  if (acc_steps_ < 1) {
+    throw std::logic_error("Dycore::averageAccumulatedFlux: empty window");
+  }
+  const double nsub = static_cast<double>(acc_steps_);
+  for (Field& f : acc_flux_) {
+    double* acc = f.data();
+    for (std::size_t i = 0; i < f.size(); ++i) acc[i] /= nsub;
+  }
+  acc_steps_ = 1;
+}
+
+void Dycore::restoreAccumulatedFlux(std::span<const double> flux, int steps) {
   Field& acc = acc_flux_[0];
-  if (flux.entities() != acc.entities() ||
-      flux.components() != acc.components()) {
+  if (flux.size() != acc.size()) {
     throw std::invalid_argument("Dycore::restoreAccumulatedFlux: shape mismatch");
   }
   if (steps < 0) {
     throw std::invalid_argument("Dycore::restoreAccumulatedFlux: negative steps");
   }
-  std::copy(flux.data(), flux.data() + flux.size(), acc.data());
+  std::copy(flux.begin(), flux.end(), acc.data());
   acc_steps_ = steps;
 }
 
@@ -210,7 +220,7 @@ void Dycore::computeTendencies(const State& state) {
 
   // Thermodynamic diagnostics on the diagnostic cell band: alpha and p
   // only. compute_rrr's Exner and pi_mid outputs are never read by the
-  // step (the coupler runs its own computeRrr), so they are not computed.
+  // step (the coupler runs the full column EOS), so they are not computed.
   tb.rrr_alpha_p[si](nullptr, bounds_.cells_diag, nlev, state.delp.data(),
                      state.theta.data(), state.phi.data(), alpha_.data(),
                      p_.data());
@@ -338,79 +348,17 @@ void Dycore::stepImpl(State* const* states, const OverlapHooks* hooks) {
 }
 
 std::vector<double> Dycore::relativeVorticity(const State& state) const {
+  const int nlev = config_.nlev;
   std::vector<double> vor(static_cast<std::size_t>(bounds_.vertices_diag) *
-                          config_.nlev);
-  kernels::vorticityAtVertex<double>(mesh_, bounds_.vertices_diag, config_.nlev,
-                                     state.u.data(), vor.data());
+                          nlev);
+  const auto mv = backend::makeHostMeshView(mesh_);
+  backend::hostSweep(bounds_.vertices_diag, [&](auto& ctx, Index v) {
+    backend::kernels::vorticityAtVertex<double>(
+        ctx, v, mv, nlev, backend::hostView(state.u.data()),
+        backend::hostMut(vor.data()));
+  });
   return vor;
 }
-
-// ---------------------------------------------------------------------------
-// Non-template (always double) kernels.
-// ---------------------------------------------------------------------------
-namespace kernels {
-
-void calcPressureGradient(const HexMesh& m, Index nedges, int nlev,
-                          const double* phi, const double* alpha, const double* p,
-                          const double* pi_mid, double* tend_u) {
-  (void)pi_mid;  // retained in the signature for the coupler-facing kernel set
-  // Full sigma/mass-coordinate PGF along model levels:
-  //   -grad(phi_mid) - alpha * grad(p).
-  // Over terrain-following levels these are two large canceling terms
-  // (the classic PGF-error source); the residual is measured by
-  // TopographyTest.PgfErrorFlowStaysSmall. (Subtracting pi from p here
-  // would drop the alpha*grad(pi) piece that balances grad(phi) over
-  // orography.)
-  const auto mv = makeHostMeshView(m);
-#pragma omp parallel for schedule(static)
-  for (Index e = 0; e < nedges; ++e) {
-    HostCtx ctx;
-    bk::calcPressureGradient(ctx, e, mv, nlev, hostView(phi), hostView(alpha),
-                             hostView(p), hostMut(tend_u));
-  }
-}
-
-// Fully implicit column solve for the (w, phi) acoustic coupling:
-//   phi^{+}(k) = phi^{n}(k) + dt g w^{+}(k)               (interfaces)
-//   w^{+}(k)   = w^{n}(k) + dt g [ (p^{+}_k - p^{+}_{k-1}) / dpi_k - 1 ]
-// with p linearized about the current state,
-//   p^{+}_j = p_j - (gamma p_j / dphi_j)(dphi^{+}_j - dphi_j),
-// which yields a symmetric-positive tridiagonal system in w^{+} at interior
-// interfaces (w = 0 at the top and the surface). delta-pi at interface k is
-// the mean of the adjacent layer masses. This kernel carries the gravity
-// and acoustic terms the paper pins to double precision.
-void vertImplicitSolver(Index ncells, int nlev, double dt, double ptop,
-                        const double* delp, const double* theta, const double* p,
-                        double* w, double* phi, double w_damp_tau) {
-  using common::Workspace;
-#pragma omp parallel
-  {
-    // All per-column temporaries come from the thread's persistent arena:
-    // after the first call has warmed it up, the parallel region performs
-    // zero heap allocations (asserted by test_fused_kernels.cpp).
-    Workspace& ws = Workspace::threadLocal();
-    ws.reserve(Workspace::bytesFor<double>(nlev) * 5 +
-               Workspace::bytesFor<double>(nlev + 1));
-#pragma omp for schedule(static)
-    for (Index c = 0; c < ncells; ++c) {
-      const Workspace::Frame frame(ws);
-      const int n = nlev - 1;
-      grist::backend::kernels::VertSolveScratch scratch;
-      scratch.comp = ws.get<double>(nlev);
-      scratch.lower = ws.get<double>(n);
-      scratch.diag = ws.get<double>(n);
-      scratch.upper = ws.get<double>(n);
-      scratch.rhs = ws.get<double>(n);
-      scratch.wnew = ws.get<double>(nlev + 1);
-      HostCtx ctx;
-      bk::vertImplicitColumn<grist::backend::HostBackend>(
-          ctx, c, nlev, dt, ptop, hostView(delp), hostView(theta), hostView(p),
-          hostMut(w), hostMut(phi), w_damp_tau, scratch);
-    }
-  } // omp parallel
-}
-
-} // namespace kernels
 
 // Explicit instantiations of the step for both precisions.
 template void Dycore::stepImpl<double>(State* const*, const OverlapHooks*);

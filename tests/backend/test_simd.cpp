@@ -24,7 +24,6 @@
 
 #include "grist/backend/simd.hpp"
 #include "grist/common/math.hpp"
-#include "grist/dycore/kernels.hpp"
 #include "grist/grid/hex_mesh.hpp"
 #include "grist/grid/trsk.hpp"
 #include "grist/swgomp/sim_kernels.hpp"
@@ -363,8 +362,9 @@ TEST_F(SimdParityTest, FusedPipelineStoresNsRowsBitwisePerTier) {
 // ---------------------------------------------------------------------------
 // The dycore step's own entries: EOS without Exner/pi_mid, RK3 save/update,
 // flux accumulation and the member-lane implicit solve. References are the
-// Host drivers (computeRrr, vertImplicitSolver) and plain scalar loops; the
-// band-list forms must touch exactly the listed entities.
+// Host bodies (compute_rrr and vert_implicit_solver through
+// runKernelOnData) and plain scalar loops; the band-list forms must touch
+// exactly the listed entities.
 // ---------------------------------------------------------------------------
 
 const int kStepNlevSweep[] = {2, 3, 7, 8, 15, 16, 30, 33};
@@ -403,17 +403,16 @@ std::vector<char> bandMask(const std::vector<Index>& band, Index n) {
   return ::testing::AssertionSuccess();
 }
 
-/// Host computeRrr<NS>'s alpha and p for d's state.
-template <precision::NsReal NS>
-void hostAlphaP(const SimKernelData& d, std::vector<double>& alpha,
+/// The Host compute_rrr body's alpha and p in precision `ns` for d's
+/// state.
+void hostAlphaP(const SimKernelData& d, const HexMesh& mesh,
+                const TrskWeights& trsk, NsMode ns, std::vector<double>& alpha,
                 std::vector<double>& p) {
-  const std::size_t cn = d.delp.size();
-  std::vector<double> exner(cn), pi_mid(cn);
-  alpha.assign(cn, 0.0);
-  p.assign(cn, 0.0);
-  dycore::kernels::computeRrr<NS>(d.ncells, d.nlev, kPtop, d.delp.data(),
-                                  d.theta.data(), d.phi.data(), alpha.data(),
-                                  p.data(), exner.data(), pi_mid.data());
+  SimKernelData ref = d;
+  runKernelOnData(SimKernel::kComputeRrr, mesh, trsk, ns, ExecBackend::kHost,
+                  ref);
+  alpha = std::move(ref.alpha);
+  p = std::move(ref.p);
 }
 
 TEST_F(SimdParityTest, EosEntriesMatchHostComputeRrrAlphaAndP) {
@@ -423,8 +422,8 @@ TEST_F(SimdParityTest, EosEntriesMatchHostComputeRrrAlphaAndP) {
     const std::size_t cn = d.delp.size();
     // Indexed by nsIndex(): [0] = double, [1] = float.
     std::vector<double> ref_alpha[2], ref_p[2];
-    hostAlphaP<double>(d, ref_alpha[0], ref_p[0]);
-    hostAlphaP<float>(d, ref_alpha[1], ref_p[1]);
+    hostAlphaP(d, *mesh_, *trsk_, NsMode::kDouble, ref_alpha[0], ref_p[0]);
+    hostAlphaP(d, *mesh_, *trsk_, NsMode::kSingle, ref_alpha[1], ref_p[1]);
     const std::vector<Index> band = sparseBand(n);
     const std::vector<char> in = bandMask(band, n);
     const std::vector<double> sentinel(cn, -7.0);
@@ -556,37 +555,35 @@ TEST_F(SimdParityTest, RkSweepsMatchScalarLoopsContiguousAndBanded) {
 }
 
 TEST_F(SimdParityTest, MemberLaneSolveMatchesHostColumnSolvePerMember) {
-  namespace dk = dycore::kernels;
   for (const int nlev : kStepNlevSweep) {
     const SimKernelData d = makeSimKernelData(*mesh_, nlev);
     const Index n = d.ncells;
-    const std::size_t cn = d.delp.size();
     const std::vector<Index> band = sparseBand(n);
     const std::vector<char> in = bandMask(band, n);
     for (const int members : {1, 3, 9}) {  // 9 spans two lane blocks
       // Distinct physical members: shifted theta, wiggled interior phi, a
-      // nonzero w; p from the Host EOS.
-      std::vector<std::vector<double>> delp(members, d.delp),
-          theta(members, d.theta), p(members, std::vector<double>(cn)),
-          w(members, d.w), phi(members, d.phi);
+      // nonzero w; p from the Host EOS, then the Host column solve.
+      std::vector<std::vector<double>> delp(members, d.delp), theta, p, w,
+          phi, ref_w, ref_phi;
       for (int m = 0; m < members; ++m) {
-        for (std::size_t i = 0; i < cn; ++i) theta[m][i] += 0.5 * m;
-        for (std::size_t i = 0; i < phi[m].size(); ++i) {
-          w[m][i] = 0.2 * std::sin(0.1 * i + m);
+        SimKernelData dm = d;
+        for (double& t : dm.theta) t += 0.5 * m;
+        for (std::size_t i = 0; i < dm.phi.size(); ++i) {
+          dm.w[i] = 0.2 * std::sin(0.1 * i + m);
           if (i % (nlev + 1) != 0 && i % (nlev + 1) != static_cast<std::size_t>(nlev)) {
-            phi[m][i] += 30.0 * std::sin(0.05 * i + m);
+            dm.phi[i] += 30.0 * std::sin(0.05 * i + m);
           }
         }
-        std::vector<double> alpha(cn), exner(cn), pi_mid(cn);
-        dk::computeRrr<double>(n, nlev, kPtop, delp[m].data(), theta[m].data(),
-                               phi[m].data(), alpha.data(), p[m].data(),
-                               exner.data(), pi_mid.data());
-      }
-      std::vector<std::vector<double>> ref_w(w), ref_phi(phi);
-      for (int m = 0; m < members; ++m) {
-        dk::vertImplicitSolver(n, nlev, kDt, kPtop, delp[m].data(),
-                               theta[m].data(), p[m].data(), ref_w[m].data(),
-                               ref_phi[m].data(), kWDampTau);
+        runKernelOnData(SimKernel::kComputeRrr, *mesh_, *trsk_,
+                        NsMode::kDouble, ExecBackend::kHost, dm);
+        theta.push_back(dm.theta);
+        p.push_back(dm.p);
+        w.push_back(dm.w);
+        phi.push_back(dm.phi);
+        runKernelOnData(SimKernel::kVertImplicitSolver, *mesh_, *trsk_,
+                        NsMode::kDouble, ExecBackend::kHost, dm);
+        ref_w.push_back(std::move(dm.w));
+        ref_phi.push_back(std::move(dm.phi));
       }
       for (const Tier tier : availableTiers()) {
         SCOPED_TRACE(std::string("nlev=") + std::to_string(nlev) + " M=" +

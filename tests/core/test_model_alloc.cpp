@@ -1,9 +1,10 @@
 // Zero-allocation guard for the solo Model step: once the model is warm
-// (dycore scratch and tracer-step scratch sized in the ctor, per-thread
-// Workspace arenas grown, coupler scratch built, quant-free fp32 nets
-// packed), a full cadence cycle -- dynamics, tracer transport and ML or
-// conventional physics with radiation -- must not touch the heap. The solo
-// twin of tests/ensemble/test_ensemble_alloc.cpp.
+// (dycore scratch sized in the ctor, per-thread Workspace arenas grown,
+// quant-free fp32 nets packed), a full cadence cycle -- dynamics, tracer
+// transport and ML or conventional physics with radiation -- must not touch
+// the heap. The solo twin of tests/ensemble/test_ensemble_alloc.cpp. Also
+// the construction footprint: the Coupler holds no mesh-sized scratch, and
+// the tracer step divides in the Dycore's own flux accumulators.
 //
 // This binary overrides the global allocation operators to count heap
 // traffic, so it is its own test executable (see tests/CMakeLists.txt).
@@ -14,8 +15,11 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <utility>
 
+#include "grist/common/aligned.hpp"
 #include "grist/core/model.hpp"
+#include "grist/coupler/coupler.hpp"
 #include "grist/dycore/init.hpp"
 
 // ---------------------------------------------------------------------------
@@ -24,16 +28,19 @@
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<long> g_heap_allocs{0};
+std::atomic<long> g_heap_bytes{0};
 } // namespace
 
 void* operator new(std::size_t size) {
   ++g_heap_allocs;
+  g_heap_bytes += static_cast<long>(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t al) {
   ++g_heap_allocs;
+  g_heap_bytes += static_cast<long>(size);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(al), size ? size : 1) != 0) {
     throw std::bad_alloc();
@@ -123,6 +130,45 @@ TEST(ModelAllocationGuard, WarmConventionalRadiationCycleIsHeapFreeDp) {
   model.run(cycle);
   EXPECT_EQ(allocsDuring([&] { model.run(cycle); }), 0)
       << model.schemeName();
+}
+
+// ---------------------------------------------------------------------------
+// Construction footprint.
+// ---------------------------------------------------------------------------
+
+long bytesDuring(const std::function<void()>& fn) {
+  const long before = g_heap_bytes.load();
+  fn();
+  return g_heap_bytes.load() - before;
+}
+
+TEST(CouplerFootprint, HoldsOnlyItsTwoBasisVectors) {
+  // Both directions run the EOS per column into Workspace rows, so the
+  // per-cell east/north unit vectors are all a Coupler allocates.
+  const grid::HexMesh mesh = grid::buildHexMesh(4);
+  const long bytes =
+      bytesDuring([&] { const coupler::Coupler coupler(mesh, 20); });
+  EXPECT_EQ(bytes, 2L * mesh.ncells * static_cast<long>(sizeof(Vec3)));
+}
+
+TEST(ModelFootprint, DpHsModelHoldsNoCouplerOrTracerScratch) {
+  // A G4 DP-HS Model with 16 levels (every double row whole cache lines).
+  // Recorded when the Coupler held four cell rows of EOS scratch and the
+  // Model one edge row for the window-mean flux; both are gone.
+  constexpr long kWithScratchBytes = 18114376;
+  const grid::HexMesh mesh = grid::buildHexMesh(4);
+  const grid::TrskWeights trsk = grid::buildTrskWeights(mesh);
+  ModelConfig mc;
+  mc.dyn.nlev = 16;
+  mc.scheme = PhysicsScheme::kHeldSuarez;
+  dycore::State initial = dycore::initBaroclinicWave(mesh, mc.dyn, 3);
+  const long bytes = bytesDuring(
+      [&] { const Model model(mesh, trsk, mc, std::move(initial)); });
+  const auto row = [&](Index n) {
+    return static_cast<long>(common::roundUpToCacheLine(
+        static_cast<std::size_t>(n) * mc.dyn.nlev * sizeof(double)));
+  };
+  EXPECT_EQ(bytes, kWithScratchBytes - 4 * row(mesh.ncells) - row(mesh.nedges));
 }
 
 } // namespace

@@ -12,10 +12,12 @@
 // does the OpenMP thread count (every sweep is per entity).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "grist/common/hash.hpp"
 #include "grist/core/model.hpp"
@@ -88,27 +90,60 @@ TEST_F(StepGolden, DycoreMixTwelveSteps) {
   EXPECT_EQ(hex(dycoreRun(NsMode::kSingle)), "0x2b4036c873132bc4");
 }
 
-// MIX-PHY Model, 3 tracers, one full lcm(trac, phy) cycle: 12 steps with
-// tracer transport every 4 and physics (radiation on its first call) every
-// 6. The fingerprint chains every step's state and mass-flux window, so the
-// window is pinned mid-accumulation too, not only after its reset.
-TEST_F(StepGolden, MixPhyModelOneCadenceCycle) {
+/// A G3 nlev-10 baroclinic-wave PHY Model in `ns` with 3 tracers and
+/// `members` members (member m's theta shifted by a smooth m-scaled
+/// wiggle), through one full lcm(trac, phy) cycle: 12 steps with tracer
+/// transport every 4 and physics (radiation on its first call) every 6. The
+/// fingerprint chains every step's state and mass-flux window of every
+/// member, so the window is pinned mid-accumulation too, not only after its
+/// reset.
+std::uint64_t phyModelCycle(const grid::HexMesh& mesh,
+                            const grid::TrskWeights& trsk, NsMode ns,
+                            int members, const char* scheme) {
   ModelConfig cfg;
   cfg.dyn.nlev = 10;
   cfg.dyn.dt = 600.0;
-  cfg.dyn.ns = NsMode::kSingle;
+  cfg.dyn.ns = ns;
   cfg.trac_interval = 4;
   cfg.phy_interval = 6;
-  Model model(*mesh_, *trsk_, cfg,
-              dycore::initBaroclinicWave(*mesh_, cfg.dyn, 3));
-  ASSERT_STREQ(model.schemeName(), "MIX-PHY");
+  std::vector<dycore::State> states;
+  for (int m = 0; m < members; ++m) {
+    states.push_back(dycore::initBaroclinicWave(mesh, cfg.dyn, 3));
+    parallel::Field& theta = states.back().theta;
+    for (Index c = 0; c < mesh.ncells; ++c) {
+      for (int k = 0; k < cfg.dyn.nlev; ++k) {
+        theta(c, k) += 0.01 * m * std::sin(0.3 * c + k);
+      }
+    }
+  }
+  Model model(mesh, trsk, cfg, std::move(states));
+  EXPECT_STREQ(model.schemeName(), scheme);
   const int cycle = std::lcm(cfg.trac_interval, cfg.phy_interval);
   std::uint64_t h = common::kFnvOffsetBasis;
   for (int i = 0; i < cycle; ++i) {
     model.step();
-    h = stateHash(model.state(), model.dycore().accumulatedMassFlux(), h);
+    for (int m = 0; m < members; ++m) {
+      h = stateHash(model.state(m), model.dycore().accumulatedMassFlux(m), h);
+    }
   }
-  EXPECT_EQ(hex(h), "0x8e5a751989cc5dcb");
+  return h;
+}
+
+TEST_F(StepGolden, MixPhyModelOneCadenceCycle) {
+  EXPECT_EQ(hex(phyModelCycle(*mesh_, *trsk_, NsMode::kSingle, 1, "MIX-PHY")),
+            "0x8e5a751989cc5dcb");
+}
+
+TEST_F(StepGolden, DpPhyModelOneCadenceCycle) {
+  EXPECT_EQ(hex(phyModelCycle(*mesh_, *trsk_, NsMode::kDouble, 1, "DP-PHY")),
+            "0xaf7ac8d40456fa96");
+}
+
+// Two members through one Model: pins the coupler serving member after
+// member and the in-place division of each member's flux window.
+TEST_F(StepGolden, MixPhyTwoMemberModelOneCadenceCycle) {
+  EXPECT_EQ(hex(phyModelCycle(*mesh_, *trsk_, NsMode::kSingle, 2, "MIX-PHY")),
+            "0x57d477218ee38d64");
 }
 
 } // namespace

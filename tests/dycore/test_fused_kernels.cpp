@@ -1,6 +1,7 @@
 // Correctness gate for the fused single-sweep tendency pipeline: every
-// fused kernel must match the unfused kernel sequence it replaces to
-// <= 1 ulp (NS = double) / <= 1e-6 relative (NS = float), and the
+// fused kernel body must match the unfused body sequence it replaces to
+// <= 1 ulp (NS = double) / <= 1e-6 relative (NS = float), both run as Host
+// instantiations through backend::hostSweep, and the
 // Workspace-backed column solves must perform ZERO heap allocations once
 // their per-thread arenas are warm. Also the Dycore's scratch footprint:
 // MIX stores its six NS intermediates as float rows.
@@ -18,10 +19,11 @@
 #include <new>
 #include <vector>
 
+#include "grist/backend/kernels.hpp"
+#include "grist/backend/simd.hpp"
 #include "grist/common/aligned.hpp"
 #include "grist/common/workspace.hpp"
 #include "grist/dycore/dycore.hpp"
-#include "grist/dycore/kernels.hpp"
 #include "grist/dycore/state.hpp"
 #include "grist/dycore/tracer.hpp"
 #include "grist/dycore/vertical_remap.hpp"
@@ -72,8 +74,12 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace grist::dycore {
 namespace {
 
+using backend::hostMut;
+using backend::hostSweep;
+using backend::hostView;
 using grid::HexMesh;
 using grid::TrskWeights;
+namespace bk = backend::kernels;
 
 // Lexicographic key: maps doubles to an integer space where adjacent
 // representable values differ by 1 (the standard ulp-distance trick).
@@ -110,10 +116,12 @@ void expectClose(const std::vector<double>& fused,
 struct Fixture {
   HexMesh mesh = grid::buildHexMesh(4);
   TrskWeights trsk = grid::buildTrskWeights(mesh);
+  backend::MeshView<backend::HostBackend> mv = backend::makeHostMeshView(mesh);
+  backend::TrskView<backend::HostBackend> tv = backend::makeHostTrskView(trsk);
   int nlev = 8;
   std::size_t cn, en, vn;
   std::vector<double> delp, theta, u, phi;
-  std::vector<double> alpha, p, exner, pi_mid;  // from computeRrr
+  std::vector<double> alpha, p;  // from the compute_rrr body
   double nu_theta = 0.005 / 300.0;
   double nu_div = 0.02 / 300.0;
   double nu_vor = 0.005 / 300.0;
@@ -144,17 +152,56 @@ struct Fixture {
     }
     alpha.resize(cn);
     p.resize(cn);
-    exner.resize(cn);
-    pi_mid.resize(cn);
-    kernels::computeRrr<double>(mesh.ncells, nlev, 225.0, delp.data(),
-                                theta.data(), phi.data(), alpha.data(), p.data(),
-                                exner.data(), pi_mid.data());
+    std::vector<double> exner(cn), pi_mid(cn);
+    hostSweep(mesh.ncells, [&](auto& ctx, Index c) {
+      bk::computeRrrColumn<double, backend::HostBackend>(
+          ctx, c, nlev, 225.0, hostView(delp.data()), hostView(theta.data()),
+          hostView(phi.data()), hostMut(alpha.data()), hostMut(p.data()),
+          hostMut(exner.data()), hostMut(pi_mid.data()));
+    });
   }
 };
 
 Fixture& fx() {
   static Fixture f;
   return f;
+}
+
+/// The fused diagnostic sweeps' Host bodies run once over the Fixture in
+/// precision NS: every input the tendency sweeps and the unfused
+/// references read.
+template <typename NS>
+struct Pipeline {
+  std::vector<double> flux, uflux, div_flux, div_u, ke, vor, qv;
+
+  explicit Pipeline(const Fixture& f)
+      : flux(f.en), uflux(f.en), div_flux(f.cn), div_u(f.cn), ke(f.cn),
+        vor(f.vn), qv(f.vn) {
+    hostSweep(f.mesh.nedges, [&](auto& ctx, Index e) {
+      bk::fusedEdgeFluxes<NS>(ctx, e, f.mv, f.nlev, hostView(f.delp.data()),
+                              hostView(f.u.data()), hostMut(flux.data()),
+                              hostMut(uflux.data()));
+    });
+    hostSweep(f.mesh.ncells, [&](auto& ctx, Index c) {
+      bk::fusedCellDiagnostics<NS>(
+          ctx, c, f.mv, f.nlev, hostView(flux.data()), hostView(uflux.data()),
+          hostView(f.u.data()), hostMut(div_flux.data()),
+          hostMut(div_u.data()), hostMut(ke.data()));
+    });
+    hostSweep(f.mesh.nvertices, [&](auto& ctx, Index v) {
+      bk::fusedVertexDiagnostics<NS>(ctx, v, f.mv, f.nlev,
+                                     hostView(f.u.data()),
+                                     hostView(f.delp.data()),
+                                     constants::kOmega, hostMut(vor.data()),
+                                     hostMut(qv.data()));
+    });
+  }
+};
+
+template <typename NS>
+const Pipeline<NS>& pipeline() {
+  static const Pipeline<NS> pipe(fx());
+  return pipe;
 }
 
 template <typename NS>
@@ -164,114 +211,120 @@ TYPED_TEST_SUITE(FusedKernels, Precisions);
 
 TYPED_TEST(FusedKernels, EdgeFluxesMatchUnfused) {
   using NS = TypeParam;
-  Fixture& f = fx();
+  const Fixture& f = fx();
+  const Pipeline<NS>& fused = pipeline<NS>();
   std::vector<double> flux_ref(f.en), uflux_ref(f.en);
-  kernels::primalNormalFluxEdge<NS>(f.mesh, f.mesh.nedges, f.nlev, f.delp.data(),
-                                    f.u.data(), flux_ref.data());
+  hostSweep(f.mesh.nedges, [&](auto& ctx, Index e) {
+    bk::primalNormalFluxEdge<NS>(ctx, e, f.mv, f.nlev, hostView(f.delp.data()),
+                                 hostView(f.u.data()),
+                                 hostMut(flux_ref.data()));
+  });
   for (Index e = 0; e < f.mesh.nedges; ++e) {
     for (int k = 0; k < f.nlev; ++k) {
       uflux_ref[e * f.nlev + k] = f.mesh.edge_le[e] * f.u[e * f.nlev + k];
     }
   }
-  std::vector<double> flux(f.en), uflux(f.en);
-  kernels::fusedEdgeFluxes<NS>(f.mesh, f.mesh.nedges, f.nlev, f.delp.data(),
-                               f.u.data(), flux.data(), uflux.data());
-  expectClose<NS>(flux, flux_ref, "flux");
-  expectClose<NS>(uflux, uflux_ref, "uflux");
+  expectClose<NS>(fused.flux, flux_ref, "flux");
+  expectClose<NS>(fused.uflux, uflux_ref, "uflux");
 }
 
 TYPED_TEST(FusedKernels, CellDiagnosticsMatchUnfused) {
   using NS = TypeParam;
-  Fixture& f = fx();
-  std::vector<double> flux(f.en), uflux(f.en);
-  kernels::fusedEdgeFluxes<NS>(f.mesh, f.mesh.nedges, f.nlev, f.delp.data(),
-                               f.u.data(), flux.data(), uflux.data());
+  const Fixture& f = fx();
+  const Pipeline<NS>& fused = pipeline<NS>();
   std::vector<double> div_ref(f.cn), divu_ref(f.cn), ke_ref(f.cn);
-  kernels::divAtCell<NS>(f.mesh, f.mesh.ncells, f.nlev, flux.data(), div_ref.data());
-  kernels::divAtCell<NS>(f.mesh, f.mesh.ncells, f.nlev, uflux.data(), divu_ref.data());
-  kernels::kineticEnergy<NS>(f.mesh, f.mesh.ncells, f.nlev, f.u.data(), ke_ref.data());
-  std::vector<double> div(f.cn), divu(f.cn), ke(f.cn);
-  kernels::fusedCellDiagnostics<NS>(f.mesh, f.mesh.ncells, f.nlev, flux.data(),
-                                    uflux.data(), f.u.data(), div.data(),
-                                    divu.data(), ke.data());
-  expectClose<NS>(div, div_ref, "div_flux");
-  expectClose<NS>(divu, divu_ref, "div_u");
-  expectClose<NS>(ke, ke_ref, "ke");
+  hostSweep(f.mesh.ncells, [&](auto& ctx, Index c) {
+    bk::divAtCell<NS>(ctx, c, f.mv, f.nlev, hostView(fused.flux.data()),
+                      hostMut(div_ref.data()));
+    bk::divAtCell<NS>(ctx, c, f.mv, f.nlev, hostView(fused.uflux.data()),
+                      hostMut(divu_ref.data()));
+    bk::kineticEnergy<NS>(ctx, c, f.mv, f.nlev, hostView(f.u.data()),
+                          hostMut(ke_ref.data()));
+  });
+  expectClose<NS>(fused.div_flux, div_ref, "div_flux");
+  expectClose<NS>(fused.div_u, divu_ref, "div_u");
+  expectClose<NS>(fused.ke, ke_ref, "ke");
 }
 
 TYPED_TEST(FusedKernels, VertexDiagnosticsMatchUnfused) {
   using NS = TypeParam;
-  Fixture& f = fx();
+  const Fixture& f = fx();
+  const Pipeline<NS>& fused = pipeline<NS>();
   std::vector<double> vor_ref(f.vn), qv_ref(f.vn);
-  kernels::vorticityAtVertex<NS>(f.mesh, f.mesh.nvertices, f.nlev, f.u.data(),
-                                 vor_ref.data());
-  kernels::potentialVorticityAtVertex<NS>(f.mesh, f.mesh.nvertices, f.nlev,
-                                          vor_ref.data(), f.delp.data(),
-                                          constants::kOmega, qv_ref.data());
-  std::vector<double> vor(f.vn), qv(f.vn);
-  kernels::fusedVertexDiagnostics<NS>(f.mesh, f.mesh.nvertices, f.nlev, f.u.data(),
-                                      f.delp.data(), constants::kOmega,
-                                      vor.data(), qv.data());
-  expectClose<NS>(vor, vor_ref, "vor");
-  expectClose<NS>(qv, qv_ref, "qv");
+  hostSweep(f.mesh.nvertices, [&](auto& ctx, Index v) {
+    bk::vorticityAtVertex<NS>(ctx, v, f.mv, f.nlev, hostView(f.u.data()),
+                              hostMut(vor_ref.data()));
+    bk::potentialVorticityAtVertex<NS>(
+        ctx, v, f.mv, f.nlev, hostView(vor_ref.data()),
+        hostView(f.delp.data()), constants::kOmega, hostMut(qv_ref.data()));
+  });
+  expectClose<NS>(fused.vor, vor_ref, "vor");
+  expectClose<NS>(fused.qv, qv_ref, "qv");
 }
 
 TYPED_TEST(FusedKernels, ScalarTendenciesMatchUnfused) {
   using NS = TypeParam;
-  Fixture& f = fx();
-  std::vector<double> flux(f.en), uflux(f.en);
-  kernels::fusedEdgeFluxes<NS>(f.mesh, f.mesh.nedges, f.nlev, f.delp.data(),
-                               f.u.data(), flux.data(), uflux.data());
-  std::vector<double> div(f.cn);
-  kernels::divAtCell<NS>(f.mesh, f.mesh.ncells, f.nlev, flux.data(), div.data());
+  const Fixture& f = fx();
+  const Pipeline<NS>& fused = pipeline<NS>();
+  const std::vector<double>& flux = fused.flux;
+  const std::vector<double>& div = fused.div_flux;
   // Unfused reference: delp_tend = -div; thetam_tend = advection + diffusion.
   std::vector<double> dt_ref(f.cn), tt_ref(f.cn), s2(f.cn, 0.0);
   for (std::size_t i = 0; i < f.cn; ++i) dt_ref[i] = -div[i];
-  kernels::scalarFluxTendency<NS>(f.mesh, f.mesh.ncells, f.nlev, flux.data(),
-                                  f.theta.data(), tt_ref.data());
-  kernels::del2Scalar<NS>(f.mesh, f.mesh.ncells, f.nlev, f.theta.data(),
-                          f.nu_theta, s2.data());
+  hostSweep(f.mesh.ncells, [&](auto& ctx, Index c) {
+    bk::scalarFluxTendency<NS>(ctx, c, f.mv, f.nlev, hostView(flux.data()),
+                               hostView(f.theta.data()),
+                               hostMut(tt_ref.data()));
+    bk::del2Scalar<NS>(ctx, c, f.mv, f.nlev, hostView(f.theta.data()),
+                       f.nu_theta, hostMut(s2.data()));
+  });
   for (std::size_t i = 0; i < f.cn; ++i) tt_ref[i] += f.delp[i] * s2[i];
   std::vector<double> dt(f.cn), tt(f.cn);
-  kernels::fusedScalarTendencies<NS>(f.mesh, f.mesh.ncells, f.nlev, flux.data(),
-                                     f.theta.data(), f.delp.data(), div.data(),
-                                     f.nu_theta, dt.data(), tt.data());
+  hostSweep(f.mesh.ncells, [&](auto& ctx, Index c) {
+    bk::fusedScalarTendencies<NS>(ctx, c, f.mv, f.nlev, hostView(flux.data()),
+                                  hostView(f.theta.data()),
+                                  hostView(f.delp.data()), hostView(div.data()),
+                                  f.nu_theta, hostMut(dt.data()),
+                                  hostMut(tt.data()));
+  });
   expectClose<NS>(dt, dt_ref, "delp_tend");
   expectClose<NS>(tt, tt_ref, "thetam_tend");
 }
 
 TYPED_TEST(FusedKernels, MomentumTendencyMatchesUnfusedSequence) {
   using NS = TypeParam;
-  Fixture& f = fx();
-  std::vector<double> flux(f.en), uflux(f.en);
-  kernels::fusedEdgeFluxes<NS>(f.mesh, f.mesh.nedges, f.nlev, f.delp.data(),
-                               f.u.data(), flux.data(), uflux.data());
-  std::vector<double> div_u(f.cn), ke(f.cn), dummy_div(f.cn);
-  kernels::fusedCellDiagnostics<NS>(f.mesh, f.mesh.ncells, f.nlev, flux.data(),
-                                    uflux.data(), f.u.data(), dummy_div.data(),
-                                    div_u.data(), ke.data());
-  std::vector<double> vor(f.vn), qv(f.vn);
-  kernels::fusedVertexDiagnostics<NS>(f.mesh, f.mesh.nvertices, f.nlev, f.u.data(),
-                                      f.delp.data(), constants::kOmega,
-                                      vor.data(), qv.data());
-  // Unfused reference: zero-fill then four accumulation passes, exactly as
-  // the pre-fusion Dycore::computeTendencies did.
+  const Fixture& f = fx();
+  const Pipeline<NS>& in = pipeline<NS>();
+  // Unfused reference: zero-fill then the four accumulating bodies in the
+  // pre-fusion Dycore::computeTendencies order.
   std::vector<double> ut_ref(f.en, 0.0);
-  kernels::tendGradKeAtEdge<NS>(f.mesh, f.mesh.nedges, f.nlev, ke.data(),
-                                ut_ref.data());
-  kernels::calcCoriolisTerm<NS>(f.mesh, f.trsk, f.mesh.nedges, f.nlev, flux.data(),
-                                qv.data(), ut_ref.data());
-  kernels::calcPressureGradient(f.mesh, f.mesh.nedges, f.nlev, f.phi.data(),
-                                f.alpha.data(), f.p.data(), f.pi_mid.data(),
-                                ut_ref.data());
-  kernels::del2Momentum<NS>(f.mesh, f.mesh.nedges, f.nlev, div_u.data(),
-                            vor.data(), f.nu_div, f.nu_vor, ut_ref.data());
+  hostSweep(f.mesh.nedges, [&](auto& ctx, Index e) {
+    const auto ut = hostMut(ut_ref.data());
+    bk::tendGradKeAtEdge<NS>(ctx, e, f.mv, f.nlev, hostView(in.ke.data()), ut);
+    bk::calcCoriolisTerm<NS>(ctx, e, f.mv, f.tv, f.nlev,
+                             hostView(in.flux.data()), hostView(in.qv.data()),
+                             ut);
+    bk::calcPressureGradient(ctx, e, f.mv, f.nlev, hostView(f.phi.data()),
+                             hostView(f.alpha.data()), hostView(f.p.data()),
+                             ut);
+    bk::del2Momentum<NS>(ctx, e, f.mv, f.nlev, hostView(in.div_u.data()),
+                         hostView(in.vor.data()), f.nu_div, f.nu_vor, ut);
+  });
   std::vector<double> ut(f.en);
-  kernels::fusedMomentumTendency<NS>(f.mesh, f.trsk, f.mesh.nedges, f.nlev,
-                                     ke.data(), qv.data(), flux.data(),
-                                     f.phi.data(), f.alpha.data(), f.p.data(),
-                                     div_u.data(), vor.data(), f.nu_div,
-                                     f.nu_vor, ut.data());
+  hostSweep(f.mesh.nedges, [&](auto& ctx, Index e) {
+    // Per-level accumulator rows from the thread's arena.
+    common::Workspace& ws = common::Workspace::threadLocal();
+    ws.reserve(2 * common::Workspace::bytesFor<NS>(f.nlev));
+    const common::Workspace::Frame frame(ws);
+    NS* qe_row = ws.get<NS>(f.nlev);
+    NS* acc_row = ws.get<NS>(f.nlev);
+    bk::fusedMomentumTendency<NS>(
+        ctx, e, f.mv, f.tv, f.nlev, hostView(in.ke.data()),
+        hostView(in.qv.data()), hostView(in.flux.data()),
+        hostView(f.phi.data()), hostView(f.alpha.data()), hostView(f.p.data()),
+        hostView(in.div_u.data()), hostView(in.vor.data()), f.nu_div,
+        f.nu_vor, hostMut(ut.data()), qe_row, acc_row);
+  });
   expectClose<NS>(ut, ut_ref, "u_tend");
 }
 
@@ -287,13 +340,20 @@ long allocsDuring(const std::function<void()>& fn) {
 }
 
 TEST(AllocationGuard, VertImplicitSolverIsHeapFreeWhenWarm) {
+  // The step's column solve: the dispatch table's member-lane solve at one
+  // member.
   Fixture& f = fx();
   std::vector<double> w(static_cast<std::size_t>(f.mesh.ncells) * (f.nlev + 1), 0.1);
   std::vector<double> phi = f.phi;
+  const double* delp = f.delp.data();
+  const double* theta = f.theta.data();
+  const double* p = f.p.data();
+  double* wp = w.data();
+  double* phip = phi.data();
   const auto solve = [&] {
-    kernels::vertImplicitSolver(f.mesh.ncells, f.nlev, 300.0, 225.0,
-                                f.delp.data(), f.theta.data(), f.p.data(),
-                                w.data(), phi.data(), 0.0);
+    backend::simd::table().vert_solve_lanes(nullptr, f.mesh.ncells, 1, f.nlev,
+                                            300.0, 225.0, &delp, &theta, &p,
+                                            &wp, &phip, 0.0);
   };
   solve();  // warm-up: arenas grow here (at most once per thread)
   EXPECT_EQ(allocsDuring(solve), 0);
@@ -303,15 +363,12 @@ TEST(AllocationGuard, TracerTransportIsHeapFreeWhenWarm) {
   Fixture& f = fx();
   std::vector<double> q(f.cn, 1.0e-3);
   for (std::size_t i = 0; i < f.cn; ++i) q[i] += 1e-4 * std::sin(0.3 * i);
-  std::vector<double> flux(f.en), uflux(f.en);
-  kernels::fusedEdgeFluxes<double>(f.mesh, f.mesh.nedges, f.nlev, f.delp.data(),
-                                   f.u.data(), flux.data(), uflux.data());
   TracerTransportArgs args;
   args.mesh = &f.mesh;
   args.ncells_prog = f.mesh.ncells;
   args.nlev = f.nlev;
   args.dt = 300.0;
-  args.mean_flux = flux.data();
+  args.mean_flux = pipeline<double>().flux.data();
   args.delp_old = f.delp.data();
   args.delp_new = f.delp.data();
   const auto transport = [&] { tracerTransportHoriFluxLimiter<double>(args, q.data()); };

@@ -3,13 +3,17 @@
 #include <cmath>
 #include <vector>
 
-#include "grist/dycore/kernels.hpp"
+#include "grist/backend/kernels.hpp"
 #include "grist/grid/hex_mesh.hpp"
 
 namespace grist::dycore {
 namespace {
 
 using grid::HexMesh;
+namespace bk = backend::kernels;
+using backend::hostMut;
+using backend::hostSweep;
+using backend::hostView;
 
 // Normal velocities from a dual-vertex streamfunction: u(e) = dpsi/le.
 // This is the discrete "curl" of psi; the FV divergence of it must vanish
@@ -49,7 +53,11 @@ TEST_P(MimeticIdentities, DivergenceOfCurlIsExactlyZero) {
   // flux = le * u (unit thickness); FV divergence per cell.
   std::vector<double> flux(mesh_.nedges), div(mesh_.ncells);
   for (Index e = 0; e < mesh_.nedges; ++e) flux[e] = mesh_.edge_le[e] * u[e];
-  kernels::divAtCell<double>(mesh_, mesh_.ncells, 1, flux.data(), div.data());
+  const auto mv = backend::makeHostMeshView(mesh_);
+  hostSweep(mesh_.ncells, [&](auto& ctx, Index c) {
+    bk::divAtCell<double>(ctx, c, mv, 1, hostView(flux.data()),
+                          hostMut(div.data()));
+  });
   for (Index c = 0; c < mesh_.ncells; ++c) {
     // Scale-relative machine zero.
     ASSERT_LT(std::abs(div[c]) * mesh_.cell_area[c], 1e-7)
@@ -64,7 +72,11 @@ TEST_P(MimeticIdentities, CirculationOfGradientIsExactlyZero) {
   }
   const std::vector<double> u = gradOfPotential(mesh_, chi);
   std::vector<double> vor(mesh_.nvertices);
-  kernels::vorticityAtVertex<double>(mesh_, mesh_.nvertices, 1, u.data(), vor.data());
+  const auto mv = backend::makeHostMeshView(mesh_);
+  hostSweep(mesh_.nvertices, [&](auto& ctx, Index v) {
+    bk::vorticityAtVertex<double>(ctx, v, mv, 1, hostView(u.data()),
+                                  hostMut(vor.data()));
+  });
   for (Index v = 0; v < mesh_.nvertices; ++v) {
     ASSERT_LT(std::abs(vor[v]) * mesh_.vtx_area[v], 1e-7) << "vertex " << v;
   }
@@ -83,7 +95,11 @@ double divergenceError(int level) {
   std::vector<double> u = gradOfPotential(m, chi);
   std::vector<double> flux(m.nedges), div(m.ncells);
   for (Index e = 0; e < m.nedges; ++e) flux[e] = m.edge_le[e] * u[e];
-  kernels::divAtCell<double>(m, m.ncells, 1, flux.data(), div.data());
+  const auto mv = backend::makeHostMeshView(m);
+  hostSweep(m.ncells, [&](auto& ctx, Index c) {
+    bk::divAtCell<double>(ctx, c, mv, 1, hostView(flux.data()),
+                          hostMut(div.data()));
+  });
   double err2 = 0, ref2 = 0, area = 0;
   for (Index c = 0; c < m.ncells; ++c) {
     const double exact = -2.0 * std::sin(m.cell_ll[c].lat) / r;
@@ -118,7 +134,11 @@ TEST(OperatorConvergence, VorticityOfSolidBodyRotation) {
     u[e] = vel.dot(m.edge_normal[e]);
   }
   std::vector<double> vor(m.nvertices);
-  kernels::vorticityAtVertex<double>(m, m.nvertices, 1, u.data(), vor.data());
+  const auto mv = backend::makeHostMeshView(m);
+  hostSweep(m.nvertices, [&](auto& ctx, Index v) {
+    bk::vorticityAtVertex<double>(ctx, v, mv, 1, hostView(u.data()),
+                                  hostMut(vor.data()));
+  });
   for (Index v = 0; v < m.nvertices; ++v) {
     // zeta = 2 omega sin(lat)... for rotation about z the RELATIVE
     // vorticity on the sphere surface is 2 omega sin(lat).
