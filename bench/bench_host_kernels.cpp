@@ -9,7 +9,10 @@
 // backend::hostSweep. The BM_Simd*/BM_Fused* pairs measure the explicitly
 // vectorized SimdBackend tier (best the CPU supports) against the
 // auto-vectorized Host instantiation on identical inputs; the BM_Simd* float
-// rows hold the six NS intermediates in float, as the MIX dycore step does.
+// rows hold the seven NS intermediates in float, as the MIX dycore step does.
+// BM_SimdRrrAlphaP/BM_SimdRrrP (the EOS entries), BM_PowRow (the row pow
+// against a std::pow loop) and BM_VertSolveLanes (the implicit solve at
+// M = 1 and 8) time the step's column work through the same table.
 // BM_DycoreStep is one whole dyn step in DP and MIX. Record them to
 // BENCH_host_kernels.json with the --benchmark_format=json invocation
 // documented in README.md.
@@ -19,7 +22,10 @@
 // faulted-in aligned field pages, not first-touch costs.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
 #include <random>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -299,15 +305,21 @@ void BM_FusedTendencyPipeline(benchmark::State& state) {
 // the BM_Simd*/BM_Fused* geomean across the fused sweeps.
 // ---------------------------------------------------------------------------
 
-/// The fused sweeps' six NS intermediates in NS storage, as the dycore
-/// step holds them (the storage contract in grist/backend/simd.hpp).
+/// The EOS's and fused sweeps' seven NS intermediates in NS storage, as
+/// the dycore step holds them (the storage contract in
+/// grist/backend/simd.hpp); alpha starts as the Fixture's, rounded to NS.
 template <typename NS>
 struct NsScratch {
-  parallel::FieldT<NS> flux, uflux, ke, div_u, vor, qv;
+  parallel::FieldT<NS> flux, uflux, ke, div_u, alpha, vor, qv;
 
-  NsScratch(const grid::HexMesh& m, int nlev)
+  NsScratch(const grid::HexMesh& m, int nlev, const parallel::Field& alpha0)
       : flux(m.nedges, nlev), uflux(m.nedges, nlev), ke(m.ncells, nlev),
-        div_u(m.ncells, nlev), vor(m.nvertices, nlev), qv(m.nvertices, nlev) {}
+        div_u(m.ncells, nlev), alpha(m.ncells, nlev), vor(m.nvertices, nlev),
+        qv(m.nvertices, nlev) {
+    for (std::size_t i = 0; i < alpha0.size(); ++i) {
+      alpha.data()[i] = static_cast<NS>(alpha0.data()[i]);
+    }
+  }
 };
 
 /// The five fused sweeps through the active tier's NS slots, on the
@@ -317,7 +329,7 @@ struct SimdSweeps {
   static constexpr int si = backend::simd::kNsIndex<NS>;
   Fixture& f = fixture();
   const backend::simd::KernelTable& tb = backend::simd::table();
-  NsScratch<NS> s{f.mesh, f.nlev};
+  NsScratch<NS> s{f.mesh, f.nlev, f.alpha};
 
   void edge() {
     std::get<si>(tb.fused_edge_fluxes)(f.mesh, f.mesh.nedges, f.nlev,
@@ -343,7 +355,7 @@ struct SimdSweeps {
   void momentum() {
     std::get<si>(tb.fused_momentum_tendency)(
         f.mesh, f.trsk, f.mesh.nedges, f.nlev, s.ke.data(), s.qv.data(),
-        s.flux.data(), f.phi.data(), f.alpha.data(), f.p.data(),
+        s.flux.data(), f.phi.data(), s.alpha.data(), f.p.data(),
         s.div_u.data(), s.vor.data(), f.nu_div, f.nu_vor, f.u_tend.data());
   }
   void all() {
@@ -421,24 +433,105 @@ void BM_DycoreStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.mesh.ncells * cfg.nlev);
 }
 
-// The step's column solve (hard double): the dispatch table's member-lane
-// solve at one member, Workspace-backed.
-void BM_VertImplicitSolver(benchmark::State& state) {
+// ---------------------------------------------------------------------------
+// The step's column work through the dispatch table (best tier): the two
+// EOS entries, the row pow they run, and the implicit solve.
+// ---------------------------------------------------------------------------
+
+// The EOS with alpha stored in NS (rrr_alpha_p, three calls per dyn step)
+// and p alone (rrr_p, the pre-solver pressure), over every Fixture cell.
+template <typename NS>
+void BM_SimdRrrAlphaP(benchmark::State& state) {
   Fixture& f = fixture();
-  parallel::Field w = f.w;
-  parallel::Field phi = f.phi;
-  const double* delp = f.delp.data();
-  const double* theta = f.theta.data();
-  const double* p = f.p.data();
-  double* wp = w.data();
-  double* phip = phi.data();
+  const backend::simd::KernelTable& tb = backend::simd::table();
+  parallel::FieldT<NS> alpha(f.mesh.ncells, f.nlev);
+  parallel::Field p(f.mesh.ncells, f.nlev);
+  state.SetLabel(simdLabel());
+  const auto run = [&] {
+    std::get<backend::simd::kNsIndex<NS>>(tb.rrr_alpha_p)(
+        nullptr, f.mesh.ncells, f.nlev, f.delp.data(), f.theta.data(),
+        f.phi.data(), alpha.data(), p.data());
+  };
+  timeLoop(state, run, p.data(), f.mesh.ncells);
+}
+
+void BM_SimdRrrP(benchmark::State& state) {
+  Fixture& f = fixture();
+  const backend::simd::KernelTable& tb = backend::simd::table();
+  parallel::Field p(f.mesh.ncells, f.nlev);
+  state.SetLabel(simdLabel());
+  const auto run = [&] {
+    tb.rrr_p(nullptr, f.mesh.ncells, f.nlev, f.delp.data(), f.theta.data(),
+             f.phi.data(), p.data());
+  };
+  timeLoop(state, run, p.data(), f.mesh.ncells);
+}
+
+// x^(cp/cv) over one G5 field of nlev-20 rows with arguments uniform on the
+// EOS range [1e-3, 4], one thread: Arg 0 is a std::pow call per element,
+// Arg 1 the table's pow_row per row (same bits). The label reports the
+// share of elements that ran std::pow.
+void BM_PowRow(benchmark::State& state) {
+  const bool table_pow = state.range(0) != 0;
+  constexpr int kRow = 20;
+  const Index rows = fixture().mesh.ncells;
+  const double y = constants::kCp / (constants::kCp - constants::kRd);
+  std::vector<double> x(static_cast<std::size_t>(rows) * kRow), out(x.size());
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> uniform(1e-3, 4.0);
+  for (double& v : x) v = uniform(rng);
+  const backend::simd::KernelTable& tb = backend::simd::table();
+  std::size_t scalar = 0;
+  const auto run = [&] {
+    scalar = 0;
+    if (table_pow) {
+      for (Index r = 0; r < rows; ++r) {
+        scalar += tb.pow_row(kRow, x.data() + r * kRow, y,
+                             out.data() + r * kRow);
+      }
+    } else {
+      for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::pow(x[i], y);
+      scalar = x.size();
+    }
+  };
+  run();
+  for (auto _ : state) {
+    run();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.size()));
+  state.SetLabel(std::string(table_pow ? simdLabel() : "std::pow") +
+                 " scalar share " +
+                 std::to_string(static_cast<double>(scalar) /
+                                static_cast<double>(x.size())));
+}
+
+// The implicit (w, phi) solve over every Fixture cell for M members (hard
+// double), Workspace-backed: at M = 1 the lanes hold 8 columns, at M = 8
+// one column's 8 members. Items are columns x members.
+void BM_VertSolveLanes(benchmark::State& state) {
+  Fixture& f = fixture();
+  const int members = static_cast<int>(state.range(0));
+  std::vector<parallel::Field> w(static_cast<std::size_t>(members), f.w);
+  std::vector<parallel::Field> phi(static_cast<std::size_t>(members), f.phi);
+  std::vector<const double*> delp(w.size(), f.delp.data());
+  std::vector<const double*> theta(w.size(), f.theta.data());
+  std::vector<const double*> p(w.size(), f.p.data());
+  std::vector<double*> wp, phip;
+  for (std::size_t m = 0; m < w.size(); ++m) {
+    wp.push_back(w[m].data());
+    phip.push_back(phi[m].data());
+  }
   const backend::simd::KernelTable& tb = backend::simd::table();
   state.SetLabel(simdLabel());
   const auto run = [&] {
-    tb.vert_solve_lanes(nullptr, f.mesh.ncells, 1, f.nlev, 300.0, 225.0,
-                        &delp, &theta, &p, &wp, &phip, 0.0);
+    tb.vert_solve_lanes(nullptr, f.mesh.ncells, members, f.nlev, 300.0,
+                        225.0, delp.data(), theta.data(), p.data(), wp.data(),
+                        phip.data(), 0.0);
   };
-  timeLoop(state, run, w.data(), f.mesh.ncells);
+  timeLoop(state, run, w[0].data(), f.mesh.ncells * members);
 }
 
 // ---------------------------------------------------------------------------
@@ -604,7 +697,11 @@ BENCHMARK_TEMPLATE(BM_FusedTendencyPipeline, double)->Unit(benchmark::kMilliseco
 BENCHMARK_TEMPLATE(BM_FusedTendencyPipeline, float)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SimdTendencyPipeline, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_SimdTendencyPipeline, float)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_VertImplicitSolver)->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_SimdRrrAlphaP, double)->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_SimdRrrAlphaP, float)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimdRrrP)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PowRow)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VertSolveLanes)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_DycoreStep, double)->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_DycoreStep, float)->Unit(benchmark::kMillisecond);
 

@@ -26,14 +26,16 @@
 #                                        # bench_compare.py-gated)
 #
 # The ASan/UBSan stage rebuilds with -DGRIST_SANITIZE=ON into build-asan/
-# and runs the ml, common, io, physics, coupler and model-alloc test
-# binaries -- ml, common and the coupler hand out raw Workspace pointers
-# (the packed GEMM, the batched inference path, the coupler's per-column
-# EOS rows, which test_model_alloc drives through whole Model cadence
-# cycles), io parses raw spans of a snapshot file image, and the physics
-# schemes keep per-column stack arrays of 128 levels, where an out-of-bounds
-# pack, parse, level or dangling pointer would otherwise only show up as
-# silent corruption.
+# and runs the ml, common, io, physics, coupler, model-alloc and backend
+# test binaries -- ml, common and the coupler hand out raw Workspace
+# pointers (the packed GEMM, the batched inference path, the coupler's
+# per-column EOS rows, which test_model_alloc drives through whole Model
+# cadence cycles), the backend's SIMD tiers stage the EOS's pow arguments
+# and the implicit solve's (column, member) lanes in Workspace rows and
+# hand the row pow's fallback lanes back by index, io parses raw spans of a
+# snapshot file image, and the physics schemes keep per-column stack arrays
+# of 128 levels, where an out-of-bounds pack, parse, level, lane or
+# dangling pointer would otherwise only show up as silent corruption.
 #
 # The TSan stage rebuilds with -DGRIST_SANITIZE=thread into build-tsan/ and
 # runs the parallel and core test binaries: the persistent rank pool and
@@ -235,12 +237,13 @@ fi
 if [[ "${GRIST_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== skipping ASan/UBSan pass (GRIST_SKIP_ASAN=1) =="
 else
-  echo "== sanitizer pass: ASan+UBSan on ml + common + io + physics + coupler + model-alloc test binaries =="
+  echo "== sanitizer pass: ASan+UBSan on ml + common + io + physics + coupler + model-alloc + backend test binaries =="
   cmake -B build-asan -S . -DGRIST_SANITIZE=ON >/dev/null
   cmake --build build-asan -j"$(nproc)" --target test_ml test_ml_alloc \
-    test_common test_io test_physics test_coupler test_model_alloc
+    test_common test_io test_physics test_coupler test_model_alloc \
+    test_backend
   for bin in test_ml test_ml_alloc test_common test_io test_physics \
-             test_coupler test_model_alloc; do
+             test_coupler test_model_alloc test_backend; do
     echo "-- $bin (sanitized)"
     ./build-asan/tests/"$bin"
   done

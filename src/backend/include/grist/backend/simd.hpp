@@ -18,15 +18,16 @@
 // table of per-kernel function pointers, two slots per NS-templated kernel
 // (NS = double / float): the Fig. 9 registry kernels -- compute_rrr and
 // vert_implicit_solver in the forms the dycore step calls (rrr_alpha_p /
-// rrr_p without the Exner and pi_mid outputs, the member-lane solve) --
-// plus the step's RK3 save/update and flux-accumulation sweeps.
+// rrr_p without the Exner and pi_mid outputs, the column-lane solve) --
+// plus the step's RK3 save/update and flux-accumulation sweeps and the
+// row pow the EOS runs.
 //
 // Numerical contract: every tier is BITWISE identical to the HostBackend
 // instantiation, in both NS precisions, for every nlev (masked/scalar
 // fringe included). That holds because vectorization is only ever over an
 // independent dimension (k, the flat entity*k index of an elementwise
-// sweep, or the ensemble member) -- per-element operation order is
-// untouched, the
+// sweep, or the (column, member) pair of the implicit solve) -- per-element
+// operation order is untouched, the
 // j (stencil) accumulation order is preserved by keeping j loops outer,
 // IEEE vector div/cvt round like their scalar forms, and the vector TUs are
 // compiled with -ffp-contract=off so no FMA contraction sneaks in relative
@@ -35,11 +36,13 @@
 // kernel opts into reassociation.
 //
 // Storage contract (paper §3.4.3: ns is a kind, so it fixes storage as well
-// as arithmetic): the step's fused sweeps store their six NS intermediates
-// -- flux, uflux (edges), ke, div_u (cells), vor, qv (vertices) -- in NS, so
-// the float slots take float rows and move half the bytes with no converts.
-// This is bitwise in both modes because every reader of these six already
-// rounds its input to NS on load: flux, vor and qv are computed in NS;
+// as arithmetic): the step's fused sweeps and the EOS store their seven NS
+// intermediates -- flux, uflux (edges), ke, div_u, alpha (cells), vor, qv
+// (vertices) -- in NS, so the float slots take float rows and move half the
+// bytes with no converts. This is bitwise in both modes because each of
+// these is an NS value or is rounded to NS by its reader: alpha is an NS
+// quotient whose one reader (the PGF) widens it exactly; flux, vor and qv
+// are computed in NS;
 // uflux is a double product whose one reader casts it to NS; ke and div_u
 // sum in double (a per-thread Workspace row under float storage) and are
 // rounded once on store, exactly where their reader rounded them; and
@@ -127,9 +130,14 @@ using FusedScalarTendenciesFn = void (*)(const HexMesh&, Index ncells,
 template <typename S>
 using FusedMomentumTendencyFn = void (*)(
     const HexMesh&, const TrskWeights&, Index nedges, int nlev, const S* ke,
-    const S* qv, const S* flux, const double* phi, const double* alpha,
+    const S* qv, const S* flux, const double* phi, const S* alpha,
     const double* p, const S* div_u, const S* vor, double nu_div,
     double nu_vor, double* tend_u);
+// The EOS's step-facing part; alpha is stored in S (the storage contract).
+template <typename S>
+using RrrAlphaPFn = void (*)(const Index* cells, Index n, int nlev,
+                             const double* delp, const double* theta,
+                             const double* phi, S* alpha, double* p);
 template <typename S>
 using AccumulateFluxFn = void (*)(Index nedges, int nlev, const S* flux,
                                   double* acc);
@@ -176,10 +184,9 @@ struct KernelTable {
 
   /// compute_rrr restricted to what the step reads: alpha and p. The
   /// Exner pow and the pi_mid prefix sum are never computed. Bitwise equal
-  /// to kernels::computeRrrColumn<NS>'s alpha/p.
-  void (*rrr_alpha_p[2])(const Index* cells, Index n, int nlev,
-                         const double* delp, const double* theta,
-                         const double* phi, double* alpha, double* p) = {};
+  /// to kernels::computeRrrColumn<NS>'s alpha/p (a float slot stores the
+  /// float-valued alpha as float).
+  NsSlots<RrrAlphaPFn> rrr_alpha_p = {};
   /// p alone, in double: the pressure the implicit solver reads (bitwise
   /// kernels::computeRrrColumn<double>'s p).
   void (*rrr_p)(const Index* cells, Index n, int nlev, const double* delp,
@@ -204,17 +211,24 @@ struct KernelTable {
   /// acc += flux (the tracer mass-flux window), flat over nedges*nlev;
   /// `flux` is NS-stored, `acc` double (widening a float is exact).
   NsSlots<AccumulateFluxFn> accumulate_flux = {};
-  /// The vertical implicit (w, phi) solve for `nmembers` states at once,
-  /// member index as the vector lane (blocks of up to 8). The pointer
-  /// arrays hold one entry per member. Per-lane arithmetic is exactly
-  /// kernels::vertImplicitColumn's, so each member's result is bitwise the
-  /// column solve's; at nmembers == 1 this IS the column solve.
+  /// The vertical implicit (w, phi) solve for `nmembers` states at once.
+  /// The vector lanes hold consecutive (column, member) pairs, member
+  /// fastest, 8 per block: 8 columns at nmembers == 1, one column's 8
+  /// members at nmembers == 8. The pointer arrays hold one entry per
+  /// member. Per-lane arithmetic is exactly kernels::vertImplicitColumn's,
+  /// so every column of every member is bitwise the column solve's.
   void (*vert_solve_lanes)(const Index* cells, Index n, int nmembers,
                            int nlev, double dt, double ptop,
                            const double* const* delp,
                            const double* const* theta,
                            const double* const* p, double* const* w,
                            double* const* phi, double w_damp_tau) = nullptr;
+  /// out[i] = std::pow(x[i], y) for i < n with std::pow's exact bits (`out`
+  /// may alias `x`), the pow every EOS entry above runs. Returns how many
+  /// elements ran the scalar std::pow: all n on the scalar and AVX2 tiers,
+  /// only the lanes the AVX-512 tier's exactness filter hands back there.
+  std::size_t (*pow_row)(Index n, const double* x, double y,
+                         double* out) = nullptr;
 };
 
 /// Table slot for an NS precision.

@@ -21,11 +21,18 @@
 //     per-k accumulator rows from the thread's Workspace arena. Each k's
 //     contributions still arrive in ascending-j order, so every accumulation
 //     chain is unchanged.
-//   - std::pow stays scalar in every tier (a vector math library would
-//     round differently): the EOS entries vectorize alpha and the pow
-//     argument, then run a scalar pow loop. The Thomas solve is
-//     loop-carried in k, so vert_solve_lanes vectorizes across members
-//     instead, replaying vertImplicitColumn's per-column order in each lane.
+//   - pow returns std::pow's bits in every tier (simd_pow_impl.hpp): the
+//     scalar and AVX2 tiers call std::pow per element; the AVX-512 tier
+//     evaluates x^y in double-double per lane and redoes with std::pow only
+//     the lanes whose extended result lies within 1/32 ULP of a rounding
+//     midpoint or is a power of two, whose |y ln x| > 8, or whose x is not a
+//     positive normal. Outside that window glibc's pow (>= 2.28, error
+//     <= 0.511 ULP from its exp plus < 0.001 ULP from its log when
+//     |y ln x| <= 8) is correctly rounded, which is what the lane holds.
+//   - The Thomas solve is loop-carried in k, so vert_solve_lanes vectorizes
+//     across columns: its 8 lanes hold consecutive (column, member) pairs,
+//     each replaying vertImplicitColumn's per-column order. At M = 1 that is
+//     8 columns per vector; at M = 8, one column's 8 members.
 //   - max/min folds keep first-operand-wins tie semantics: max(a, max(b, c))
 //     reproduces std::max({a, b, c}) exactly, signed zeros included.
 //   - The limiter's branch `if (fa < 0) p_in -= fa; else p_out += fa;`
@@ -49,6 +56,7 @@
 
 #include "grist/backend/kernels.hpp"
 #include "grist/backend/simd.hpp"
+#include "grist/backend/simd_pow_impl.hpp"
 #include "grist/backend/views.hpp"
 #include "grist/common/math.hpp"
 #include "grist/common/workspace.hpp"
@@ -198,49 +206,62 @@ void fusedEdgeFluxesImpl(const HexMesh& m, Index nedges, int nlev,
 }
 
 // ---------------------------------------------------------------------------
-// rrr_alpha_p / rrr_p: compute_rrr minus its dead outputs. Per row, one
-// vector loop over k writes alpha and stages the pow argument through p;
-// the libm pow pass stays scalar. Expressions and their order are exactly
-// computeRrrColumn's, so alpha/p match it bit for bit.
+// rrr_alpha_p / rrr_p: compute_rrr minus its dead outputs. Cells go in
+// blocks of kRrrBlock: one vector loop per row writes alpha and stages the
+// pow argument in a per-thread Workspace row, one powRow (std::pow's bits)
+// runs over the whole block, and p = kP0 * pow is stored once. Expressions
+// and their order are exactly computeRrrColumn's, so alpha/p match it bit
+// for bit. alpha is stored in NS: the Host body writes (double)(NS
+// quotient), which a float row holds exactly.
 // ---------------------------------------------------------------------------
+constexpr Index kRrrBlock = 8;
+
 template <precision::NsReal NS, bool kAlpha>
-inline void rrrRow(int nlev, const double* __restrict dp,
-                   const double* __restrict th, const double* __restrict ph,
-                   double* __restrict al, double* __restrict pr) {
+void rrrImpl(const Index* cells, Index n, int nlev, const double* delp,
+             const double* theta, const double* phi, NS* alpha, double* p) {
   using namespace grist::constants;
   const double gamma = kCp / (kCp - kRd);  // cp/cv
+  const Index nblocks = (n + kRrrBlock - 1) / kRrrBlock;
+#pragma omp parallel
+  {
+    Workspace& ws = Workspace::threadLocal();
+    ws.reserve(Workspace::bytesFor<double>(kRrrBlock * nlev));
+    const Workspace::Frame frame(ws);
+    double* __restrict arg = ws.acquire<double>(kRrrBlock * nlev);
+#pragma omp for schedule(static)
+    for (Index b = 0; b < nblocks; ++b) {
+      const Index i0 = b * kRrrBlock;
+      const Index nb = std::min(kRrrBlock, n - i0);
+      for (Index j = 0; j < nb; ++j) {
+        const Index c = cells ? cells[i0 + j] : i0 + j;
+        const double* __restrict dp = delp + c * nlev;
+        const double* __restrict th = theta + c * nlev;
+        const double* __restrict ph = phi + c * (nlev + 1);
+        double* __restrict ar = arg + j * nlev;
+        NS* __restrict al = kAlpha ? alpha + c * nlev : nullptr;
 #pragma omp simd
-  for (int k = 0; k < nlev; ++k) {
-    const NS dphi = static_cast<NS>(ph[k] - ph[k + 1]);
-    if constexpr (kAlpha) {
-      al[k] = static_cast<double>(dphi / static_cast<NS>(dp[k]));
+        for (int k = 0; k < nlev; ++k) {
+          const NS dphi = static_cast<NS>(ph[k] - ph[k + 1]);
+          if constexpr (kAlpha) al[k] = dphi / static_cast<NS>(dp[k]);
+          const double rho = dp[k] / static_cast<double>(dphi);
+          ar[k] = rho * kRd * th[k] / kP0;
+        }
+      }
+      powRow(nb * nlev, arg, gamma, arg);
+      for (Index j = 0; j < nb; ++j) {
+        const Index c = cells ? cells[i0 + j] : i0 + j;
+        const double* __restrict ar = arg + j * nlev;
+        double* __restrict pr = p + c * nlev;
+#pragma omp simd
+        for (int k = 0; k < nlev; ++k) pr[k] = kP0 * ar[k];
+      }
     }
-    const double rho = dp[k] / static_cast<double>(dphi);
-    pr[k] = rho * kRd * th[k] / kP0;
-  }
-  for (int k = 0; k < nlev; ++k) pr[k] = kP0 * std::pow(pr[k], gamma);
-}
-
-template <precision::NsReal NS>
-void rrrAlphaPImpl(const Index* cells, Index n, int nlev, const double* delp,
-                   const double* theta, const double* phi, double* alpha,
-                   double* p) {
-#pragma omp parallel for schedule(static)
-  for (Index i = 0; i < n; ++i) {
-    const Index c = cells ? cells[i] : i;
-    rrrRow<NS, true>(nlev, delp + c * nlev, theta + c * nlev,
-                     phi + c * (nlev + 1), alpha + c * nlev, p + c * nlev);
   }
 }
 
 void rrrPImpl(const Index* cells, Index n, int nlev, const double* delp,
               const double* theta, const double* phi, double* p) {
-#pragma omp parallel for schedule(static)
-  for (Index i = 0; i < n; ++i) {
-    const Index c = cells ? cells[i] : i;
-    rrrRow<double, false>(nlev, delp + c * nlev, theta + c * nlev,
-                          phi + c * (nlev + 1), nullptr, p + c * nlev);
-  }
+  rrrImpl<double, false>(cells, n, nlev, delp, theta, phi, nullptr, p);
 }
 
 // ---------------------------------------------------------------------------
@@ -606,12 +627,15 @@ void tracerHoriFluxLimiterImpl(const HexMesh& m, Index ncells, int nlev,
 }
 
 // ---------------------------------------------------------------------------
-// vert_solve_lanes: the column solve (kernels::vertImplicitColumn) with the
-// member index as the vector lane. The Thomas recurrence is sequential in k but independent
-// across members, so M copies of one cell turn its divide chain into
-// lane-parallel IEEE divides. Lane-major scratch is [k][lane]: a k-offset
-// becomes a stride-L offset in a flat loop. Per-lane operation order is
-// exactly vertImplicitColumn's.
+// vert_solve_lanes: the column solve (kernels::vertImplicitColumn) with a
+// (column, member) pair as the vector lane. The Thomas recurrence is
+// sequential in k but independent across columns and members, so each
+// block of 8 consecutive pairs (member fastest) turns 8 divide chains into
+// lane-parallel IEEE divides: 8 columns per block at M = 1, one column's 8
+// members at M = 8. Lane-major scratch is [k][lane] with a fixed stride of
+// 8: a k-offset is a stride-8 offset in a flat loop. A final partial block
+// repeats its first pair in the unused lanes and stores only its own.
+// Per-lane operation order is exactly vertImplicitColumn's.
 // ---------------------------------------------------------------------------
 void vertSolveLanesImpl(const Index* cells, Index ncols, int nmembers,
                         int nlev, double dt, double ptop,
@@ -619,130 +643,139 @@ void vertSolveLanesImpl(const Index* cells, Index ncols, int nmembers,
                         const double* const* p, double* const* w,
                         double* const* phi, double w_damp_tau) {
   using namespace grist::constants;
-  constexpr int kMaxLanes = 8;
+  constexpr int L = 8;
   const double gamma = kCp / (kCp - kRd);
   const double g = kGravity;
   const int n = nlev - 1;
-
-  for (int m0 = 0; m0 < nmembers; m0 += kMaxLanes) {
-    const int L = std::min(kMaxLanes, nmembers - m0);
-    const double* const* dp_m = delp + m0;
-    const double* const* th_m = theta + m0;
-    const double* const* p_m = p + m0;
-    double* const* w_m = w + m0;
-    double* const* phi_m = phi + m0;
+  const std::int64_t npairs = static_cast<std::int64_t>(ncols) * nmembers;
+  const std::int64_t nblocks = (npairs + L - 1) / L;
 
 #pragma omp parallel
-    {
-      Workspace& ws = Workspace::threadLocal();
-      const std::size_t row = Workspace::bytesFor<double>(nlev * kMaxLanes);
-      const std::size_t irow =
-          Workspace::bytesFor<double>((nlev + 1) * kMaxLanes);
-      ws.reserve(7 * row + 3 * irow + Workspace::bytesFor<double>(kMaxLanes));
+  {
+    Workspace& ws = Workspace::threadLocal();
+    const std::size_t row = Workspace::bytesFor<double>(nlev * L);
+    const std::size_t irow = Workspace::bytesFor<double>((nlev + 1) * L);
+    ws.reserve(7 * row + 3 * irow + Workspace::bytesFor<double>(L));
 #pragma omp for schedule(static)
-      for (Index i = 0; i < ncols; ++i) {
-        const Index c = cells ? cells[i] : i;
-        const Workspace::Frame frame(ws);
-        double* dp_ln = ws.acquire<double>(nlev * L);
-        double* p_ln = ws.acquire<double>(nlev * L);
-        double* comp = ws.acquire<double>(nlev * L);
-        double* phi_ln = ws.acquire<double>((nlev + 1) * L);
-        double* w_ln = ws.acquire<double>((nlev + 1) * L);
-        double* wnew = ws.acquire<double>((nlev + 1) * L);
-        double* lower = ws.acquire<double>(n * L);
-        double* diag = ws.acquire<double>(n * L);
-        double* upper = ws.acquire<double>(n * L);
-        double* rhs = ws.acquire<double>(n * L);
-        double* theta0 = ws.acquire<double>(L);
+    for (std::int64_t b = 0; b < nblocks; ++b) {
+      const Workspace::Frame frame(ws);
+      double* dp_ln = ws.acquire<double>(nlev * L);
+      double* p_ln = ws.acquire<double>(nlev * L);
+      double* comp = ws.acquire<double>(nlev * L);
+      double* phi_ln = ws.acquire<double>((nlev + 1) * L);
+      double* w_ln = ws.acquire<double>((nlev + 1) * L);
+      double* wnew = ws.acquire<double>((nlev + 1) * L);
+      double* lower = ws.acquire<double>(n * L);
+      double* diag = ws.acquire<double>(n * L);
+      double* upper = ws.acquire<double>(n * L);
+      double* rhs = ws.acquire<double>(n * L);
+      double* theta0 = ws.acquire<double>(L);
 
-        const Index cc = c * nlev;
-        const Index ci = c * (nlev + 1);
-        for (int k = 0; k < nlev; ++k) {
-          for (int l = 0; l < L; ++l) {
-            dp_ln[k * L + l] = dp_m[l][cc + k];
-            p_ln[k * L + l] = p_m[l][cc + k];
-          }
-        }
-        for (int k = 0; k <= nlev; ++k) {
-          for (int l = 0; l < L; ++l) {
-            phi_ln[k * L + l] = phi_m[l][ci + k];
-            w_ln[k * L + l] = w_m[l][ci + k];
-          }
-        }
-        for (int l = 0; l < L; ++l) theta0[l] = th_m[l][cc + 0];
+      // Lane l solves pair b*L + l: column (pair / M), member (pair % M).
+      const int used =
+          static_cast<int>(std::min<std::int64_t>(L, npairs - b * L));
+      const double* dp_l[L];
+      const double* th_l[L];
+      const double* p_l[L];
+      double* w_l[L];
+      double* phi_l[L];
+      for (int l = 0; l < L; ++l) {
+        const std::int64_t pair = b * L + (l < used ? l : 0);
+        const Index i = static_cast<Index>(pair / nmembers);
+        const int m = static_cast<int>(pair % nmembers);
+        const std::size_t c = static_cast<std::size_t>(cells ? cells[i] : i);
+        dp_l[l] = delp[m] + c * nlev;
+        th_l[l] = theta[m] + c * nlev;
+        p_l[l] = p[m] + c * nlev;
+        w_l[l] = w[m] + c * (nlev + 1);
+        phi_l[l] = phi[m] + c * (nlev + 1);
+      }
 
-        // comp[j] = gamma p_j / (phi_j - phi_{j+1}).
-#pragma omp simd
-        for (int j = 0; j < nlev * L; ++j) {
-          comp[j] = gamma * p_ln[j] / (phi_ln[j] - phi_ln[j + L]);
-        }
-        // Rows for interior interfaces k = 1..n at flat j = (k-1)*L + lane.
-#pragma omp simd
-        for (int j = 0; j < n * L; ++j) {
-          const double dpi = 0.5 * (dp_ln[j] + dp_ln[j + L]);
-          const double ck = dt * g / dpi;
-          const double a = ck * dt * g;
-          lower[j] = -a * comp[j];
-          diag[j] = 1.0 + a * (comp[j + L] + comp[j]);
-          upper[j] = -a * comp[j + L];
-          rhs[j] = w_ln[j + L] + ck * (p_ln[j + L] - p_ln[j]) - dt * g;
-        }
-        // Thomas: sequential in k, lane-parallel.
-        for (int r = 1; r < n; ++r) {
-#pragma omp simd
-          for (int l = 0; l < L; ++l) {
-            const double mm = lower[r * L + l] / diag[(r - 1) * L + l];
-            diag[r * L + l] -= mm * upper[(r - 1) * L + l];
-            rhs[r * L + l] -= mm * rhs[(r - 1) * L + l];
-          }
-        }
-        for (int j = 0; j < (nlev + 1) * L; ++j) wnew[j] = 0.0;
-        if (n > 0) {
-#pragma omp simd
-          for (int l = 0; l < L; ++l) {
-            wnew[n * L + l] = rhs[(n - 1) * L + l] / diag[(n - 1) * L + l];
-          }
-          for (int r = n - 2; r >= 0; --r) {
-#pragma omp simd
-            for (int l = 0; l < L; ++l) {
-              wnew[(r + 1) * L + l] =
-                  (rhs[r * L + l] - upper[r * L + l] * wnew[(r + 2) * L + l]) /
-                  diag[r * L + l];
-            }
-          }
-        }
-        if (w_damp_tau > 0) {
-#pragma omp simd
-          for (int j = L; j < nlev * L; ++j) wnew[j] /= 1.0 + dt / w_damp_tau;
-        }
-        // Inversion limiter on pre-update phi; wnew row k sits at j + L.
-#pragma omp simd
-        for (int j = 0; j < n * L; ++j) {
-          const double room =
-              0.25 * std::min(phi_ln[j] - phi_ln[j + L],
-                              phi_ln[j + L] - phi_ln[j + 2 * L]);
-          const double bound = room / (dt * g);
-          double wk = wnew[j + L];
-          wk = wk > bound ? bound : wk;
-          wk = wk < -bound ? -bound : wk;
-          wnew[j + L] = wk;
-        }
-        // Scatter w, update interior phi, re-attach the top interface.
-        for (int k = 0; k <= nlev; ++k) {
-          for (int l = 0; l < L; ++l) w_m[l][ci + k] = wnew[k * L + l];
-        }
-        for (int k = 1; k <= n; ++k) {
-          for (int l = 0; l < L; ++l) {
-            phi_m[l][ci + k] += dt * g * wnew[k * L + l];
-          }
-        }
+      for (int k = 0; k < nlev; ++k) {
         for (int l = 0; l < L; ++l) {
-          const double pi_top_mid = ptop + 0.5 * dp_ln[l];
-          const double alpha_top = kRd * theta0[l] *
-                                   std::pow(pi_top_mid / kP0, kKappa) /
-                                   pi_top_mid;
-          phi_m[l][ci + 0] = phi_m[l][ci + 1] + alpha_top * dp_ln[l];
+          dp_ln[k * L + l] = dp_l[l][k];
+          p_ln[k * L + l] = p_l[l][k];
         }
+      }
+      for (int k = 0; k <= nlev; ++k) {
+        for (int l = 0; l < L; ++l) {
+          phi_ln[k * L + l] = phi_l[l][k];
+          w_ln[k * L + l] = w_l[l][k];
+        }
+      }
+      for (int l = 0; l < L; ++l) theta0[l] = th_l[l][0];
+
+      // comp[j] = gamma p_j / (phi_j - phi_{j+1}).
+#pragma omp simd
+      for (int j = 0; j < nlev * L; ++j) {
+        comp[j] = gamma * p_ln[j] / (phi_ln[j] - phi_ln[j + L]);
+      }
+      // Rows for interior interfaces k = 1..n at flat j = (k-1)*L + lane.
+#pragma omp simd
+      for (int j = 0; j < n * L; ++j) {
+        const double dpi = 0.5 * (dp_ln[j] + dp_ln[j + L]);
+        const double ck = dt * g / dpi;
+        const double a = ck * dt * g;
+        lower[j] = -a * comp[j];
+        diag[j] = 1.0 + a * (comp[j + L] + comp[j]);
+        upper[j] = -a * comp[j + L];
+        rhs[j] = w_ln[j + L] + ck * (p_ln[j + L] - p_ln[j]) - dt * g;
+      }
+      // Thomas: sequential in k, lane-parallel.
+      for (int r = 1; r < n; ++r) {
+#pragma omp simd
+        for (int l = 0; l < L; ++l) {
+          const double mm = lower[r * L + l] / diag[(r - 1) * L + l];
+          diag[r * L + l] -= mm * upper[(r - 1) * L + l];
+          rhs[r * L + l] -= mm * rhs[(r - 1) * L + l];
+        }
+      }
+#pragma omp simd
+      for (int j = 0; j < (nlev + 1) * L; ++j) wnew[j] = 0.0;
+      if (n > 0) {
+#pragma omp simd
+        for (int l = 0; l < L; ++l) {
+          wnew[n * L + l] = rhs[(n - 1) * L + l] / diag[(n - 1) * L + l];
+        }
+        for (int r = n - 2; r >= 0; --r) {
+#pragma omp simd
+          for (int l = 0; l < L; ++l) {
+            wnew[(r + 1) * L + l] =
+                (rhs[r * L + l] - upper[r * L + l] * wnew[(r + 2) * L + l]) /
+                diag[r * L + l];
+          }
+        }
+      }
+      if (w_damp_tau > 0) {
+#pragma omp simd
+        for (int j = L; j < nlev * L; ++j) wnew[j] /= 1.0 + dt / w_damp_tau;
+      }
+      // Inversion limiter on pre-update phi; wnew row k sits at j + L.
+#pragma omp simd
+      for (int j = 0; j < n * L; ++j) {
+        const double room =
+            0.25 * std::min(phi_ln[j] - phi_ln[j + L],
+                            phi_ln[j + L] - phi_ln[j + 2 * L]);
+        const double bound = room / (dt * g);
+        double wk = wnew[j + L];
+        wk = wk > bound ? bound : wk;
+        wk = wk < -bound ? -bound : wk;
+        wnew[j + L] = wk;
+      }
+      // Scatter w, update interior phi, re-attach the top interface.
+      for (int k = 0; k <= nlev; ++k) {
+        for (int l = 0; l < used; ++l) w_l[l][k] = wnew[k * L + l];
+      }
+      for (int k = 1; k <= n; ++k) {
+        for (int l = 0; l < used; ++l) phi_l[l][k] += dt * g * wnew[k * L + l];
+      }
+      double top_pow[L];
+      for (int l = 0; l < L; ++l) top_pow[l] = (ptop + 0.5 * dp_ln[l]) / kP0;
+      powRow(L, top_pow, kKappa, top_pow);
+      for (int l = 0; l < used; ++l) {
+        const double pi_top_mid = ptop + 0.5 * dp_ln[l];
+        const double alpha_top = kRd * theta0[l] * top_pow[l] / pi_top_mid;
+        phi_l[l][0] = phi_l[l][1] + alpha_top * dp_ln[l];
       }
     }
   }
@@ -945,7 +978,7 @@ template <precision::NsReal NS>
 void fusedMomentumTendencyImpl(const HexMesh& m, const TrskWeights& trsk,
                                Index nedges, int nlev, const NS* ke,
                                const NS* qv, const NS* flux,
-                               const double* phi, const double* alpha,
+                               const double* phi, const NS* alpha,
                                const double* p, const NS* div_u,
                                const NS* vor, double nu_div, double nu_vor,
                                double* tend_u) {
@@ -992,8 +1025,8 @@ void fusedMomentumTendencyImpl(const HexMesh& m, const TrskWeights& trsk,
       const NS* __restrict ke2 = ke + c2 * nlev;
       const double* __restrict ph1 = phi + c1 * (nlev + 1);
       const double* __restrict ph2 = phi + c2 * (nlev + 1);
-      const double* __restrict al1 = alpha + c1 * nlev;
-      const double* __restrict al2 = alpha + c2 * nlev;
+      const NS* __restrict al1 = alpha + c1 * nlev;
+      const NS* __restrict al2 = alpha + c2 * nlev;
       const double* __restrict p1 = p + c1 * nlev;
       const double* __restrict p2 = p + c2 * nlev;
       const NS* __restrict dv1 = div_u + c1 * nlev;
@@ -1008,7 +1041,8 @@ void fusedMomentumTendencyImpl(const HexMesh& m, const TrskWeights& trsk,
         t += static_cast<double>(acc_row[k]);
         const double phm1 = 0.5 * (ph1[k] + ph1[k + 1]);
         const double phm2 = 0.5 * (ph2[k] + ph2[k + 1]);
-        const double alpha_e = 0.5 * (al1[k] + al2[k]);
+        const double alpha_e = 0.5 * (static_cast<double>(al1[k]) +
+                                      static_cast<double>(al2[k]));
         t -= ((phm2 - phm1) + alpha_e * (p2[k] - p1[k])) * inv_de_d;
         const NS grad_div = (dv2[k] - dv1[k]) * inv_de;
         const NS curl_vor = (vr2[k] - vr1[k]) * inv_le;
@@ -1047,9 +1081,9 @@ const KernelTable& GRIST_SIMD_TIER_FN() {
                                  &fusedScalarTendenciesImpl<float>};
     t.fused_momentum_tendency = {&fusedMomentumTendencyImpl<double>,
                                  &fusedMomentumTendencyImpl<float>};
-    t.rrr_alpha_p[0] = &rrrAlphaPImpl<double>;
-    t.rrr_alpha_p[1] = &rrrAlphaPImpl<float>;
+    t.rrr_alpha_p = {&rrrImpl<double, true>, &rrrImpl<float, true>};
     t.rrr_p = &rrrPImpl;
+    t.pow_row = &powRow;
     t.save_cell_start = &saveCellStartImpl;
     t.save_edge_start = &saveEdgeStartImpl;
     t.update_cells = &updateCellsImpl;

@@ -105,12 +105,12 @@ class Dycore {
   template <typename NS>
   void computeTendencies(const State& state);
 
-  /// The six NS intermediates of the tendency sweeps, stored in NS (the
-  /// storage contract in grist/backend/simd.hpp). Edges: flux, uflux;
-  /// cells: ke, div_u; vertices: vor, qv.
+  /// The seven NS intermediates of the EOS and the tendency sweeps, stored
+  /// in NS (the storage contract in grist/backend/simd.hpp). Edges: flux,
+  /// uflux; cells: ke, div_u, alpha; vertices: vor, qv.
   template <typename S>
   struct NsScratch {
-    parallel::FieldT<S> flux, uflux, ke, div_u, vor, qv;
+    parallel::FieldT<S> flux, uflux, ke, div_u, alpha, vor, qv;
   };
   template <typename NS>
   NsScratch<NS>& nsScratch() {
@@ -132,7 +132,7 @@ class Dycore {
   // Scratch (allocated once, shared by all members), grouped by mesh
   // entity; the constructor asserts every field's size against its entity
   // count. Cell fields:
-  parallel::Field div_flux_, alpha_, p_;
+  parallel::Field div_flux_, p_;
   parallel::Field thetam_tend_, delp_tend_;
   parallel::Field delp0_, thetam0_;  // step-start copies for RK
   // Edge fields:

@@ -45,7 +45,6 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
   // instead of silently aliasing out-of-range rows.
   // -- cell fields (ncells x nlev) --
   div_flux_ = Field(mesh.ncells, nlev);
-  alpha_ = Field(mesh.ncells, nlev);
   p_ = Field(mesh.ncells, nlev);
   thetam_tend_ = Field(mesh.ncells, nlev);
   delp_tend_ = Field(mesh.ncells, nlev);
@@ -61,6 +60,7 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
     s.uflux = F(mesh.nedges, nlev);
     s.ke = F(mesh.ncells, nlev);
     s.div_u = F(mesh.ncells, nlev);
+    s.alpha = F(mesh.ncells, nlev);
     s.vor = F(mesh.nvertices, nlev);
     s.qv = F(mesh.nvertices, nlev);
   };
@@ -94,11 +94,11 @@ Dycore::Dycore(const grid::HexMesh& mesh, const grid::TrskWeights& trsk,
     expect(s.uflux, mesh.nedges, "uflux");
     expect(s.ke, mesh.ncells, "ke");
     expect(s.div_u, mesh.ncells, "div_u");
+    expect(s.alpha, mesh.ncells, "alpha");
     expect(s.vor, mesh.nvertices, "vor");
     expect(s.qv, mesh.nvertices, "qv");
   };
   expect(div_flux_, mesh.ncells, "div_flux");
-  expect(alpha_, mesh.ncells, "alpha");
   expect(p_, mesh.ncells, "p");
   expect(thetam_tend_, mesh.ncells, "thetam_tend");
   expect(delp_tend_, mesh.ncells, "delp_tend");
@@ -221,9 +221,9 @@ void Dycore::computeTendencies(const State& state) {
   // Thermodynamic diagnostics on the diagnostic cell band: alpha and p
   // only. compute_rrr's Exner and pi_mid outputs are never read by the
   // step (the coupler runs the full column EOS), so they are not computed.
-  tb.rrr_alpha_p[si](nullptr, bounds_.cells_diag, nlev, state.delp.data(),
-                     state.theta.data(), state.phi.data(), alpha_.data(),
-                     p_.data());
+  std::get<si>(tb.rrr_alpha_p)(nullptr, bounds_.cells_diag, nlev,
+                               state.delp.data(), state.theta.data(),
+                               state.phi.data(), ns.alpha.data(), p_.data());
 
   // Fused edge sweep: mass flux + plain velocity flux from one pass over
   // ALL local edges (both cells of a local edge are always local).
@@ -249,7 +249,7 @@ void Dycore::computeTendencies(const State& state) {
   // (hard-double inside) + del2 damping; u_tend_ written exactly once.
   std::get<si>(tb.fused_momentum_tendency)(
       mesh_, trsk_, bounds_.edges_prog, nlev, ns.ke.data(), ns.qv.data(),
-      ns.flux.data(), state.phi.data(), alpha_.data(), p_.data(),
+      ns.flux.data(), state.phi.data(), ns.alpha.data(), p_.data(),
       ns.div_u.data(), ns.vor.data(), config_.div_damp / config_.dt,
       config_.diff_coef / config_.dt, u_tend_.data());
 }
@@ -319,8 +319,8 @@ void Dycore::stepImpl(State* const* states, const OverlapHooks* hooks) {
     solve_phi_[mi] = state.phi.data();
   }
 
-  // Vertically implicit acoustic adjustment of (w, phi), members batched as
-  // SIMD lanes, on pressure recomputed in double for the updated
+  // Vertically implicit acoustic adjustment of (w, phi), (column, member)
+  // pairs batched as SIMD lanes, on pressure recomputed in double for the updated
   // delp/theta. The column solve reads no halos, so the overlapped
   // schedule posts the boundary columns' results and solves the interior
   // columns while the messages are in flight.

@@ -16,8 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -51,18 +56,19 @@ constexpr double kNuTheta = 0.005 / 300.0;
 constexpr double kNuDiv = 0.02 / 300.0;
 constexpr double kNuVor = 0.005 / 300.0;
 
-/// The six NS-stored operands of the fused sweeps as S rows, seeded from
-/// (and written back into) a SimKernelData. Widening a float row back into
-/// a double one is exact.
+/// The seven NS-stored operands of the fused sweeps and the EOS as S rows,
+/// seeded from (and written back into) a SimKernelData. Widening a float
+/// row back into a double one is exact.
 template <typename S>
 struct NsRows {
-  std::vector<S> flux, uflux, ke, div_u, vor, qv;
+  std::vector<S> flux, uflux, ke, div_u, alpha, vor, qv;
 
   explicit NsRows(const SimKernelData& d)
       : flux(d.flux.begin(), d.flux.end()),
         uflux(d.uflux.begin(), d.uflux.end()),
         ke(d.ke.begin(), d.ke.end()),
         div_u(d.div_u.begin(), d.div_u.end()),
+        alpha(d.alpha.begin(), d.alpha.end()),
         vor(d.vor.begin(), d.vor.end()),
         qv(d.qv.begin(), d.qv.end()) {}
 
@@ -71,10 +77,22 @@ struct NsRows {
     d.uflux.assign(uflux.begin(), uflux.end());
     d.ke.assign(ke.begin(), ke.end());
     d.div_u.assign(div_u.begin(), div_u.end());
+    d.alpha.assign(alpha.begin(), alpha.end());
     d.vor.assign(vor.begin(), vor.end());
     d.qv.assign(qv.begin(), qv.end());
   }
 };
+
+/// Seeded kernel data for precision `ns`. Under MIX the EOS writes alpha as
+/// an NS quotient, so a MIX step only ever sees float-valued alpha: the
+/// seed is rounded likewise, which makes a float alpha row hold it exactly.
+SimKernelData seedData(const HexMesh& mesh, int nlev, NsMode ns) {
+  SimKernelData d = makeSimKernelData(mesh, nlev);
+  if (ns == NsMode::kSingle) {
+    for (double& a : d.alpha) a = static_cast<float>(a);
+  }
+  return d;
+}
 
 /// One fused sweep through the table's NS slot, on NS-typed rows.
 template <precision::NsReal NS>
@@ -108,7 +126,7 @@ void runFusedSweep(SimKernel kernel, const HexMesh& mesh,
     case SimKernel::kFusedMomentumTendency:
       std::get<si>(tb.fused_momentum_tendency)(
           mesh, trsk, d.nedges, nlev, r.ke.data(), r.qv.data(), r.flux.data(),
-          d.phi.data(), d.alpha.data(), d.p.data(), r.div_u.data(),
+          d.phi.data(), r.alpha.data(), d.p.data(), r.div_u.data(),
           r.vor.data(), kNuDiv, kNuVor, d.tend_u.data());
       return;
     default:
@@ -154,10 +172,19 @@ void runSimdKernel(SimKernel kernel, const HexMesh& mesh,
                                      d.u.data(), d.flux.data());
       return;
     case SimKernel::kComputeRrr:
-      // The table carries compute_rrr's step-facing part only: alpha and p.
-      tb.rrr_alpha_p[si](nullptr, d.ncells, nlev, d.delp.data(),
-                         d.theta.data(), d.phi.data(), d.alpha.data(),
-                         d.p.data());
+      // The table carries compute_rrr's step-facing part only: alpha and p,
+      // alpha in NS storage.
+      if (si == 1) {
+        std::vector<float> alpha(d.alpha.size());
+        std::get<1>(tb.rrr_alpha_p)(nullptr, d.ncells, nlev, d.delp.data(),
+                                    d.theta.data(), d.phi.data(),
+                                    alpha.data(), d.p.data());
+        d.alpha.assign(alpha.begin(), alpha.end());
+      } else {
+        std::get<0>(tb.rrr_alpha_p)(nullptr, d.ncells, nlev, d.delp.data(),
+                                    d.theta.data(), d.phi.data(),
+                                    d.alpha.data(), d.p.data());
+      }
       return;
     case SimKernel::kCalcCoriolisTerm:
       tb.calc_coriolis_term[si](mesh, trsk, d.nedges, nlev, d.flux.data(),
@@ -276,10 +303,10 @@ TEST_F(SimdParityTest, AllKernelsAllTiersAllPrecisionsBitwise) {
         if (nlev < 2 && kernel == SimKernel::kVertImplicitSolver) {
           continue;  // the column solve needs an interior interface
         }
-        SimKernelData ref = makeSimKernelData(*mesh_, nlev);
+        SimKernelData ref = seedData(*mesh_, nlev, ns);
         runKernelOnData(kernel, *mesh_, *trsk_, ns, ExecBackend::kHost, ref);
-        // A float slot of a fused sweep holds its six NS rows in float:
-        // the Host rows rounded to float.
+        // A float slot of a fused sweep holds its NS rows in float: the
+        // Host rows rounded to float.
         if (ns == NsMode::kSingle && isFusedSweep(kernel)) {
           NsRows<float>(ref).writeBack(ref);
         }
@@ -288,7 +315,7 @@ TEST_F(SimdParityTest, AllKernelsAllTiersAllPrecisionsBitwise) {
                        (ns == NsMode::kSingle ? "single" : "double") +
                        " nlev=" + std::to_string(nlev) + " tier=" +
                        tierName(tier));
-          SimKernelData got = makeSimKernelData(*mesh_, nlev);
+          SimKernelData got = seedData(*mesh_, nlev, ns);
           runSimdKernel(kernel, *mesh_, *trsk_, ns, table(tier), got);
           expectDataBitwiseEqual(ref, got, kernel != SimKernel::kComputeRrr);
         }
@@ -309,7 +336,7 @@ TEST_F(SimdParityTest, FusedPipelineStoresNsRowsBitwisePerTier) {
       SimKernel::kFusedMomentumTendency};
   for (const int nlev : kNlevSweep) {
     for (const NsMode ns : {NsMode::kDouble, NsMode::kSingle}) {
-      SimKernelData ref = makeSimKernelData(*mesh_, nlev);
+      SimKernelData ref = seedData(*mesh_, nlev, ns);
       for (const SimKernel k : pipeline) {
         runKernelOnData(k, *mesh_, *trsk_, ns, ExecBackend::kHost, ref);
       }
@@ -317,7 +344,7 @@ TEST_F(SimdParityTest, FusedPipelineStoresNsRowsBitwisePerTier) {
         SCOPED_TRACE(std::string("nlev=") + std::to_string(nlev) + " tier=" +
                      tierName(tier) +
                      (ns == NsMode::kSingle ? " float rows" : " double rows"));
-        SimKernelData got = makeSimKernelData(*mesh_, nlev);
+        SimKernelData got = seedData(*mesh_, nlev, ns);
         if (ns == NsMode::kSingle) {
           NsRows<float> rows(got);
           for (const SimKernel k : pipeline) {
@@ -433,16 +460,32 @@ TEST_F(SimdParityTest, EosEntriesMatchHostComputeRrrAlphaAndP) {
         const int si = nsIndex(ns);
         SCOPED_TRACE(std::string("nlev=") + std::to_string(nlev) + " tier=" +
                      tierName(tier) + " ns=" + (si ? "single" : "double"));
+        // The double slot writes alpha into a double row; the float slot
+        // into a float row, widened here (exactly) for the comparison.
+        const auto eos = [&](const std::vector<Index>* cells,
+                             std::vector<double>& alpha,
+                             std::vector<double>& p) {
+          const Index* list = cells ? cells->data() : nullptr;
+          const Index count = cells ? static_cast<Index>(cells->size()) : n;
+          if (si == 1) {
+            std::vector<float> alpha_sp(alpha.begin(), alpha.end());
+            std::get<1>(tb.rrr_alpha_p)(list, count, nlev, d.delp.data(),
+                                        d.theta.data(), d.phi.data(),
+                                        alpha_sp.data(), p.data());
+            alpha.assign(alpha_sp.begin(), alpha_sp.end());
+          } else {
+            std::get<0>(tb.rrr_alpha_p)(list, count, nlev, d.delp.data(),
+                                        d.theta.data(), d.phi.data(),
+                                        alpha.data(), p.data());
+          }
+        };
         std::vector<double> alpha(sentinel), p(sentinel);
-        tb.rrr_alpha_p[si](nullptr, n, nlev, d.delp.data(), d.theta.data(),
-                           d.phi.data(), alpha.data(), p.data());
+        eos(nullptr, alpha, p);
         EXPECT_TRUE(bitwiseEqual(ref_alpha[si], alpha, "alpha"));
         EXPECT_TRUE(bitwiseEqual(ref_p[si], p, "p"));
         alpha = sentinel;
         p = sentinel;
-        tb.rrr_alpha_p[si](band.data(), static_cast<Index>(band.size()), nlev,
-                           d.delp.data(), d.theta.data(), d.phi.data(),
-                           alpha.data(), p.data());
+        eos(&band, alpha, p);
         EXPECT_TRUE(bandRowsMatch(ref_alpha[si], alpha, sentinel, in, nlev,
                                   "alpha (band)"));
         EXPECT_TRUE(bandRowsMatch(ref_p[si], p, sentinel, in, nlev,
@@ -555,12 +598,23 @@ TEST_F(SimdParityTest, RkSweepsMatchScalarLoopsContiguousAndBanded) {
 }
 
 TEST_F(SimdParityTest, MemberLaneSolveMatchesHostColumnSolvePerMember) {
+  // Band lists: the whole range (contiguous), the sparse backwards band,
+  // and short irregular lists of 1, 7, 9 and 17 cells, so that lane blocks
+  // of consecutive (column, member) pairs end mid-vector for every M.
+  const auto irregular = [](Index n, Index count) {
+    std::vector<Index> band;
+    for (Index j = 0; j < count; ++j) band.push_back((n - 1 - 37 * j) % n);
+    return band;
+  };
   for (const int nlev : kStepNlevSweep) {
     const SimKernelData d = makeSimKernelData(*mesh_, nlev);
     const Index n = d.ncells;
-    const std::vector<Index> band = sparseBand(n);
-    const std::vector<char> in = bandMask(band, n);
-    for (const int members : {1, 3, 9}) {  // 9 spans two lane blocks
+    const std::vector<std::vector<Index>> bands = {
+        sparseBand(n), irregular(n, 1), irregular(n, 7), irregular(n, 9),
+        irregular(n, 17)};
+    // 2, 3 and 9 do not divide 8; 8 fills a block with one column; 9 spans
+    // two blocks per column.
+    for (const int members : {1, 2, 3, 8, 9}) {
       // Distinct physical members: shifted theta, wiggled interior phi, a
       // nonzero w; p from the Host EOS, then the Host column solve.
       std::vector<std::vector<double>> delp(members, d.delp), theta, p, w,
@@ -586,9 +640,13 @@ TEST_F(SimdParityTest, MemberLaneSolveMatchesHostColumnSolvePerMember) {
         ref_phi.push_back(std::move(dm.phi));
       }
       for (const Tier tier : availableTiers()) {
-        SCOPED_TRACE(std::string("nlev=") + std::to_string(nlev) + " M=" +
-                     std::to_string(members) + " tier=" + tierName(tier));
-        for (const bool banded : {false, true}) {
+        // band < 0: contiguous; otherwise bands[band].
+        for (int band = -1; band < static_cast<int>(bands.size()); ++band) {
+          SCOPED_TRACE(std::string("nlev=") + std::to_string(nlev) + " M=" +
+                       std::to_string(members) + " tier=" + tierName(tier) +
+                       " band=" + std::to_string(band));
+          const std::vector<Index>* list =
+              band < 0 ? nullptr : &bands[static_cast<std::size_t>(band)];
           std::vector<std::vector<double>> gw(w), gphi(phi);
           std::vector<const double*> dp_ptr, th_ptr, p_ptr;
           std::vector<double*> w_ptr, phi_ptr;
@@ -600,12 +658,13 @@ TEST_F(SimdParityTest, MemberLaneSolveMatchesHostColumnSolvePerMember) {
             phi_ptr.push_back(gphi[m].data());
           }
           table(tier).vert_solve_lanes(
-              banded ? band.data() : nullptr,
-              banded ? static_cast<Index>(band.size()) : n, members, nlev, kDt,
+              list ? list->data() : nullptr,
+              list ? static_cast<Index>(list->size()) : n, members, nlev, kDt,
               kPtop, dp_ptr.data(), th_ptr.data(), p_ptr.data(), w_ptr.data(),
               phi_ptr.data(), kWDampTau);
           for (int m = 0; m < members; ++m) {
-            if (banded) {
+            if (list) {
+              const std::vector<char> in = bandMask(*list, n);
               EXPECT_TRUE(bandRowsMatch(ref_w[m], gw[m], w[m], in, nlev + 1,
                                         "w (band)"));
               EXPECT_TRUE(bandRowsMatch(ref_phi[m], gphi[m], phi[m], in,
@@ -617,6 +676,211 @@ TEST_F(SimdParityTest, MemberLaneSolveMatchesHostColumnSolvePerMember) {
           }
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The row pow (KernelTable::pow_row): std::pow's exact bits on every tier,
+// for the EOS's two exponents over the EOS argument range, log-uniform
+// inputs, both sides of every 2^-12 mantissa boundary (a superset of the
+// AVX-512 tier's log-table interval edges) and the special inputs. Inputs
+// are streamed in chunks of nlev-20 rows, as the EOS calls it.
+// ---------------------------------------------------------------------------
+
+constexpr double kPowExponents[] = {
+    constants::kCp / (constants::kCp - constants::kRd),  // cp/cv
+    constants::kRd / constants::kCp};                     // Rd/cp
+
+/// std::pow's contract: NaN equals NaN, everything else bitwise.
+bool samePow(double want, double got) {
+  return std::isnan(want) ? std::isnan(got)
+                          : std::memcmp(&want, &got, sizeof(double)) == 0;
+}
+
+/// Mismatches against std::pow and scalar-call count of one tier over
+/// every input.
+struct PowTally {
+  long inputs = 0;
+  long mismatches = 0;
+  long scalar = 0;
+};
+
+/// Streams `total` inputs from `fill` (which writes one chunk) through every
+/// tier's pow_row with exponent y, in rows of `row` elements.
+std::vector<PowTally> tallyPowRow(
+    long total, double y, int row,
+    const std::function<void(std::vector<double>&)>& fill) {
+  const std::vector<Tier> tiers = availableTiers();
+  std::vector<PowTally> tally(tiers.size());
+  const std::size_t chunk = static_cast<std::size_t>(row) * 3277;  // ~2^16
+  std::vector<double> x(chunk), want(chunk), got(chunk);
+  for (long done = 0; done < total; done += static_cast<long>(chunk)) {
+    x.resize(static_cast<std::size_t>(
+        std::min<long>(static_cast<long>(chunk), total - done)));
+    fill(x);
+    want.resize(x.size());
+    got.resize(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) want[i] = std::pow(x[i], y);
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+      const KernelTable& tb = table(tiers[t]);
+      for (std::size_t i = 0; i < x.size(); i += static_cast<std::size_t>(row)) {
+        const Index n = static_cast<Index>(
+            std::min(static_cast<std::size_t>(row), x.size() - i));
+        tally[t].scalar += static_cast<long>(
+            tb.pow_row(n, x.data() + i, y, got.data() + i));
+      }
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        if (!samePow(want[i], got[i])) {
+          if (tally[t].mismatches < 3) {
+            ADD_FAILURE() << tierName(tiers[t]) << ": pow(" << std::hexfloat
+                          << x[i] << ", " << y << ") = " << got[i]
+                          << ", std::pow gives " << want[i]
+                          << std::defaultfloat;
+          }
+          ++tally[t].mismatches;
+        }
+      }
+      tally[t].inputs += static_cast<long>(x.size());
+    }
+  }
+  return tally;
+}
+
+void expectNoPowMismatch(const std::vector<PowTally>& tally) {
+  const std::vector<Tier> tiers = availableTiers();
+  for (std::size_t t = 0; t < tiers.size(); ++t) {
+    EXPECT_EQ(tally[t].mismatches, 0)
+        << tierName(tiers[t]) << ": of " << tally[t].inputs << " inputs";
+  }
+}
+
+constexpr long kPowInputs = 1L << 24;
+
+TEST(VectorPow, MatchesStdPowOnTheEosRange) {
+  for (const double y : kPowExponents) {
+    SCOPED_TRACE(std::string("y=") + std::to_string(y));
+    std::mt19937_64 rng(20241);
+    std::uniform_real_distribution<double> uniform(1e-3, 4.0);
+    const auto tally = tallyPowRow(kPowInputs, y, 20, [&](std::vector<double>& x) {
+      for (double& v : x) v = uniform(rng);
+    });
+    expectNoPowMismatch(tally);
+    // Only the AVX-512 tier has vector lanes; there at most 10% of the EOS
+    // arguments may fall back to std::pow.
+    const std::vector<Tier> tiers = availableTiers();
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+      if (tiers[t] != Tier::kAvx512) {
+        EXPECT_EQ(tally[t].scalar, tally[t].inputs) << tierName(tiers[t]);
+        continue;
+      }
+      const double share = static_cast<double>(tally[t].scalar) /
+                           static_cast<double>(tally[t].inputs);
+      EXPECT_LE(share, 0.10) << "fallback share " << share;
+    }
+  }
+}
+
+TEST(VectorPow, MatchesStdPowLogUniformOverTheNormalRange) {
+  // Every binade of [2^-1020, 2^1020] equally likely, uniform mantissa.
+  for (const double y : kPowExponents) {
+    SCOPED_TRACE(std::string("y=") + std::to_string(y));
+    std::mt19937_64 rng(20242);
+    std::uniform_int_distribution<std::uint64_t> exponent(1023 - 1020,
+                                                          1023 + 1019);
+    const auto tally = tallyPowRow(kPowInputs, y, 20, [&](std::vector<double>& x) {
+      for (double& v : x) {
+        v = std::bit_cast<double>((exponent(rng) << 52) |
+                                  (rng() & 0x000fffffffffffffULL));
+      }
+    });
+    expectNoPowMismatch(tally);
+  }
+}
+
+TEST(VectorPow, MatchesStdPowOnBothSidesOfTableEdges) {
+  // Each 2^-12 mantissa boundary in 64 binades around 1 and across the
+  // range, with its two neighbours below and two above; plus both sides of
+  // |y ln x| = 8, where the vector lanes hand over to std::pow.
+  for (const double y : kPowExponents) {
+    SCOPED_TRACE(std::string("y=") + std::to_string(y));
+    std::vector<double> inputs;
+    for (int e = -32; e < 32; ++e) {
+      const int binade = e * (e < -8 || e > 8 ? 31 : 1);  // dense near 1
+      for (std::uint64_t m = 0; m < 4096; ++m) {
+        const double edge = std::bit_cast<double>(
+            (static_cast<std::uint64_t>(1023 + binade) << 52) | (m << 40));
+        double lo = edge, hi = edge;
+        inputs.push_back(edge);
+        for (int s = 0; s < 2; ++s) {
+          lo = std::nextafter(lo, 0.0);
+          hi = std::nextafter(hi, 2.0 * hi);
+          inputs.push_back(lo);
+          inputs.push_back(hi);
+        }
+      }
+    }
+    for (const double t : {-8.0, 8.0}) {
+      double below = std::exp(t / y), above = below;
+      inputs.push_back(below);
+      for (int s = 0; s < 64; ++s) {
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, 2.0 * above);
+        inputs.push_back(below);
+        inputs.push_back(above);
+      }
+    }
+    std::size_t next = 0;
+    const auto tally = tallyPowRow(static_cast<long>(inputs.size()), y, 20,
+                                   [&](std::vector<double>& x) {
+                                     for (double& v : x) v = inputs[next++];
+                                   });
+    expectNoPowMismatch(tally);
+  }
+}
+
+TEST(VectorPow, MatchesStdPowOnSpecialInputsAndRowShapes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMinSub = std::numeric_limits<double>::denorm_min();
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const std::vector<double> special = {
+      0.0, -0.0, kMinSub, 2 * kMinSub, 0.5 * kMinNormal,
+      std::nextafter(kMinNormal, 0.0), kMinNormal, 1.0,
+      std::nextafter(1.0, 0.0), std::nextafter(1.0, 2.0), kMax, kInf, -kInf,
+      kNaN, -kNaN, -1.0, -2.5, -kMinSub, -kMax, 0.25, 4.0, 1e-3};
+  for (const double y : kPowExponents) {
+    SCOPED_TRACE(std::string("y=") + std::to_string(y));
+    // Each special value at every lane position of rows of 1..17 elements,
+    // among ordinary EOS arguments, so masked tails and mixed fallback
+    // lanes are covered.
+    for (int row = 1; row <= 17; ++row) {
+      const std::size_t w = static_cast<std::size_t>(row);
+      const long count = static_cast<long>(special.size() * w * w);
+      std::size_t next = 0;
+      // Row r holds special[r / w] at lane r % w.
+      const auto tally = tallyPowRow(count, y, row, [&](std::vector<double>& x) {
+        for (std::size_t i = 0; i < x.size(); ++i, ++next) {
+          const std::size_t r = next / w;
+          const std::size_t lane = next % w;
+          x[i] = lane == r % w ? special[r / w]
+                               : 0.05 + 0.1 * static_cast<double>(lane);
+        }
+      });
+      expectNoPowMismatch(tally);
+    }
+  }
+  // In place (out aliases x), on every tier.
+  for (const Tier tier : availableTiers()) {
+    std::vector<double> x = special, want(special.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      want[i] = std::pow(x[i], kPowExponents[0]);
+    }
+    table(tier).pow_row(static_cast<Index>(x.size()), x.data(),
+                        kPowExponents[0], x.data());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_TRUE(samePow(want[i], x[i])) << tierName(tier) << " [" << i << "]";
     }
   }
 }
@@ -661,7 +925,6 @@ TEST(SimdDispatch, EveryTableSlotIsPopulated) {
     const KernelTable& tb = table(t);
     for (int si = 0; si < 2; ++si) {
       EXPECT_NE(tb.primal_normal_flux_edge[si], nullptr);
-      EXPECT_NE(tb.rrr_alpha_p[si], nullptr);
       EXPECT_NE(tb.calc_coriolis_term[si], nullptr);
       EXPECT_NE(tb.tend_grad_ke_at_edge[si], nullptr);
       EXPECT_NE(tb.div_at_cell[si], nullptr);
@@ -676,12 +939,14 @@ TEST(SimdDispatch, EveryTableSlotIsPopulated) {
     EXPECT_TRUE(both_slots(tb.fused_scalar_tendencies));
     EXPECT_TRUE(both_slots(tb.fused_momentum_tendency));
     EXPECT_TRUE(both_slots(tb.accumulate_flux));
+    EXPECT_TRUE(both_slots(tb.rrr_alpha_p));
     EXPECT_NE(tb.rrr_p, nullptr);
     EXPECT_NE(tb.save_cell_start, nullptr);
     EXPECT_NE(tb.save_edge_start, nullptr);
     EXPECT_NE(tb.update_cells, nullptr);
     EXPECT_NE(tb.update_edges, nullptr);
     EXPECT_NE(tb.vert_solve_lanes, nullptr);
+    EXPECT_NE(tb.pow_row, nullptr);
   }
 }
 
